@@ -114,7 +114,8 @@ def gen_eulerian(n: int, p: float, seed: int) -> Graph:
                 if target >= 0:
                     break
             frontier = nxt
-        assert target >= 0, "component parity invariant broken"
+        if target < 0:
+            raise RuntimeError(f"odd vertex {x} has no odd partner in its component")
         cur = target
         while parent[cur] is not None:
             prv = parent[cur]

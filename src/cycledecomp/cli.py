@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields, replace
 from typing import Optional, Sequence
@@ -38,7 +37,6 @@ from .graph import (
     Graph,
     ParseError,
     decomposition_to_json,
-    decomposition_to_json_dict,
     format_edge_list,
     parse_edge_list,
     validate_decomposition,
@@ -212,7 +210,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    doc = json.loads(_read_text(args.file))
+    try:
+        doc = json.loads(_read_text(args.file))
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
     g = _read_graph(args.graph) if args.graph else None
     rep = validate_decomposition_json(doc, g)
     _emit_json(

@@ -14,13 +14,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from .expansion import (
-    CapacityError,
-    ExpanderParams,
-    extract_well_expanding_core,
-    worst_case_frontier,
-)
-from .graph import Graph, Path, ball
+from .expansion import CapacityError
+from .graph import Graph, Path
 from .pathscycles import _excise_walk
 
 
@@ -230,14 +225,13 @@ def route_pairs(
     *,
     rng_seed: int = 0,
     retries: int = 8,
-    escalate: bool = False,
 ) -> Union[RoutedPaths, RouteFailure]:
     """Connect every pair by edge-disjoint paths internally through V.
 
     greedy: pairs are processed in a seeded random order, each taking the
     shortest through-V path of length <= ell in the graph minus edges already
     used; the whole batch is retried with fresh orders up to ``retries``
-    times, optionally escalating to the exact oracle.  matching_oracle: exact
+    times.  matching_oracle: exact
     backtracking over enumerated candidates (small inputs only).
     """
     if ell < 1:
@@ -270,91 +264,12 @@ def route_pairs(
         if not stuck:
             return RoutedPaths(tuple(found[i] for i in range(k)), Vset, ell)
         last_stuck = stuck
-    if escalate:
-        try:
-            return _route_matching_oracle(g, batch, Vset, ell)
-        except CapacityError:
-            pass
     return RouteFailure(
         tuple(batch.pairs[i] for i in sorted(last_stuck)),
         retries,
         "greedy",
         "dead end after retries",
     )
-
-
-def _ball_with_parents(
-    g: Graph, start: int, V: frozenset[int], radius: int
-) -> tuple[dict[int, int], dict[int, Optional[tuple[int, int]]]]:
-    """Through-V ball from one vertex, keeping BFS distances and parents."""
-    adj = g.adjacency()
-    dist = {start: 0}
-    parent: dict[int, Optional[tuple[int, int]]] = {start: None}
-    frontier = [start]
-    d = 0
-    while frontier and d < radius:
-        d += 1
-        nxt: list[int] = []
-        for a in frontier:
-            for b, eid in adj[a]:
-                if b in dist or b not in V:
-                    continue
-                dist[b] = d
-                parent[b] = (a, eid)
-                nxt.append(b)
-        frontier = nxt
-    return dist, parent
-
-
-def _walk_from_parent(parent, end) -> tuple[list[int], list[int]]:
-    vs = [end]
-    es: list[int] = []
-    cur = end
-    while parent[cur] is not None:
-        prv, eid = parent[cur]
-        vs.append(prv)
-        es.append(eid)
-        cur = prv
-    vs.reverse()
-    es.reverse()
-    return vs, es
-
-
-def connect_one_pair_of_batch(
-    g: Graph, pairs: list[tuple[int, int]], V: Iterable[int], ell: int
-) -> Optional[tuple[int, Path]]:
-    """Find some pair whose through-V balls of radius 2*ell*log(n) meet.
-
-    Returns (pair index, witnessing path of length <= 4*ell*log(n)) for the
-    first such pair, or None.  A test probe, not a pipeline step.
-    """
-    Vset = frozenset(V)
-    n = max(g.n, 2)
-    radius = math.ceil(2 * ell * max(1.0, math.log2(n)))
-    for j, (x, y) in enumerate(pairs):
-        if x == y:
-            raise ValueError(f"pair {j} is degenerate")
-        dist_x, par_x = _ball_with_parents(g, x, Vset, radius)
-        dist_y, par_y = _ball_with_parents(g, y, Vset, radius)
-        meets = (set(dist_x) & set(dist_y)) - {x, y}
-        if y in dist_x:
-            meets.add(y)
-        if x in dist_y:
-            meets.add(x)
-        if not meets:
-            continue
-        meet = min(meets, key=lambda w: (dist_x[w] + dist_y.get(w, 0), w))
-        vx, ex = _walk_from_parent(par_x, meet)
-        vy, ey = _walk_from_parent(par_y, meet)
-        walk_vs = vx + vy[-2::-1]
-        walk_es = ex + ey[::-1]
-        if not walk_es:
-            continue
-        leftover, _ = _excise_walk(walk_vs, walk_es)
-        if leftover is None:
-            continue
-        return j, leftover
-    return None
 
 
 # -- template and skeleton --------------------------------------------------------
@@ -430,14 +345,13 @@ def make_template(
 
 @dataclass
 class Skeleton:
-    """Sparse subgraph with a declared (ell, t) through-V routing contract."""
+    """Sparse subgraph with a declared through-V path-length contract."""
 
     subgraph: Graph
     template: Graph
     through_set: frozenset[int]
     ell_route: int
     ell_template: int
-    t: int
     replacements: dict[tuple[int, int], Path] = field(repr=False, default_factory=dict)
     template_attempts: int = 1
     dropped_template_edges: int = 0
@@ -469,7 +383,8 @@ class Skeleton:
                     walk_vs.extend(reversed(rep.vertices[:-1]))
                     walk_es.extend(reversed(rep.edge_ids))
             leftover, _ = _excise_walk(walk_vs, walk_es)
-            assert leftover is not None
+            if leftover is None:
+                raise RuntimeError(f"served walk for {tpath.ends} closed on itself")
             host_paths.append(leftover)
         return RoutedPaths(tuple(host_paths), self.through_set, self.ell_serve)
 
@@ -488,8 +403,6 @@ def build_skeleton(
     ell_route: int,
     template_p: float,
     ell_template: Optional[int] = None,
-    t_serve: int = 2,
-    delta_cap: Optional[int] = None,
     rng_seed: int = 0,
     retries: int = 8,
     on_stuck: str = "fail",
@@ -508,7 +421,7 @@ def build_skeleton(
     n = len(verts)
     if n < 2:
         raise ValueError("skeleton needs at least 2 vertices")
-    tmpl = make_template(n, template_p, rng_seed, delta_cap=delta_cap)
+    tmpl = make_template(n, template_p, rng_seed)
     tmpl_pairs = [tmpl.graph.endpoints(eid) for eid in tmpl.graph.edge_id_list()]
     mapped = [(verts[u], verts[v]) for u, v in tmpl_pairs]
     Vset = frozenset(V)
@@ -560,83 +473,7 @@ def build_skeleton(
         through_set=Vset,
         ell_route=ell_route,
         ell_template=ell_template,
-        t=t_serve,
         replacements=replacements,
         template_attempts=tmpl.attempts,
         dropped_template_edges=dropped,
-    )
-
-
-# -- random-subset expansion experiment ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubsetExpansionStats:
-    trials: int
-    evaluated: int
-    successes: int
-    skipped: int
-    records: tuple[tuple[int, int, bool], ...]  # (|U|, |F|, success)
-
-    @property
-    def rate(self) -> float:
-        return self.successes / self.evaluated if self.evaluated else 0.0
-
-    def buckets(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """(|U| power-of-two bucket, |F| bucket) -> (successes, total)."""
-        out: dict[tuple[int, int], tuple[int, int]] = {}
-        for u_size, f_size, ok in self.records:
-            key = (1 << max(0, u_size.bit_length() - 1),
-                   1 << max(0, f_size.bit_length() - 1) if f_size else 0)
-            s, tot = out.get(key, (0, 0))
-            out[key] = (s + int(ok), tot + 1)
-        return out
-
-
-def verify_random_subset_expansion(
-    g: Graph,
-    p: ExpanderParams,
-    trials: int,
-    *,
-    v_prob: float = 1 / 3,
-    tau: int = 4,
-    radius: Optional[int] = None,
-    rng_seed: int = 0,
-) -> SubsetExpansionStats:
-    """Monte-Carlo check that balls through random V usually cover > |V|/2.
-
-    Each trial samples V by independent inclusion, extracts a well-expanding
-    core from a random seed set, takes the exact worst-case frontier as F,
-    and tests |B_{G-F}(U, V)| > |V|/2.  Purely statistical; nothing asserted.
-    """
-    n = g.n
-    if radius is None:
-        radius = min(max(n, 1), math.ceil(max(1.0, math.log2(max(n, 2))) ** 4))
-    records: list[tuple[int, int, bool]] = []
-    skipped = 0
-    verts = g.vertex_list()
-    for trial in range(trials):
-        rng = random.Random(rng_seed * 1_000_003 + trial)
-        V = [v for v in verts if rng.random() < v_prob]
-        max_u = (2 * n) // 3
-        if not V or max_u < 1:
-            skipped += 1
-            continue
-        base_size = rng.randint(1, max_u)
-        base = rng.sample(verts, base_size)
-        core = extract_well_expanding_core(g, base, tau)
-        if not core:
-            skipped += 1
-            continue
-        F, _ = worst_case_frontier(g, set(core), p.budget(len(core)))
-        reached = ball(g, core, V, radius, F)
-        ok = len(reached) > len(V) / 2
-        records.append((len(core), len(F), ok))
-    evaluated = len(records)
-    return SubsetExpansionStats(
-        trials=trials,
-        evaluated=evaluated,
-        successes=sum(1 for *_, ok in records if ok),
-        skipped=skipped,
-        records=tuple(records),
     )

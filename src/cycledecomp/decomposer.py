@@ -40,7 +40,6 @@ def almost_decompose_into_expanders(
     *,
     cap: int = 20,
     seed: int = 0,
-    heuristic_effort: str = "full",
 ) -> AlmostDecomposeResult:
     """Recursively split g along expansion violations.
 
@@ -75,7 +74,7 @@ def almost_decompose_into_expanders(
                 stack.append((cur.induced(comp), depth + 1))
             continue
 
-        violation = _find_violation(cur, p, cap=cap, seed=seed, effort=heuristic_effort)
+        violation = _find_violation(cur, p, cap=cap, seed=seed)
         if violation is None:
             parts.append(cur)
             certified.append(cur.n <= cap)
@@ -124,11 +123,10 @@ def _assert_almost_decompose_guarantees(
 
 
 def _find_violation(
-    g: Graph, p: ExpanderParams, *, cap: int, seed: int, effort: str
+    g: Graph, p: ExpanderParams, *, cap: int, seed: int
 ) -> Optional[tuple[set[int], set[int]]]:
     """Heuristic search first; exhaustive fallback under the cap."""
-    n_seeds = 8 if effort == "full" else 2
-    v = certify_expander(g, p, mode="heuristic", seed=seed, heuristic_seeds=n_seeds)
+    v = certify_expander(g, p, mode="heuristic", seed=seed)
     if not v.is_expander:
         U, F = v.violation
         return set(U), set(F)
@@ -149,10 +147,6 @@ class SplitResult:
     attempts: int
     target: ExpanderParams
     verdicts: tuple[Optional[ExpanderVerdict], ...]
-
-    @property
-    def all_checked(self) -> bool:
-        return all(v is not None for v in self.verdicts)
 
 
 class SplitFailure(RuntimeError):
@@ -202,6 +196,8 @@ def split_expander_edges(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if retry_cap < 1:
+        raise ValueError("retry_cap must be at least 1")
     if check not in ("auto", "exhaustive", "heuristic", "none"):
         raise ValueError(f"unknown check mode {check!r}")
     target = split_target_params(p, k, g.n)
@@ -230,5 +226,4 @@ def split_expander_edges(
                 break
         if ok:
             return SplitResult(parts, attempt, target, tuple(verdicts))
-    assert last_fail is not None
-    raise SplitFailure(retry_cap, last_fail[0], last_fail[1])
+    raise SplitFailure(retry_cap, *last_fail)

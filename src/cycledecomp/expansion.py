@@ -13,10 +13,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graph import Graph, neighborhood, robust_neighborhood
+
+
+# greedy-growth roots of the heuristic certifier: half lowest-degree, half random
+HEURISTIC_SEEDS = 8
 
 
 class CapacityError(ValueError):
@@ -93,15 +97,6 @@ class DichotomyOutcome:
     robust_set: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
-class StarsOrBipartite:
-    case: str  # "Stars" or "Bipartite"
-    stars: tuple[tuple[int, tuple[int, ...]], ...] = ()
-    bipartite_edges: tuple[int, ...] = ()
-    x_side: tuple[int, ...] = ()
-    degenerate: bool = False
-
-
 # -- worst-case frontier -------------------------------------------------------
 
 
@@ -142,21 +137,14 @@ def worst_case_frontier(
     return F, survivors
 
 
-def _min_survivors(g: Graph, Uset: set[int], budget: int, adj) -> int:
+def _min_survivors(Uset: set[int], budget: int, adj) -> int:
     """Survivor count after optimal deletion; inner loop of certification."""
     costs: dict[int, int] = {}
     for u in Uset:
         for w, _ in adj[u]:
             if w not in Uset:
                 costs[w] = costs.get(w, 0) + 1
-    k = len(costs)
-    remaining = budget
-    for c in sorted(costs.values()):
-        if c > remaining:
-            break
-        remaining -= c
-        k -= 1
-    return k
+    return _survivors_from_counts(costs, budget)
 
 
 # -- certification ---------------------------------------------------------------
@@ -169,7 +157,6 @@ def certify_expander(
     *,
     cap: int = 20,
     seed: int = 0,
-    heuristic_seeds: int = 8,
 ) -> ExpanderVerdict:
     """Test the (epsilon, s)-expansion property of g.
 
@@ -182,13 +169,8 @@ def certify_expander(
     if mode == "exhaustive":
         return _certify_exhaustive(g, p, cap)
     if mode == "heuristic":
-        return _certify_heuristic(g, p, seed, heuristic_seeds)
+        return _certify_heuristic(g, p, seed)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _violation_edges(g: Graph, Uset: set[int], budget: int) -> frozenset[int]:
-    F, _ = worst_case_frontier(g, Uset, budget)
-    return frozenset(F)
 
 
 def _survivors_from_counts(cnt: dict[int, int], budget: int) -> int:
@@ -218,14 +200,14 @@ def _certify_exhaustive(g: Graph, p: ExpanderParams, cap: int) -> ExpanderVerdic
         for combo in itertools.combinations(verts, size):
             checked += 1
             Uset = set(combo)
-            if _min_survivors(g, Uset, budget, adj) < thresh:
-                F = _violation_edges(g, Uset, budget)
+            if _min_survivors(Uset, budget, adj) < thresh:
+                F, _ = worst_case_frontier(g, Uset, budget)
                 return ExpanderVerdict(
                     is_expander=False,
                     certified=True,
                     mode="exhaustive",
                     params=p,
-                    violation=(frozenset(Uset), F),
+                    violation=(frozenset(Uset), frozenset(F)),
                     subsets_checked=checked,
                 )
     return ExpanderVerdict(
@@ -234,9 +216,7 @@ def _certify_exhaustive(g: Graph, p: ExpanderParams, cap: int) -> ExpanderVerdic
     )
 
 
-def _certify_heuristic(
-    g: Graph, p: ExpanderParams, seed: int, n_seeds: int
-) -> ExpanderVerdict:
+def _certify_heuristic(g: Graph, p: ExpanderParams, seed: int) -> ExpanderVerdict:
     n = g.n
     checked = 0
     if n < 2:
@@ -250,15 +230,16 @@ def _certify_heuristic(
         if not (1 <= size <= max_size):
             return False
         checked += 1
-        return _min_survivors(g, Uset, p.budget(size), adj) < p.threshold(size, n)
+        return _min_survivors(Uset, p.budget(size), adj) < p.threshold(size, n)
 
     def verdict_for(Uset: set[int]) -> ExpanderVerdict:
+        F, _ = worst_case_frontier(g, Uset, p.budget(len(Uset)))
         return ExpanderVerdict(
             is_expander=False,
             certified=False,
             mode="heuristic",
             params=p,
-            violation=(frozenset(Uset), _violation_edges(g, Uset, p.budget(len(Uset)))),
+            violation=(frozenset(Uset), frozenset(F)),
             subsets_checked=checked,
         )
 
@@ -319,9 +300,9 @@ def _certify_heuristic(
 
     # (a)+(c) greedy growth from low-degree and random seeds
     rng = random.Random(seed)
-    seeds = by_degree[: max(1, n_seeds // 2)]
+    seeds = by_degree[: HEURISTIC_SEEDS // 2]
     pool = g.vertex_list()
-    while len(seeds) < n_seeds and pool:
+    while len(seeds) < HEURISTIC_SEEDS and pool:
         seeds.append(pool[rng.randrange(len(pool))])
     step_cap = min(max_size, 96)
     for root in seeds:
@@ -394,75 +375,6 @@ def check_dichotomy(
     raise TheoremViolation(
         f"neither dichotomy case holds for |U|={len(Uset)}, |F|={len(Fset)}, d={d} "
         f"(fault only if g was certified as ({p.epsilon},{p.s})-expander)"
-    )
-
-
-# -- stars or bipartite weave ---------------------------------------------------------
-
-
-def find_stars_or_bipartite(
-    g: Graph,
-    p: ExpanderParams,
-    U: Iterable[int],
-    F: Iterable[int],
-    *,
-    star_count_target: int,
-    leaves_per_star: int = 4,
-    d_min: int = 2,
-    delta_max: int = 8,
-) -> StarsOrBipartite:
-    """Two-phase witness construction for the stars-or-bipartite dichotomy.
-
-    Phase 1 greedily collects a maximal family of vertex-disjoint stars with
-    centers in U and ``leaves_per_star`` leaves outside U in G-F; if at least
-    ``star_count_target`` stars are found, they are the witness.  Otherwise
-    phase 2 scans the outside vertices in ascending order and attaches each
-    as a ``d_min``-leaf star into U whenever every chosen U-vertex stays
-    within ``delta_max``; the accumulated bipartite graph H is the witness.
-    """
-    Uset = set(U)
-    Fset = set(F)
-    n = g.n
-    if len(Uset) > 2 * n / 3:
-        raise ValueError("|U| must be at most 2n/3")
-    if len(Fset) > p.s * len(Uset) / 4:
-        raise ValueError("|F| must be at most s|U|/4")
-    adj = g.adjacency()
-
-    used_leaves: set[int] = set()
-    stars: list[tuple[int, tuple[int, ...]]] = []
-    for center in sorted(Uset):
-        avail = sorted(
-            w
-            for w, eid in adj[center]
-            if w not in Uset and w not in used_leaves and eid not in Fset
-        )
-        if len(avail) >= leaves_per_star:
-            leaves = tuple(avail[:leaves_per_star])
-            used_leaves.update(leaves)
-            stars.append((center, leaves))
-    if len(stars) >= star_count_target:
-        return StarsOrBipartite(case="Stars", stars=tuple(stars))
-
-    u_deg: dict[int, int] = {u: 0 for u in Uset}
-    h_edges: list[int] = []
-    x_side: list[int] = []
-    for v in sorted(g.vertices - Uset):
-        options = sorted(
-            (u, eid)
-            for u, eid in adj[v]
-            if u in Uset and eid not in Fset and u_deg[u] < delta_max
-        )
-        if len(options) >= d_min:
-            for u, eid in options[:d_min]:
-                u_deg[u] += 1
-                h_edges.append(eid)
-            x_side.append(v)
-    return StarsOrBipartite(
-        case="Bipartite",
-        bipartite_edges=tuple(h_edges),
-        x_side=tuple(x_side),
-        degenerate=not x_side,
     )
 
 

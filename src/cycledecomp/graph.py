@@ -11,8 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class ParseError(ValueError):
@@ -554,26 +555,52 @@ def decomposition_from_json_dict(doc: dict, g: Graph) -> Decomposition:
     )
 
 
+def _vertex_ids(item, what: str, note) -> Optional[list[int]]:
+    """Vertex ids of one cycle, path or edge; None once a non-integer is noted.
+
+    Raises ValueError unless item is a list of JSON numbers: such a document
+    is malformed, not an invalid decomposition.
+    """
+    if isinstance(item, list) and all(type(v) is int for v in item):
+        return item
+    if not isinstance(item, list) or not all(isinstance(v, (int, float)) for v in item):
+        raise ValueError(f"{what}: expected a list of vertex ids, got {repr(item)[:40]}")
+    bad = next(v for v in item if type(v) is not int)
+    note(f"{what}: vertex id {json.dumps(bad)} is not an integer")
+    return None
+
+
 def validate_decomposition_json(doc: dict, g: Optional[Graph] = None) -> ValidationReport:
     """Validate a decomposition document, standalone or against a graph.
 
     Standalone mode reconstructs the implied graph from the document itself:
     cycles expand to their consecutive edges, plus the listed single edges;
     paths (optional field) expand likewise.  The implied edge multiset must
-    be simple, have m members, and use vertex ids below n.
+    be simple, have m members, and use integer vertex ids below n.  A
+    document of the wrong shape (not an object, a field or member that is
+    not a list, a vertex that is not a number, an edge that is not a pair)
+    raises ValueError instead.
     """
+    if not isinstance(doc, dict):
+        raise ValueError("decomposition document must be a JSON object")
     problems: list[str] = []
 
     def note(msg: str) -> None:
         if len(problems) < 20:
             problems.append(msg)
 
+    def members(key: str) -> list:
+        val = doc.get(key, [])
+        if not isinstance(val, list):
+            raise ValueError(f"{key} must be a list")
+        return val
+
     n = doc.get("n")
     m = doc.get("m")
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:  # bools are not counts
         note("bad or missing n")
         n = 0
-    if not isinstance(m, int) or m < 0:
+    if type(m) is not int or m < 0:
         note("bad or missing m")
         m = 0
 
@@ -588,40 +615,39 @@ def validate_decomposition_json(doc: dict, g: Optional[Graph] = None) -> Validat
             return
         edge_multiset.append((a, b) if a < b else (b, a))
 
-    n_cycles = 0
-    for ci, verts in enumerate(doc.get("cycles", [])):
-        n_cycles += 1
-        if len(verts) < 3:
-            note(f"cycle {ci}: fewer than 3 vertices")
-            continue
-        if len(set(verts)) != len(verts):
-            note(f"cycle {ci}: repeated vertex")
-            continue
-        for i in range(len(verts)):
-            add_edge(verts[i], verts[(i + 1) % len(verts)], f"cycle {ci}")
-    for pi, verts in enumerate(doc.get("paths", [])):
-        if len(verts) < 2:
-            note(f"path {pi}: fewer than 2 vertices")
-            continue
-        if len(set(verts)) != len(verts):
-            note(f"path {pi}: repeated vertex")
-            continue
-        for i in range(len(verts) - 1):
-            add_edge(verts[i], verts[i + 1], f"path {pi}")
-    n_singles = 0
-    for u, v in doc.get("edges", []):
-        n_singles += 1
-        add_edge(u, v, "single edge")
+    # a cycle also joins its last vertex to its first; a path does not
+    for key, kind, min_len, closing in (("cycles", "cycle", 3, 1), ("paths", "path", 2, 0)):
+        for idx, item in enumerate(members(key)):
+            what = f"{kind} {idx}"
+            verts = _vertex_ids(item, what, note)
+            if verts is None:
+                continue
+            if len(verts) < min_len:
+                note(f"{what}: fewer than {min_len} vertices")
+                continue
+            if len(set(verts)) != len(verts):
+                note(f"{what}: repeated vertex")
+                continue
+            for i in range(len(verts) - 1 + closing):
+                add_edge(verts[i], verts[(i + 1) % len(verts)], what)
+    singles = members("edges")
+    for si, item in enumerate(singles):
+        if not isinstance(item, list) or len(item) != 2:
+            raise ValueError(f"single edge {si}: expected a [u, v] pair, got {repr(item)[:40]}")
+        pair = _vertex_ids(item, f"single edge {si}", note)
+        if pair is not None:
+            add_edge(pair[0], pair[1], "single edge")
 
-    if len(set(edge_multiset)) != len(edge_multiset):
-        dupes = sorted({e for e in edge_multiset if edge_multiset.count(e) > 1})
+    counts = Counter(edge_multiset)
+    if len(counts) != len(edge_multiset):
+        dupes = sorted(e for e, c in counts.items() if c > 1)
         note(f"edges covered more than once, e.g. {dupes[:5]}")
     if len(edge_multiset) != m:
         note(f"document covers {len(edge_multiset)} edges but claims m={m}")
 
     if g is not None:
         actual = {g.edge_table[eid] for eid in g.edge_ids}
-        implied = set(edge_multiset)
+        implied = counts.keys()
         if g.host_n != n:
             note(f"graph has n={g.host_n}, document says {n}")
         if implied != actual:
@@ -635,9 +661,9 @@ def validate_decomposition_json(doc: dict, g: Optional[Graph] = None) -> Validat
     return ValidationReport(
         ok=not problems,
         problems=tuple(problems),
-        n_cycles=n_cycles,
-        n_single_edges=n_singles,
-        covered_edges=len(set(edge_multiset)),
+        n_cycles=len(members("cycles")),
+        n_single_edges=len(singles),
+        covered_edges=len(counts),
     )
 
 

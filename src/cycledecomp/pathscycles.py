@@ -137,7 +137,8 @@ def _component_walks(
     used = [False] * len(edges)
     ptr = {v: 0 for v in comp}
     vseq, eseq = _euler_circuit(comp[0], adj, used, ptr)
-    assert all(used) and len(eseq) == len(edges)
+    if not all(used) or len(eseq) != len(edges):
+        raise RuntimeError(f"Euler circuit from {comp[0]} missed edges of its component")
 
     virt = [i for i, idx in enumerate(eseq) if edges[idx][2] is None]
     if not virt:
@@ -151,7 +152,8 @@ def _component_walks(
     cur_es: list[int] = []
     for posn in order:
         idx = eseq[posn]
-        assert cur_vs[-1] == vseq[posn]
+        if cur_vs[-1] != vseq[posn]:
+            raise RuntimeError(f"walk split lost its place at circuit position {posn}")
         if edges[idx][2] is None:
             if cur_es:
                 walks.append((cur_vs, cur_es))
@@ -470,6 +472,7 @@ def eulerian_cycle_decompose(g: Graph) -> list[Cycle]:
     for comp in g.components():
         for vs, es in _component_walks(g, comp, pair_odd=False):
             leftover, excised = _excise_walk(vs, es)
-            assert leftover is None
+            if leftover is not None:
+                raise RuntimeError(f"closed walk left an open path at {leftover.ends}")
             cycles.extend(excised)
     return cycles

@@ -26,6 +26,14 @@ from .pathscycles import (
 )
 
 
+# Fixed budgets of the drivers, the same under every preset.
+EXHAUSTIVE_CAP = 20  # largest part the expander split certifies exhaustively
+DEGREE_FLOOR = 4.0  # density rounds stop at this average degree
+TRI_PARTITION_RETRIES = 16  # vertex tri-partition draws before round-robin
+SERVE_RETRIES = 8  # greedy routing retries per template or closure batch
+SKELETON_BUILD_ATTEMPTS = 3  # template seeds tried per skeleton
+
+
 def log_star(n: int) -> int:
     """Least k >= 0 with the k-fold base-2 log of n at most 1."""
     if n < 0:
@@ -53,26 +61,17 @@ class PipelineConfig:
     template_coeff: float = 2 ** -8
     template_budget_frac: float = 0.5
     size_floor: int = 24
-    exhaustive_cap: int = 20
-    degree_floor: float = 4.0
-    iteration_cap: Optional[int] = None
     eulerian_finish: bool = True
     expander_peel: bool = True
-    tri_partition_retries: int = 16
-    serve_retries: int = 8
-    skeleton_build_attempts: int = 3
     skeleton_min_n: int = 64
-    delta_cap: Optional[int] = None
     rng_seed: int = 0
     preset: str = "engineering"
 
     def __post_init__(self):
-        if self.ell_route < 1 or self.size_floor < 1 or self.serve_retries < 1:
+        if self.ell_route < 1 or self.size_floor < 1:
             raise ValueError("budgets must be positive")
         if self.template_budget_frac <= 0 or self.template_coeff <= 0:
             raise ValueError("template knobs must be positive")
-        if self.degree_floor < 0:
-            raise ValueError("degree floor must be nonnegative")
 
     @classmethod
     def engineering(cls, seed: int = 0) -> "PipelineConfig":
@@ -143,7 +142,8 @@ def _close_cycle(p: Path, q: Path) -> Cycle:
         qv, qe = q.vertices, q.edge_ids
     else:
         qv, qe = tuple(reversed(q.vertices)), tuple(reversed(q.edge_ids))
-    assert qv[0] == y and qv[-1] == x
+    if qv[0] != y or qv[-1] != x:
+        raise ValueError(f"closure {q.ends} does not join the path ends {(x, y)}")
     return Cycle(tuple(p.vertices) + qv[1:-1], tuple(p.edge_ids) + tuple(qe))
 
 
@@ -241,7 +241,7 @@ def decompose_expander(g: Graph, cfg: PipelineConfig) -> Decomposition:
     verts = work.vertex_list()
     rng = random.Random(_derive_seed(seed, 1))
     assign: dict[int, int] = {}
-    for _ in range(cfg.tri_partition_retries):
+    for _ in range(TRI_PARTITION_RETRIES):
         assign = {v: rng.randrange(3) for v in verts}
         if len(set(assign.values())) == 3:
             break
@@ -257,16 +257,15 @@ def decompose_expander(g: Graph, cfg: PipelineConfig) -> Decomposition:
     for i, part in enumerate(parts):
         p_t = cfg.resolve_template_p(work.n, part.m)
         got: Optional[Skeleton] = None
-        for attempt in range(cfg.skeleton_build_attempts if engage else 0):
+        for attempt in range(SKELETON_BUILD_ATTEMPTS if engage else 0):
             built = build_skeleton(
                 part,
                 classes[i],
                 ell_route=cfg.ell_route,
                 template_p=p_t,
                 ell_template=cfg.ell_template,
-                delta_cap=cfg.delta_cap,
                 rng_seed=_derive_seed(seed, 2 + i) + 7919 * attempt,
-                retries=cfg.serve_retries,
+                retries=SERVE_RETRIES,
                 on_stuck="drop",
             )
             if isinstance(built, Skeleton):
@@ -310,7 +309,7 @@ def decompose_expander(g: Graph, cfg: PipelineConfig) -> Decomposition:
             stats["fallback_paths"] += len(open_paths)
             continue
         closed, degraded, n_dead = _serve_closures(
-            skeletons[i], open_paths, _derive_seed(seed, 5 + i), cfg.serve_retries
+            skeletons[i], open_paths, _derive_seed(seed, 5 + i), SERVE_RETRIES
         )
         cycles.extend(closed)
         singles.extend(degraded)
@@ -341,7 +340,7 @@ def decompose_general(g: Graph, cfg: PipelineConfig) -> Decomposition:
     if g.m == 0:
         return Decomposition.from_parts(g, [], [], stats={"strategy": "general", "parts": 0})
     res = almost_decompose_into_expanders(
-        g, cfg.params, cap=cfg.exhaustive_cap, seed=cfg.rng_seed
+        g, cfg.params, cap=EXHAUSTIVE_CAP, seed=cfg.rng_seed
     )
     cycles: list[Cycle] = []
     singles: list[int] = sorted(res.removed)
@@ -394,32 +393,28 @@ def decompose_logstar(
 ) -> tuple[Decomposition, RunReport]:
     """Iterate density reduction until the average degree hits the floor.
 
-    Runs at most iteration_cap rounds (default log*(n) + 2).  When the
-    final leftover has all degrees even and the finisher is enabled, it is
-    consumed into cycles; otherwise its edges come out as singles.
+    Runs at most log*(n) + 2 rounds.  When the final leftover has all
+    degrees even and the finisher is enabled, it is consumed into cycles;
+    otherwise its edges come out as singles.
     """
-    cap = cfg.iteration_cap if cfg.iteration_cap is not None else log_star(g.n) + 2
+    cap = log_star(g.n) + 2
     cur = g
     cycles: list[Cycle] = []
     iterations: list[dict] = []
     it = 0
-    while it < cap and cur.m > 0 and cur.avg_degree() > cfg.degree_floor:
+    while it < cap and cur.m > 0 and cur.avg_degree() > DEGREE_FLOOR:
         sub = replace(cfg, rng_seed=_derive_seed(cfg.rng_seed, 7_001 + it))
         got, cur, rep = density_step(cur, sub)
-        assert rep["d_out"] <= rep["d_in"] + 1e-9, "average degree increased"
+        if rep["d_out"] > rep["d_in"] + 1e-9:
+            raise RuntimeError(f"average degree increased: {rep['d_in']} -> {rep['d_out']}")
         cycles.extend(got)
         iterations.append(rep)
         it += 1
-    singles: list[int]
-    finished = False
-    if cfg.eulerian_finish and cur.m > 0 and all(
-        d % 2 == 0 for d in cur.degrees().values()
-    ):
-        cycles.extend(eulerian_cycle_decompose(cur))
-        singles = []
-        finished = True
+    if cfg.eulerian_finish:
+        fin_cycles, singles = _finish_or_singles(cur)
     else:
-        singles = cur.edge_id_list()
+        fin_cycles, singles = [], cur.edge_id_list()
+    cycles.extend(fin_cycles)
     dec = Decomposition.from_parts(
         g,
         cycles,
@@ -428,7 +423,7 @@ def decompose_logstar(
             "strategy": "logstar",
             "iterations": len(iterations),
             "iteration_cap": cap,
-            "eulerian_finished": finished,
+            "eulerian_finished": bool(fin_cycles),
             "preset": cfg.preset,
             "seed": cfg.rng_seed,
         },

@@ -1,10 +1,13 @@
 """End-to-end tests for the command line front end."""
 
+import contextlib
 import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycledecomp.cli import main
 from cycledecomp.graph import parse_edge_list
@@ -126,11 +129,13 @@ class TestConfigPrecedence:
         assert doc["stats"]["seed"] == 9
 
     def test_unknown_key_exit2(self, capsys, tmp_path):
+        # a fixed budget is not a config key
         cfgfile = tmp_path / "bad.cfg"
-        cfgfile.write_text("no_such_knob=1\n")
-        code, _, err = run(capsys, ["decompose", "--config", str(cfgfile)], stdin="3 0\n")
-        assert code == 2
-        assert "no_such_knob" in err
+        for key in ("no_such_knob", "serve_retries"):
+            cfgfile.write_text(f"{key}=4\n")
+            code, _, err = run(capsys, ["decompose", "--config", str(cfgfile)], stdin="3 0\n")
+            assert code == 2
+            assert key in err
 
     def test_paper_preset_accepted(self, capsys):
         code, out, _ = run(
@@ -184,6 +189,74 @@ class TestExpanders:
         doc = json.loads(out)
         assert len(doc["classes"]) == 3
         assert sum(c["m"] for c in doc["classes"]) == 8
+
+
+def validate_quietly(text: str) -> int:
+    """Exit code of ``validate`` on text; any exception escapes as a traceback."""
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(["validate"])
+    finally:
+        sys.stdin = sys.__stdin__
+
+
+_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 6), st.floats(), st.text(max_size=3)
+)
+_json = st.recursive(
+    _leaf,
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.dictionaries(st.text(max_size=2), kids, max_size=3)),
+    max_leaves=10,
+)
+_vertex_lists = st.lists(st.lists(st.one_of(st.integers(0, 5), _leaf), max_size=4), max_size=4)
+_documents = st.one_of(
+    _json,
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "n": st.one_of(st.integers(-1, 6), _leaf),
+            "m": st.one_of(st.integers(-1, 6), _leaf),
+            "cycles": st.one_of(_vertex_lists, _json),
+            "paths": st.one_of(_vertex_lists, _json),
+            "edges": st.one_of(_vertex_lists, _json),
+            "source": _leaf,
+        },
+    ),
+)
+
+
+class TestValidateMalformed:
+    @pytest.mark.parametrize("doc", [
+        {"n": 3, "m": 3, "cycles": [[0, 1, 2.5]]},
+        {"n": 3, "m": 1, "edges": [[0, 1.0]]},
+        {"n": 2, "m": 1, "edges": [[False, True]]},
+        {"n": True, "m": 0},
+        {"n": 2, "m": True, "edges": [[0, 1]]},
+        {"n": 3, "m": 3.0, "cycles": [[0, 1, 2]]},
+    ])
+    def test_non_integer_ids_and_counts_are_problems(self, capsys, doc):
+        code, out, _ = run(capsys, ["validate"], stdin=json.dumps(doc))
+        assert code == 1
+        assert json.loads(out)["ok"] is False
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        '{"n": 3, "m": 3, "cycles": [5]}',
+        '{"n": 3, "m": 3, "cycles": [[0, "a", 2]]}',
+        '{"n": 3, "m": 1, "edges": [[0, 1, 2]]}',
+        pytest.param("[" * 100_000, id="nested-too-deep"),
+    ])
+    def test_wrong_shapes_exit2_one_line(self, capsys, text):
+        code, out, err = run(capsys, ["validate"], stdin=text)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(_documents)
+    def test_fuzzed_documents_never_raise(self, doc):
+        assert validate_quietly(json.dumps(doc)) in (0, 1, 2)
 
 
 class TestRoute:

@@ -1,4 +1,4 @@
-"""Routing, templates, skeletons, and the random-subset expansion experiment."""
+"""Routing, templates, and skeletons."""
 
 import math
 import random
@@ -15,13 +15,11 @@ from cycledecomp.connectivity import (
     Skeleton,
     SkeletonFailure,
     build_skeleton,
-    connect_one_pair_of_batch,
     make_template,
     route_pairs,
-    verify_random_subset_expansion,
     _unrank_pair,
 )
-from cycledecomp.expansion import CapacityError, ExpanderParams
+from cycledecomp.expansion import CapacityError
 from cycledecomp.graph import Graph
 
 from helpers import cycle_graph, complete_graph
@@ -93,14 +91,6 @@ class TestRoutePairs:
         assert loose.validate(g, b) == []
         assert sorted(len(p.edge_ids) for p in loose.paths) == [2, 3]
 
-    def test_escalation_to_oracle(self):
-        # adversarial order can strand greedy; escalation settles feasibility
-        g = cycle_graph(4)
-        b = PairBatch(((0, 2), (1, 3)), 2)
-        r = route_pairs(g, b, g.vertices, 2, retries=2, escalate=True)
-        assert isinstance(r, RouteFailure)
-        assert r.strategy == "matching_oracle"
-
     def test_through_set_restricts_internals(self):
         # path 0-1-2 allowed only when 1 is in the through set
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -162,51 +152,6 @@ class TestRoutePairs:
             assert greedy.validate(g, b) == []
         if isinstance(oracle, RoutedPaths):
             assert oracle.validate(g, b) == []
-
-
-class TestConnectOnePair:
-    def test_connected_found(self):
-        g = cycle_graph(8)
-        res = connect_one_pair_of_batch(g, [(0, 4)], g.vertices, 8)
-        assert res is not None
-        j, path = res
-        assert j == 0
-        assert {path.vertices[0], path.vertices[-1]} == {0, 4}
-        path.check(g)
-
-    def test_two_components_none(self):
-        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        assert connect_one_pair_of_batch(g, [(0, 3), (1, 4)], g.vertices, 6) is None
-
-    def test_c8_small_ell_big_radius(self):
-        # radius ceil(2*1*log2(8)) = 6 >= 4, balls meet, witness length 4
-        g = cycle_graph(8)
-        res = connect_one_pair_of_batch(g, [(0, 4)], g.vertices, 1)
-        assert res is not None
-        j, path = res
-        assert j == 0
-        assert len(path.edge_ids) == 4
-        assert path.vertices == (0, 1, 2, 3, 4)
-
-    def test_length_within_bound(self):
-        g = gnp(30, 0.2, 9)
-        verts = g.vertex_list()
-        res = connect_one_pair_of_batch(g, [(verts[0], verts[-1])], g.vertices, 3)
-        n = g.n
-        bound = math.ceil(4 * 3 * math.log2(n))
-        if res is not None:
-            assert len(res[1].edge_ids) <= bound
-
-    def test_adjacent_pair_one_endpoint_through(self):
-        g = Graph.from_edges(2, [(0, 1)])
-        res = connect_one_pair_of_batch(g, [(0, 1)], {0}, 1)
-        assert res is not None
-        assert res[1].vertices == (0, 1)
-
-    def test_degenerate_pair_rejected(self):
-        g = complete_graph(3)
-        with pytest.raises(ValueError):
-            connect_one_pair_of_batch(g, [(1, 1)], g.vertices, 2)
 
 
 class TestMakeTemplate:
@@ -342,52 +287,6 @@ class TestSkeleton:
             assert served.stuck
         else:
             assert served.validate(g, batch) == []
-
-
-class TestSubsetExpansion:
-    def test_k32_rate_one(self):
-        p = ExpanderParams(1 / 32, 0.25, "log2sq")
-        stats = verify_random_subset_expansion(complete_graph(32), p, 40, rng_seed=1)
-        assert stats.evaluated == 40
-        assert stats.skipped == 0
-        assert stats.rate == 1.0
-
-    def test_c64_low_rate_reported(self):
-        p = ExpanderParams(1 / 32, 0.25, "log2sq")
-        stats = verify_random_subset_expansion(
-            cycle_graph(64), p, 60, tau=1, rng_seed=1
-        )
-        assert stats.evaluated == 60
-        assert stats.successes == 44
-        assert stats.rate < 1.0
-
-    def test_strong_tau_skips_cycle_trials(self):
-        # no well-expanding core exists on a cycle at tau=4
-        p = ExpanderParams(1 / 32, 0.0, "log2sq")
-        stats = verify_random_subset_expansion(cycle_graph(64), p, 10, rng_seed=1)
-        assert stats.evaluated == 0
-        assert stats.skipped == 10
-
-    def test_zero_trials_empty(self):
-        p = ExpanderParams(1 / 32, 0.25, "log2sq")
-        stats = verify_random_subset_expansion(complete_graph(32), p, 0)
-        assert stats.trials == 0
-        assert stats.evaluated == 0
-        assert stats.records == ()
-        assert stats.rate == 0.0
-
-    def test_buckets_partition_records(self):
-        p = ExpanderParams(1 / 32, 0.25, "log2sq")
-        stats = verify_random_subset_expansion(complete_graph(32), p, 40, rng_seed=1)
-        buckets = stats.buckets()
-        assert sum(tot for _, tot in buckets.values()) == stats.evaluated
-        assert sum(s for s, _ in buckets.values()) == stats.successes
-
-    def test_determinism(self):
-        p = ExpanderParams(1 / 32, 0.25, "log2sq")
-        a = verify_random_subset_expansion(complete_graph(32), p, 15, rng_seed=3)
-        b = verify_random_subset_expansion(complete_graph(32), p, 15, rng_seed=3)
-        assert a == b
 
 
 @settings(max_examples=40, deadline=None)

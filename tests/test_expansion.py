@@ -9,12 +9,10 @@ from cycledecomp.expansion import (
     CapacityError,
     DichotomyOutcome,
     ExpanderParams,
-    StarsOrBipartite,
     TheoremViolation,
     certify_expander,
     check_dichotomy,
     extract_well_expanding_core,
-    find_stars_or_bipartite,
     worst_case_frontier,
 )
 from cycledecomp.graph import Graph, neighborhood
@@ -261,79 +259,6 @@ def test_dichotomy_never_faults_on_certified_expander_sample():
         assert out.case in ("WellExpanding", "RobustNeighborhood")
 
 
-# -- find_stars_or_bipartite ----------------------------------------------------------
-
-
-def test_stars_on_unbalanced_bipartite():
-    g = complete_bipartite(3, 30)
-    p = ExpanderParams(1, 0)
-    out = find_stars_or_bipartite(
-        g, p, {0, 1, 2}, set(), star_count_target=1, leaves_per_star=5
-    )
-    assert out.case == "Stars" and len(out.stars) == 3
-    seen_leaves = set()
-    for center, leaves in out.stars:
-        assert center in {0, 1, 2} and len(leaves) == 5
-        assert not (set(leaves) & seen_leaves)
-        seen_leaves.update(leaves)
-
-
-def test_stars_degenerate_bipartite_on_triangle():
-    g = cycle_graph(3)
-    out = find_stars_or_bipartite(
-        g, ExpanderParams(1, 0), {0}, set(), star_count_target=1, leaves_per_star=5
-    )
-    assert out.case == "Bipartite" and out.degenerate and out.x_side == ()
-
-
-def test_stars_single_center_star():
-    g = star_graph(8)
-    out = find_stars_or_bipartite(
-        g, ExpanderParams(1, 0), {0}, set(), star_count_target=1, leaves_per_star=8
-    )
-    assert out.case == "Stars" and len(out.stars) == 1
-    assert out.stars[0][0] == 0 and len(out.stars[0][1]) == 8
-
-
-def test_bipartite_witness_structural_invariants():
-    rng = random.Random(17)
-    p = ExpanderParams(1, 4)
-    for _ in range(25):
-        g = random_gnp(rng, rng.randint(6, 14), 0.4)
-        verts = g.vertex_list()
-        U = set(rng.sample(verts, max(1, len(verts) // 3)))
-        eids = sorted(g.edge_ids)
-        fmax = math.floor(p.s * len(U) / 4)
-        F = set(rng.sample(eids, min(len(eids), rng.randint(0, fmax))))
-        out = find_stars_or_bipartite(
-            g, p, U, F, star_count_target=10**9, leaves_per_star=3,
-            d_min=2, delta_max=3,
-        )
-        # target unreachable forces the bipartite branch; check its contract
-        assert out.case == "Bipartite"
-        assert not (set(out.bipartite_edges) & F)
-        deg_u: dict[int, int] = {}
-        deg_x: dict[int, int] = {}
-        for eid in out.bipartite_edges:
-            a, b = g.endpoints(eid)
-            u, x = (a, b) if a in U else (b, a)
-            assert u in U and x not in U and x in out.x_side
-            deg_u[u] = deg_u.get(u, 0) + 1
-            deg_x[x] = deg_x.get(x, 0) + 1
-        assert all(c <= 3 for c in deg_u.values())
-        assert all(deg_x.get(x, 0) >= 2 for x in out.x_side)
-
-
-def test_stars_avoid_f_edges():
-    g = star_graph(8)
-    f = {g.edge_id(0, 1), g.edge_id(0, 2)}
-    out = find_stars_or_bipartite(
-        g, ExpanderParams(1, 8), {0}, f, star_count_target=1, leaves_per_star=6
-    )
-    assert out.case == "Stars"
-    assert set(out.stars[0][1]) == {3, 4, 5, 6, 7, 8}
-
-
 # -- extract_well_expanding_core ----------------------------------------------------
 
 
@@ -366,16 +291,3 @@ def test_core_guarantee_always_holds(data):
     assert core <= U
     if core:
         assert len(neighborhood(g, core)) >= tau * len(core)
-
-
-def test_stars_knob_ratio_report_on_certified_expander():
-    # open engineering question: measure, do not assert, the witness sizes
-    g = complete_graph(8)
-    p = ExpanderParams(1, 1)
-    assert certify_expander(g, p).is_expander
-    out = find_stars_or_bipartite(
-        g, p, {0, 1, 2}, set(), star_count_target=2, leaves_per_star=4
-    )
-    print(f"stars-or-bipartite on K8: case={out.case} "
-          f"stars={len(out.stars)} |X|={len(out.x_side)}")
-    assert out.case in ("Stars", "Bipartite")

@@ -9,12 +9,14 @@ import pytest
 from cycledecomp.expansion import ExpanderParams
 from cycledecomp.graph import (
     Graph,
+    Path,
     decomposition_to_json,
     validate_decomposition,
 )
 from cycledecomp.pipeline import (
     PipelineConfig,
     RunReport,
+    _close_cycle,
     decompose_expander,
     decompose_general,
     decompose_logstar,
@@ -74,8 +76,6 @@ class TestPipelineConfig:
             PipelineConfig(params=ExpanderParams(0.5, 0), ell_route=0)
         with pytest.raises(ValueError):
             PipelineConfig(params=ExpanderParams(0.5, 0), template_budget_frac=0)
-        with pytest.raises(ValueError):
-            PipelineConfig(params=ExpanderParams(0.5, 0), degree_floor=-1)
 
     def test_template_p_clamped_by_host_budget(self):
         # dense host: paper form wins; starved host: budget clamp wins
@@ -88,6 +88,16 @@ class TestPipelineConfig:
     def test_template_p_degenerate(self):
         assert CFG.resolve_template_p(1, 10) == 0.0
         assert CFG.resolve_template_p(0, 0) == 0.0
+
+
+class TestCloseCycle:
+    def test_closure_missing_an_end_raises(self):
+        # a guard, not an assert: it must hold under python -O too
+        g = cycle_graph(6)
+        p = Path((0, 1, 2), (g.edge_id(0, 1), g.edge_id(1, 2)))
+        q = Path((2, 3, 4), (g.edge_id(2, 3), g.edge_id(3, 4)))
+        with pytest.raises(ValueError, match="does not join"):
+            _close_cycle(p, q)
 
 
 class TestDecomposeExpander:
