@@ -51,6 +51,12 @@ def almost_decompose_into_expanders(
     both sides recurse.  Parts where no violation is found are emitted,
     tagged certified only when the exhaustive pass vouched for them.
 
+    When ``p.connectivity_only(n)`` holds for a part (zero removal budget,
+    unit thresholds: the ``engineering`` parameters up to n of about 8000),
+    being an expander means being connected, so a connected part is emitted
+    without calling either certifier and the parts are the components.  The
+    certified tag stays ``part.n <= cap`` in that case too.
+
     Asserted on return: exact edge partition, Σ|parts| <= 2n, recursion
     depth <= n, and removed = ∅ whenever s = 0.
     """
@@ -125,7 +131,14 @@ def _assert_almost_decompose_guarantees(
 def _find_violation(
     g: Graph, p: ExpanderParams, *, cap: int, seed: int
 ) -> Optional[tuple[set[int], set[int]]]:
-    """Heuristic search first; exhaustive fallback under the cap."""
+    """Heuristic search first; exhaustive fallback under the cap.
+
+    g must be connected.  When ``p.connectivity_only(g.n)`` holds, a
+    violation would be a disconnection, so there is none to find and neither
+    certifier runs.
+    """
+    if p.connectivity_only(g.n):
+        return None
     v = certify_expander(g, p, mode="heuristic", seed=seed)
     if not v.is_expander:
         U, F = v.violation

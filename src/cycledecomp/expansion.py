@@ -67,6 +67,17 @@ class ExpanderParams:
     def budget(self, u_size: int) -> int:
         return math.floor(self.s * u_size)
 
+    def connectivity_only(self, n: int) -> bool:
+        """True when (epsilon, s)-expansion on n vertices is just connectivity.
+
+        That is the case when the removal budget is 0 and the survivor
+        threshold is at most 1 at |U| = floor(2n/3); both only grow with |U|,
+        so they then hold for every size.  A violation is then exactly a
+        nonempty union of components of at most 2n/3 vertices.
+        """
+        max_size = (2 * n) // 3
+        return self.budget(max_size) == 0 and self.threshold(max_size, n) <= 1
+
 
 @dataclass(frozen=True)
 class ExpanderVerdict:
@@ -190,6 +201,8 @@ def _certify_exhaustive(g: Graph, p: ExpanderParams, cap: int) -> ExpanderVerdic
     n = g.n
     if n > cap:
         raise CapacityError(f"exhaustive certification capped at n={cap}, got {n}")
+    if p.connectivity_only(n):
+        return _certify_by_components(g, p)
     verts = g.vertex_list()
     adj = g.adjacency()
     max_size = (2 * n) // 3
@@ -213,6 +226,40 @@ def _certify_exhaustive(g: Graph, p: ExpanderParams, cap: int) -> ExpanderVerdic
     return ExpanderVerdict(
         is_expander=True, certified=True, mode="exhaustive", params=p,
         subsets_checked=checked,
+    )
+
+
+def _certify_by_components(g: Graph, p: ExpanderParams) -> ExpanderVerdict:
+    """Exhaustive verdict in the connectivity-only regime, without enumerating.
+
+    Every union of components is at least as large as the smallest one, so
+    the first violation the enumeration reaches (size ascending, then
+    lexicographic) is the smallest component, ties to the lowest first
+    vertex, with F empty.  ``subsets_checked`` is what the enumeration would
+    have counted: every smaller subset, plus the witness's lexicographic
+    position among subsets of its size.
+    """
+    n = g.n
+    max_size = (2 * n) // 3
+    smallest = min(g.components(), key=len, default=[])
+    if not 1 <= len(smallest) <= max_size:
+        return ExpanderVerdict(
+            is_expander=True, certified=True, mode="exhaustive", params=p,
+            subsets_checked=sum(math.comb(n, k) for k in range(1, max_size + 1)),
+        )
+    size = len(smallest)
+    index = {v: i for i, v in enumerate(g.vertex_list())}
+    # lexicographic rank of the index tuple a_0 < ... < a_{size-1}: the
+    # subsets after it number sum_i C(n - 1 - a_i, size - i)
+    after = sum(math.comb(n - 1 - index[v], size - i) for i, v in enumerate(smallest))
+    rank = math.comb(n, size) - 1 - after
+    return ExpanderVerdict(
+        is_expander=False,
+        certified=True,
+        mode="exhaustive",
+        params=p,
+        violation=(frozenset(smallest), frozenset()),
+        subsets_checked=sum(math.comb(n, k) for k in range(1, size)) + rank + 1,
     )
 
 
@@ -250,8 +297,7 @@ def _certify_heuristic(g: Graph, p: ExpanderParams, seed: int) -> ExpanderVerdic
         if violates(set(smallest)):
             return verdict_for(set(smallest))
 
-    if p.budget(max_size) == 0 and p.threshold(max_size, n) <= 1:
-        # zero removal budget and unit thresholds throughout the size range:
+    if p.connectivity_only(n):
         # a violation is exactly a set with no outside neighbors, i.e. a
         # disconnection, and the component check above already looked
         return ExpanderVerdict(

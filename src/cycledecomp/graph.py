@@ -16,6 +16,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 
+# largest vertex count a graph may have: a host graph holds every vertex id
+# in a frozenset, so an unchecked header could exhaust memory before any edge
+MAX_VERTICES = 1 << 24
+
+
 class ParseError(ValueError):
     """Raised for malformed edge-list text; carries a 1-based line number."""
 
@@ -58,6 +63,8 @@ class Graph:
         """
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        if n > MAX_VERTICES:
+            raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
         table: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
         for u, v in pairs:
@@ -487,6 +494,8 @@ def parse_edge_list(text: str) -> Graph:
         if not header_done:
             if a < 0 or b < 0:
                 raise ParseError("header counts must be nonnegative", line_no)
+            if a > MAX_VERTICES:
+                raise ParseError(f"header n={a} exceeds the limit of {MAX_VERTICES}", line_no)
             n, m = a, b
             header_done = True
             continue
@@ -538,13 +547,24 @@ def decomposition_to_json(d: Decomposition, g: Graph) -> str:
 
 
 def decomposition_from_json_dict(doc: dict, g: Graph) -> Decomposition:
-    """Rebind a JSON document to graph g, resolving vertex pairs to edge ids."""
+    """Rebind a JSON document to graph g, resolving vertex pairs to edge ids.
+
+    Raises ValueError naming the pair when a cycle or single edge joins two
+    vertices that are not adjacent in g.
+    """
+
+    def eid(u: int, v: int) -> int:
+        try:
+            return g.edge_id(u, v)
+        except KeyError:
+            raise ValueError(f"({u}, {v}) is not an edge of the graph") from None
+
     cycles = []
     for verts in doc["cycles"]:
         vs = tuple(verts)
-        eids = tuple(g.edge_id(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
+        eids = tuple(eid(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
         cycles.append(Cycle(vs, eids))
-    singles = tuple(g.edge_id(u, v) for u, v in doc["edges"])
+    singles = tuple(eid(u, v) for u, v in doc["edges"])
     return Decomposition(
         source=doc.get("source", g.fingerprint()),
         n=doc["n"],

@@ -227,9 +227,8 @@ def decompose_expander(g: Graph, cfg: PipelineConfig) -> Decomposition:
         # small residues skip the skeleton machinery
         extra, leftover = peel_long_cycles(work, 3)
         cycles.extend(extra)
-        fin_cycles, fin_singles = _finish_or_singles(leftover)
-        cycles.extend(fin_cycles)
-        singles.extend(fin_singles)
+        # a length-3 peel leaves a forest, so no Eulerian finish is possible
+        singles.extend(leftover.edge_id_list())
         stats["strategy"] = "small"
         return Decomposition.from_parts(g, cycles, singles, stats=stats)
 

@@ -105,13 +105,16 @@ def brute_certify(g: Graph, p) -> bool:
 def reference_certify(g: Graph, p):
     """Plain double-loop reference certifier (independent of the fast path):
     for every U, list each external neighbor's edge cost into U, then greedily
-    spend the budget on cheapest neighbors.  Returns (is_expander, witness_U)."""
+    spend the budget on cheapest neighbors.  Returns (is_expander, witness_U,
+    subsets visited up to and including the witness)."""
     verts = g.vertex_list()
     n = g.n
+    checked = 0
     for size in range(1, (2 * n) // 3 + 1):
         budget = p.budget(size)
         thresh = p.threshold(size, n)
         for U in itertools.combinations(verts, size):
+            checked += 1
             Uset = set(U)
             costs = {}
             for u in Uset:
@@ -126,5 +129,5 @@ def reference_certify(g: Graph, p):
                 left -= c
                 survivors -= 1
             if survivors < thresh:
-                return False, Uset
-    return True, None
+                return False, Uset, checked
+    return True, None, checked

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,46 @@ class TestConfigPrecedence:
         assert json.loads(out)["stats"]["preset"] == "paper"
 
 
+def _simple_edge_list(n: int, pairs: list[tuple[int, int]]) -> str:
+    edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+    return f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+_edge_line = st.tuples(st.integers(-1, 66), st.integers(-1, 66)).map(lambda t: f"{t[0]} {t[1]}")
+_edge_list_texts = st.one_of(
+    # well-formed graphs on up to 64 vertices
+    st.integers(1, 64).flatmap(
+        lambda n: st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=150)
+        .map(lambda pairs: _simple_edge_list(n, pairs))
+    ),
+    # a small header over noisy lines
+    st.tuples(
+        st.integers(0, 64),
+        st.integers(0, 40),
+        st.lists(
+            st.one_of(_edge_line, st.sampled_from(["", "# c", "0", "x y"]), st.text(max_size=5)),
+            max_size=40,
+        ),
+    ).map(lambda t: "\n".join([f"{t[0]} {t[1]}"] + t[2]) + "\n"),
+)
+
+
+class TestDecomposeInputBoundary:
+    def test_huge_header_exit2_one_line_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["decompose", "--quiet"], stdin="1000000000000 0\n")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 1:") and err.count("\n") == 1
+
+    @settings(max_examples=120, deadline=None)
+    @given(_edge_list_texts)
+    def test_fuzzed_edge_lists_never_raise(self, text):
+        code, err = run_quietly(["decompose", "--quiet"], text)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
+
 class TestCertify:
     def test_violation_witness_reverifies(self, capsys):
         c4 = "4 4\n0 1\n1 2\n2 3\n0 3\n"
@@ -191,14 +232,20 @@ class TestExpanders:
         assert sum(c["m"] for c in doc["classes"]) == 8
 
 
-def validate_quietly(text: str) -> int:
-    """Exit code of ``validate`` on text; any exception escapes as a traceback."""
+def run_quietly(argv: list[str], text: str) -> tuple[int, str]:
+    """Exit code and stderr of a command on stdin text; exceptions escape."""
     sys.stdin = io.StringIO(text)
+    err = io.StringIO()
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return main(["validate"])
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            return main(argv), err.getvalue()
     finally:
         sys.stdin = sys.__stdin__
+
+
+def validate_quietly(text: str) -> int:
+    """Exit code of ``validate`` on text; any exception escapes as a traceback."""
+    return run_quietly(["validate"], text)[0]
 
 
 _leaf = st.one_of(

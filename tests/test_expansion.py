@@ -25,6 +25,7 @@ from helpers import (
     cycle_graph,
     path_graph,
     random_gnp,
+    reference_certify,
     star_graph,
 )
 
@@ -164,6 +165,42 @@ def test_certify_agrees_with_brute_on_random_graphs():
         g = random_gnp(rng, rng.randint(2, 6), 0.5)
         p = ExpanderParams(rng.choice([0.25, 0.5, 1.0]), rng.choice([0, 0.5, 1, 2]))
         assert certify_expander(g, p).is_expander == brute_certify(g, p)
+
+
+# -- connectivity-only regime ----------------------------------------------------
+
+
+def test_connectivity_only_predicate():
+    eng = ExpanderParams(2**-5, 0.0)
+    assert all(eng.connectivity_only(n) for n in (0, 1, 2, 20, 1024, 8000))
+    assert not eng.connectivity_only(10**5)  # threshold 8 at |U| = 2n/3
+    assert not ExpanderParams(2**-5, 1.0).connectivity_only(20)  # budget 13
+    assert not ExpanderParams(1.0, 0.0, "const").connectivity_only(20)
+
+
+def test_component_shortcut_matches_enumeration():
+    """The component count gives the enumeration's verdict, witness and count."""
+    p = ExpanderParams(2**-5, 0.0)
+    rng = random.Random(31)
+    cases = [Graph.from_edges(n, []) for n in (0, 1, 2)] + [path_graph(2)]
+    cases.append(Graph.from_edges(7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6)]))
+    for _ in range(150):
+        n = rng.randint(3, 12)
+        g = random_gnp(rng, n, rng.choice((0.1, 0.2, 0.35, 0.6)))
+        if rng.random() < 0.4:
+            # a subview whose live ids have gaps
+            g = g.induced(rng.sample(range(n), rng.randint(1, n)))
+        cases.append(g)
+    verdicts = []
+    for g in cases:
+        assert p.connectivity_only(g.n)
+        v = certify_expander(g, p, mode="exhaustive")
+        ok, witness, checked = reference_certify(g, p)
+        assert v.certified and v.mode == "exhaustive"
+        assert (v.is_expander, v.subsets_checked) == (ok, checked), g.vertex_list()
+        assert v.violation == (None if ok else (frozenset(witness), frozenset()))
+        verdicts.append(ok)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
 
 
 def test_heuristic_is_labelled_non_certifying():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycledecomp.graph import (
+    MAX_VERTICES,
     Cycle,
     Decomposition,
     Graph,
@@ -305,6 +306,34 @@ def test_edge_list_errors_carry_line_numbers(text, line):
     assert exc.value.line_no == line
 
 
+def test_vertex_count_over_the_limit_rejected_before_allocation():
+    with pytest.raises(ParseError) as exc:
+        parse_edge_list(f"# header\n{MAX_VERTICES + 1} 0\n")
+    assert exc.value.line_no == 2
+    with pytest.raises(ValueError):
+        Graph.from_edges(MAX_VERTICES + 1, [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(max_size=40),
+    st.lists(
+        st.one_of(
+            st.tuples(st.integers(-2, 9), st.integers(-2, 9)).map(lambda t: f"{t[0]} {t[1]}"),
+            st.sampled_from(["", "#", "# c", "1", "1 2 3", "a b", "1_0 2", "1.5 2", "\t3\t0"]),
+            st.text(max_size=6),
+        ),
+        max_size=10,
+    ).map("\n".join),
+))
+def test_parse_edge_list_returns_graph_or_parse_error(text):
+    try:
+        g = parse_edge_list(text)
+    except ParseError:
+        return
+    assert isinstance(g, Graph)
+
+
 # -- decomposition JSON ----------------------------------------------------------
 
 
@@ -318,6 +347,14 @@ def test_decomposition_json_round_trip():
     assert validate_decomposition_json(doc, g).ok
     d2 = decomposition_from_json_dict(doc, g)
     assert validate_decomposition(g, d2).ok
+
+
+@pytest.mark.parametrize("field,item", [("cycles", [0, 1, 5]), ("edges", [0, 5])])
+def test_rebinding_a_non_edge_raises_value_error(field, item):
+    doc = {"n": 3, "m": 3, "cycles": [], "edges": []}
+    doc[field] = [item]
+    with pytest.raises(ValueError, match=r"\(\d, 5\) is not an edge"):
+        decomposition_from_json_dict(doc, cycle_graph(3))
 
 
 def test_json_validator_standalone_catches_problems():

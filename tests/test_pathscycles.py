@@ -173,6 +173,12 @@ class TestPeelLongCycles:
         assert again == []
         assert residual2.edge_ids == residual.edge_ids
 
+    @given(n=st.integers(1, 24), p=st.floats(0.05, 0.9), seed=st.integers(0, 9999))
+    @settings(max_examples=60, deadline=None)
+    def test_length_three_peel_leaves_a_forest(self, n, p, seed):
+        _, residual = peel_long_cycles(gnp(n, p, seed), 3)
+        assert residual.m == residual.n - len(residual.components())
+
     def test_dense_graph_consumes_most_edges(self):
         g = complete_graph(12)
         cycles, residual = peel_long_cycles(g, 3)
