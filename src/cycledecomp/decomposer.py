@@ -53,9 +53,8 @@ def almost_decompose_into_expanders(
 
     When ``p.connectivity_only(n)`` holds for a part (zero removal budget,
     unit thresholds: the ``engineering`` parameters up to n of about 8000),
-    being an expander means being connected, so a connected part is emitted
-    without calling either certifier and the parts are the components.  The
-    certified tag stays ``part.n <= cap`` in that case too.
+    being an expander means being connected, so the parts are the connected
+    components; both certifiers then answer from a component count.
 
     Asserted on return: exact edge partition, Σ|parts| <= 2n, recursion
     depth <= n, and removed = ∅ whenever s = 0.
@@ -131,14 +130,7 @@ def _assert_almost_decompose_guarantees(
 def _find_violation(
     g: Graph, p: ExpanderParams, *, cap: int, seed: int
 ) -> Optional[tuple[set[int], set[int]]]:
-    """Heuristic search first; exhaustive fallback under the cap.
-
-    g must be connected.  When ``p.connectivity_only(g.n)`` holds, a
-    violation would be a disconnection, so there is none to find and neither
-    certifier runs.
-    """
-    if p.connectivity_only(g.n):
-        return None
+    """Heuristic search first; exhaustive fallback under the cap."""
     v = certify_expander(g, p, mode="heuristic", seed=seed)
     if not v.is_expander:
         U, F = v.violation

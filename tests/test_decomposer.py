@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycledecomp import decomposer
 from cycledecomp.decomposer import (
     AlmostDecomposeResult,
     SplitFailure,
@@ -118,30 +117,20 @@ class TestAlmostDecompose:
         assert sum(pt.n for pt in r.parts) <= 2 * g.n
         assert r.max_depth <= g.n
 
-    def test_connectivity_regime_calls_no_certifier(self, monkeypatch):
+    def test_connectivity_regime_parts_are_components(self, monkeypatch):
         # a 25-cycle (over the cap), a triangle, an edge and an isolated vertex
         edges = [(i, (i + 1) % 25) for i in range(25)]
         edges += [(25, 26), (26, 27), (25, 27), (28, 29)]
         g = Graph.from_edges(31, edges)
         p = ExpanderParams(2**-5, 0)
-        calls = []
-        real = decomposer.certify_expander
-
-        def counted(*args, **kwargs):
-            calls.append(args[0].n)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(decomposer, "certify_expander", counted)
         fast = almost_decompose_into_expanders(g, p, cap=20)
-        assert calls == []
         assert sorted(pt.vertex_list() for pt in fast.parts) == g.components()
         assert fast.certified == tuple(pt.n <= 20 for pt in fast.parts)
         assert False in fast.certified and repartitions_exactly(g, fast)
 
-        # the certifier route, with the shortcut switched off, agrees
+        # the full searches, with the component shortcut switched off, agree
         monkeypatch.setattr(ExpanderParams, "connectivity_only", lambda self, n: False)
         slow = almost_decompose_into_expanders(g, p, cap=20)
-        assert calls
         assert [pt.fingerprint() for pt in slow.parts] == [pt.fingerprint() for pt in fast.parts]
         assert slow.certified == fast.certified and slow.removed == fast.removed
 
