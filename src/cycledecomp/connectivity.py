@@ -93,39 +93,55 @@ class RouteFailure:
 
 def _shortest_through_path(
     adj: dict[int, list[tuple[int, int]]],
+    to: dict[int, dict[int, int]],
     used: set[int],
     V: frozenset[int],
     u: int,
     v: int,
     ell: int,
 ) -> Optional[tuple[list[int], list[int]]]:
-    """Shortest u-v path with internals in V, length <= ell, avoiding used edges."""
+    """Shortest u-v path with internals in V, length <= ell, avoiding used edges.
+
+    Breadth-first from u, for u != v and ell >= 1 (``route_pairs`` ensures
+    both).  The path returned ends with the first vertex, in discovery
+    order, that has an unused edge to v.  Each through-set vertex is tested
+    against v's neighbours as it is discovered, so the search stops at the
+    first hit and never expands the last level.  ``to`` caches each
+    target's {neighbour: edge id} map for the searches that share ``adj``.
+    """
+    to_v = to.get(v)
+    if to_v is None:
+        # a target outside the graph has no neighbours and is unreachable
+        to_v = to[v] = dict(adj.get(v, ()))
+    last = to_v.get(u)
+    if last is not None and last not in used:
+        return [u, v], [last]
     parent: dict[int, Optional[tuple[int, int]]] = {u: None}
     frontier = [u]
-    dist = 0
+    dist = 1
     while frontier and dist < ell:
-        dist += 1
+        dist += 1  # a vertex discovered in this round closes a path of this length
         nxt: list[int] = []
         for a in frontier:
             for b, eid in adj[a]:
-                if eid in used or b in parent:
+                if b in parent or b not in V or eid in used:
                     continue
-                if b == v:
-                    parent[b] = (a, eid)
-                    vs = [v]
-                    es: list[int] = []
-                    cur = v
+                parent[b] = (a, eid)
+                last = to_v.get(b)
+                if last is not None and last not in used:
+                    vs = [v, b]
+                    es = [last, eid]
+                    cur = a
                     while parent[cur] is not None:
                         prv, pe = parent[cur]
-                        vs.append(prv)
+                        vs.append(cur)
                         es.append(pe)
                         cur = prv
+                    vs.append(u)
                     vs.reverse()
                     es.reverse()
                     return vs, es
-                if b in V:
-                    parent[b] = (a, eid)
-                    nxt.append(b)
+                nxt.append(b)
         frontier = nxt
     return None
 
@@ -243,6 +259,7 @@ def route_pairs(
         raise ValueError(f"unknown strategy {strategy!r}")
 
     adj = g.adjacency()
+    to: dict[int, dict[int, int]] = {}
     rng = random.Random(rng_seed)
     k = len(batch.pairs)
     last_stuck: list[int] = []
@@ -250,19 +267,19 @@ def route_pairs(
         order = list(range(k))
         rng.shuffle(order)
         used: set[int] = set()
-        found: dict[int, Path] = {}
+        found: dict[int, tuple[list[int], list[int]]] = {}
         stuck: list[int] = []
         for idx in order:
             u, v = batch.pairs[idx]
-            res = _shortest_through_path(adj, used, Vset, u, v, ell)
+            res = _shortest_through_path(adj, to, used, Vset, u, v, ell)
             if res is None:
                 stuck.append(idx)
                 continue
-            vs, es = res
-            found[idx] = Path(tuple(vs), tuple(es))
-            used.update(es)
+            found[idx] = res
+            used.update(res[1])
         if not stuck:
-            return RoutedPaths(tuple(found[i] for i in range(k)), Vset, ell)
+            paths = tuple(Path(tuple(found[i][0]), tuple(found[i][1])) for i in range(k))
+            return RoutedPaths(paths, Vset, ell)
         last_stuck = stuck
     return RouteFailure(
         tuple(batch.pairs[i] for i in sorted(last_stuck)),
@@ -429,6 +446,7 @@ def build_skeleton(
     t_template = max(deg.values()) if deg else 1
     batch = PairBatch.from_pairs(mapped, t=max(1, t_template))
     adj = g.adjacency()
+    to: dict[int, dict[int, int]] = {}
     dropped = 0
     pass_idx = 0
     congestion_passes = 0
@@ -444,7 +462,7 @@ def build_skeleton(
         stuck = set(routed.stuck)
         shed = {
             pr for pr in stuck
-            if _shortest_through_path(adj, set(), Vset, pr[0], pr[1], ell_route) is None
+            if _shortest_through_path(adj, to, set(), Vset, pr[0], pr[1], ell_route) is None
         }
         if not shed:
             congestion_passes += 1

@@ -27,7 +27,7 @@ class AlmostDecomposeResult:
 
     parts: tuple[Graph, ...]
     removed: frozenset[int]
-    certified: tuple[bool, ...]  # per part: exhaustively certified?
+    certified: tuple[bool, ...]  # per part: proven an expander?
     max_depth: int
 
     def part_sizes(self) -> list[int]:
@@ -49,12 +49,14 @@ def almost_decompose_into_expanders(
     part fits under ``cap``; finding one splits the node into
     G1 = G[U ∪ N_{G-F}(U)] - F and G2 = G∖U - E(G1) - F with F removed, and
     both sides recurse.  Parts where no violation is found are emitted,
-    tagged certified only when the exhaustive pass vouched for them.
+    tagged certified when the exhaustive pass vouched for them or when
+    connectivity alone proves them expanders.
 
     When ``p.connectivity_only(n)`` holds for a part (zero removal budget,
     unit thresholds: the ``engineering`` parameters up to n of about 8000),
     being an expander means being connected, so the parts are the connected
-    components; both certifiers then answer from a component count.
+    components, each certified whatever its size; both certifiers then
+    answer from a component count.
 
     Asserted on return: exact edge partition, Σ|parts| <= 2n, recursion
     depth <= n, and removed = ∅ whenever s = 0.
@@ -82,7 +84,7 @@ def almost_decompose_into_expanders(
         violation = _find_violation(cur, p, cap=cap, seed=seed)
         if violation is None:
             parts.append(cur)
-            certified.append(cur.n <= cap)
+            certified.append(cur.n <= cap or p.connectivity_only(cur.n))
             continue
         U, F = violation
         X = U | neighborhood(cur, U, F)

@@ -173,9 +173,12 @@ def certify_expander(
 
     Exhaustive mode iterates every U with 1 <= |U| <= floor(2n/3) (size
     ascending, then lexicographic), solves the inner minimization exactly,
-    and is a certificate either way.  Heuristic mode searches candidate U
-    via connected components, low-degree greedy growth, BFS prefix cuts,
-    and random seeds; a true verdict only means "no violation found".
+    and is a certificate either way; it refuses n > ``cap`` with
+    ``CapacityError``, except when ``p.connectivity_only(n)`` lets a
+    component count give the same answer at any size.  Heuristic mode
+    searches candidate U via connected components, low-degree greedy growth,
+    BFS prefix cuts, and random seeds; a true verdict only means "no
+    violation found".
     """
     if mode == "exhaustive":
         return _certify_exhaustive(g, p, cap)
@@ -199,10 +202,10 @@ def _survivors_from_counts(cnt: dict[int, int], budget: int) -> int:
 
 def _certify_exhaustive(g: Graph, p: ExpanderParams, cap: int) -> ExpanderVerdict:
     n = g.n
-    if n > cap:
-        raise CapacityError(f"exhaustive certification capped at n={cap}, got {n}")
     if p.connectivity_only(n):
         return _certify_by_components(g, p)
+    if n > cap:
+        raise CapacityError(f"exhaustive certification capped at n={cap}, got {n}")
     verts = g.vertex_list()
     adj = g.adjacency()
     max_size = (2 * n) // 3
@@ -229,6 +232,38 @@ def _certify_exhaustive(g: Graph, p: ExpanderParams, cap: int) -> ExpanderVerdic
     )
 
 
+def _subset_count(n: int, top: int) -> int:
+    """Number of subsets of an n-set with 1 <= size <= top."""
+    total = 0
+    c = 1
+    for k in range(top):
+        c = c * (n - k) // (k + 1)  # C(n, k + 1), exactly
+        total += c
+    return total
+
+
+def _subsets_after(a: list[int], n: int) -> int:
+    """Subsets of range(n) of size len(a) >= 1 lexicographically after a.
+
+    For sorted indices a_0 < ... < a_{k-1} that is sum_i C(n - 1 - a_i, k - i).
+    The terms are walked from the last index to the first, each obtained
+    from the one before by unit steps of the binomial recurrences, so the
+    whole sum costs O(n) big-integer steps.
+    """
+    N = n - 1 - a[-1]
+    r = 1
+    c = N  # C(N, r); N >= r - 1 holds throughout, so c = 0 only when N = r - 1
+    after = c
+    for i in range(len(a) - 2, -1, -1):
+        for _ in range(a[i + 1] - a[i]):
+            N += 1
+            c = 1 if N == r else c * N // (N - r)  # C(N, r) from C(N - 1, r)
+        c = c * (N - r) // (r + 1)  # C(N, r + 1) from C(N, r)
+        r += 1
+        after += c
+    return after
+
+
 def _certify_by_components(g: Graph, p: ExpanderParams) -> ExpanderVerdict:
     """Exhaustive verdict in the connectivity-only regime, without enumerating.
 
@@ -245,21 +280,17 @@ def _certify_by_components(g: Graph, p: ExpanderParams) -> ExpanderVerdict:
     if not 1 <= len(smallest) <= max_size:
         return ExpanderVerdict(
             is_expander=True, certified=True, mode="exhaustive", params=p,
-            subsets_checked=sum(math.comb(n, k) for k in range(1, max_size + 1)),
+            subsets_checked=_subset_count(n, max_size),
         )
-    size = len(smallest)
     index = {v: i for i, v in enumerate(g.vertex_list())}
-    # lexicographic rank of the index tuple a_0 < ... < a_{size-1}: the
-    # subsets after it number sum_i C(n - 1 - a_i, size - i)
-    after = sum(math.comb(n - 1 - index[v], size - i) for i, v in enumerate(smallest))
-    rank = math.comb(n, size) - 1 - after
+    after = _subsets_after([index[v] for v in smallest], n)
     return ExpanderVerdict(
         is_expander=False,
         certified=True,
         mode="exhaustive",
         params=p,
         violation=(frozenset(smallest), frozenset()),
-        subsets_checked=sum(math.comb(n, k) for k in range(1, size)) + rank + 1,
+        subsets_checked=_subset_count(n, len(smallest)) - after,
     )
 
 

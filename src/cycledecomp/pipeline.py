@@ -180,7 +180,8 @@ def _serve_closures(
     if isinstance(served, RoutedPaths):
         for i, q in zip(live, served.paths):
             cycles.append(_close_cycle(paths[i], q))
-        dead = [i for i in range(len(paths)) if i not in set(live)]
+        served_idx = set(live)
+        dead = [i for i in range(len(paths)) if i not in served_idx]
     else:
         dead = list(range(len(paths)))
     for i in dead:

@@ -131,3 +131,34 @@ def reference_certify(g: Graph, p):
             if survivors < thresh:
                 return False, Uset, checked
     return True, None, checked
+
+
+def reference_shortest_through_path(adj, used, V, u, v, ell):
+    """Level-by-level BFS that scans every frontier vertex's whole adjacency
+    for an unused edge to v (independent of the early-exit search).  Returns
+    (vertices, edge ids) of the first path found, or None."""
+    parent = {u: None}
+    frontier = [u]
+    dist = 0
+    while frontier and dist < ell:
+        dist += 1
+        nxt = []
+        for a in frontier:
+            for b, eid in adj[a]:
+                if eid in used or b in parent:
+                    continue
+                if b == v:
+                    parent[b] = (a, eid)
+                    vs, es = [v], []
+                    cur = v
+                    while parent[cur] is not None:
+                        prv, pe = parent[cur]
+                        vs.append(prv)
+                        es.append(pe)
+                        cur = prv
+                    return vs[::-1], es[::-1]
+                if b in V:
+                    parent[b] = (a, eid)
+                    nxt.append(b)
+        frontier = nxt
+    return None

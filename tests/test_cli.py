@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import sys
 import time
 
@@ -205,6 +206,18 @@ class TestCertify:
         assert code == 0
         doc = json.loads(out)
         assert doc["is_expander"] is True and doc["witness"] is None
+
+    def test_connectivity_regime_over_the_cap(self, capsys):
+        # epsilon 2^-5 with s = 0 makes expansion plain connectivity at n = 30,
+        # which a component count settles although n is over the cap of 20
+        code, edges, _ = run(capsys, ["gen", "gnp", "30", "0.3", "--seed", "1"])
+        assert code == 0
+        code, out, err = run(capsys, ["certify", "--epsilon", "0.03125", "--s", "0"], stdin=edges)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["is_expander"] is True and doc["certified"] is True
+        assert doc["mode"] == "exhaustive" and doc["witness"] is None
+        assert doc["subsets_checked"] == sum(math.comb(30, k) for k in range(1, 21))
 
 
 class TestExpanders:

@@ -3,6 +3,7 @@
 import math
 import random
 import statistics
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +18,13 @@ from cycledecomp.connectivity import (
     build_skeleton,
     make_template,
     route_pairs,
+    _shortest_through_path,
     _unrank_pair,
 )
 from cycledecomp.expansion import CapacityError
 from cycledecomp.graph import Graph
 
-from helpers import cycle_graph, complete_graph
+from helpers import complete_graph, cycle_graph, reference_shortest_through_path
 
 
 def gnp(n, p, seed):
@@ -46,6 +48,40 @@ class TestPairBatch:
         b = PairBatch.from_pairs([(2, 0), (0, 1), (0, 3)])
         assert b.t == 3
         assert b.pairs == ((0, 2), (0, 1), (0, 3))
+
+
+class TestShortestThroughPath:
+    def test_matches_full_scan_reference(self):
+        rng = random.Random(4)
+        seen: Counter = Counter()
+        for _ in range(600):
+            n = rng.randint(2, 30)
+            g = gnp(n, rng.choice([0.05, 0.1, 0.2, 0.4, 0.7, 1.0]), rng.randrange(10**6))
+            if rng.random() < 0.3:  # vertex ids with gaps
+                g = g.subview(vertices=[w for w in g.vertices if rng.random() < 0.8])
+            verts = g.vertex_list()
+            if len(verts) < 2:
+                continue
+            adj = g.adjacency()
+            to = {}  # shared by the searches on this graph, as in route_pairs
+            eids = g.edge_id_list()
+            for _ in range(20):
+                used = {e for e in eids if rng.random() < rng.random() ** 2}
+                V = frozenset(w for w in verts if rng.random() < rng.random())
+                u, v = rng.sample(verts, 2)
+                ell = rng.randint(1, 6)
+                want = reference_shortest_through_path(adj, used, V, u, v, ell)
+                assert _shortest_through_path(adj, to, used, V, u, v, ell) == want, (
+                    g.fingerprint(), sorted(used), sorted(V), u, v, ell)
+                seen["cases"] += 1
+                seen["adjacent through a used edge"] += dict(adj[u]).get(v, -1) in used
+                seen["v in V"] += v in V
+                seen["ell = 1"] += ell == 1
+                seen["unreachable"] += want is None
+                seen["path of length ell > 1"] += want is not None and 1 < len(want[1]) == ell
+                seen["path of length >= 3"] += want is not None and len(want[1]) >= 3
+        assert seen["cases"] >= 10_000
+        assert min(seen.values()) >= 100, seen
 
 
 class TestRoutePairs:

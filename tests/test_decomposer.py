@@ -125,14 +125,17 @@ class TestAlmostDecompose:
         p = ExpanderParams(2**-5, 0)
         fast = almost_decompose_into_expanders(g, p, cap=20)
         assert sorted(pt.vertex_list() for pt in fast.parts) == g.components()
-        assert fast.certified == tuple(pt.n <= 20 for pt in fast.parts)
-        assert False in fast.certified and repartitions_exactly(g, fast)
+        # connected means expander here, so even the 25-cycle is certified
+        assert fast.certified == (True,) * len(fast.parts)
+        assert max(pt.n for pt in fast.parts) > 20 and repartitions_exactly(g, fast)
 
         # the full searches, with the component shortcut switched off, agree
+        # on the parts; only the exhaustive pass then vouches, under the cap
         monkeypatch.setattr(ExpanderParams, "connectivity_only", lambda self, n: False)
         slow = almost_decompose_into_expanders(g, p, cap=20)
         assert [pt.fingerprint() for pt in slow.parts] == [pt.fingerprint() for pt in fast.parts]
-        assert slow.certified == fast.certified and slow.removed == fast.removed
+        assert slow.removed == fast.removed
+        assert slow.certified == tuple(pt.n <= 20 for pt in slow.parts)
 
     def test_deterministic_across_runs(self):
         g = gnp(13, 0.3, 5)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -14,6 +15,8 @@ from cycledecomp.expansion import (
     check_dichotomy,
     extract_well_expanding_core,
     worst_case_frontier,
+    _subset_count,
+    _subsets_after,
 )
 from cycledecomp.graph import Graph, neighborhood
 
@@ -201,6 +204,42 @@ def test_component_shortcut_matches_enumeration():
         assert v.violation == (None if ok else (frozenset(witness), frozenset()))
         verdicts.append(ok)
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+def test_subset_counts_match_binomial_sums():
+    for n in range(8):
+        for k in range(1, n + 1):
+            combos = list(itertools.combinations(range(n), k))
+            for pos, combo in enumerate(combos):
+                assert _subsets_after(list(combo), n) == len(combos) - 1 - pos
+    rng = random.Random(8)
+    for _ in range(400):
+        n = rng.randint(1, 90)
+        a = sorted(rng.sample(range(n), rng.randint(1, n)))
+        want = sum(math.comb(n - 1 - x, len(a) - i) for i, x in enumerate(a))
+        assert _subsets_after(a, n) == want
+        top = rng.randint(0, n)
+        assert _subset_count(n, top) == sum(math.comb(n, k) for k in range(1, top + 1))
+
+
+def test_component_shortcut_ignores_the_cap():
+    """Over the cap, the connectivity regime still gets the exact verdict."""
+    p = ExpanderParams(2**-5, 0.0)
+    n = 30
+    assert p.connectivity_only(n)
+    v = certify_expander(cycle_graph(n), p, mode="exhaustive", cap=20)
+    assert v.is_expander and v.certified
+    assert v.subsets_checked == sum(math.comb(n, k) for k in range(1, 2 * n // 3 + 1))
+    # components {0..9} and {10..29}: the witness is the first 10-subset
+    pairs = [(i, (i + 1) % 10) for i in range(10)]
+    pairs += [(10 + i, 10 + (i + 1) % 20) for i in range(20)]
+    v = certify_expander(Graph.from_edges(n, pairs), p, mode="exhaustive", cap=20)
+    assert not v.is_expander and v.certified
+    assert v.violation == (frozenset(range(10)), frozenset())
+    assert v.subsets_checked == sum(math.comb(n, k) for k in range(1, 10)) + 1
+    # the enumeration itself still refuses to run over the cap
+    with pytest.raises(CapacityError):
+        certify_expander(cycle_graph(n), ExpanderParams(2**-5, 1.0), mode="exhaustive", cap=20)
 
 
 def test_heuristic_is_labelled_non_certifying():
