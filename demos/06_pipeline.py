@@ -3,8 +3,10 @@
 decompose_logstar iterates a density-halving step until the residual is
 sparse, then sweeps up: each iteration peels long cycles, splits the rest
 into certified expander parts, and runs the per-part machinery.  The run
-report shows the density trajectory; the stats dict shows what each stage
-did.  Piece counts stay linear in n, which is the whole point.
+report shows the density trajectory; the stats dict records the preset,
+the seed, how many density rounds ran and whether the Eulerian finisher
+closed the residual.  Piece counts stay linear in n, which is the whole
+point.
 """
 
 import random
@@ -32,9 +34,8 @@ for it in report.iterations:
           f"peeled={it['cycles_peeled']} general={it['cycles_general']} "
           f"edges_left={it['edges_left']}")
 
-interesting = ("strategy", "iterations", "eulerian_finished", "skeleton_engaged",
-               "closed_paths", "fallback_paths")
-print("stats:", {k: dec.stats[k] for k in interesting if k in dec.stats})
+interesting = ("preset", "seed", "iterations", "iteration_cap", "eulerian_finished")
+print("stats:", {k: dec.stats[k] for k in interesting})
 
 # all-even inputs close completely: the finisher converts the residual into
 # cycles, so nothing is left over

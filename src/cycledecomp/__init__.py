@@ -7,7 +7,6 @@ from .graph import (
     ParseError,
     Path,
     ValidationReport,
-    ball,
     decomposition_from_json_dict,
     decomposition_to_json,
     decomposition_to_json_dict,
@@ -27,7 +26,6 @@ __all__ = [
     "ParseError",
     "Path",
     "ValidationReport",
-    "ball",
     "decomposition_from_json_dict",
     "decomposition_to_json",
     "decomposition_to_json_dict",

@@ -198,7 +198,7 @@ def _bench_one(family: str, n: int, seed: int, cfg: PipelineConfig) -> dict:
         problems.append(f"pieces {pieces} above the 32n ceiling {32 * n}")
     if bound is not None and pieces < bound:
         problems.append(f"pieces {pieces} below the proven floor {bound}")
-    if family == "eulerian" and cfg.eulerian_finish and dec.single_edges:
+    if family == "eulerian" and dec.single_edges:
         problems.append(f"{len(dec.single_edges)} single edges on an all-even input")
     return {
         "family": family,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
 from typing import Optional, Sequence
 
 from .bench import (
@@ -78,86 +77,15 @@ def _info(args: argparse.Namespace, msg: str) -> None:
         print(msg, file=sys.stderr)
 
 
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def _coerce_knob(name: str, raw: str):
-    kind = {f.name: f.type for f in fields(PipelineConfig)}.get(name)
-    if kind is None:
-        raise ValueError(f"unknown config key {name!r}")
-    raw = raw.strip()
-    if kind == "bool":
-        if raw.lower() not in _BOOL_WORDS:
-            raise ValueError(f"{name}: expected a boolean, got {raw!r}")
-        return _BOOL_WORDS[raw.lower()]
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "Optional[int]":
-        return None if raw.lower() == "none" else int(raw)
-    if kind == "str":
-        return raw
-    raise ValueError(f"config key {name!r} cannot be set from a file")
-
-
-def _load_config_file(path: str) -> dict:
-    overrides = {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected key=value, got {raw!r}", line_no)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            try:
-                if key in ("epsilon", "s", "denominator_const"):
-                    overrides[key] = float(value)
-                elif key == "denominator":
-                    overrides[key] = value.strip()
-                else:
-                    overrides[key] = _coerce_knob(key, value)
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no) from None
-    return overrides
-
-
 def _build_config(args: argparse.Namespace, n_hint: int) -> PipelineConfig:
-    # precedence: flags > config file > preset defaults
     seed = args.seed if args.seed is not None else 0
     if args.preset == "paper":
-        cfg = PipelineConfig.paper(max(n_hint, 2), seed=seed)
-    else:
-        cfg = PipelineConfig.engineering(seed=seed)
-    if args.config:
-        overrides = _load_config_file(args.config)
-        param_keys = {k: overrides.pop(k) for k in list(overrides) if k in (
-            "epsilon", "s", "denominator", "denominator_const")}
-        if param_keys:
-            p = cfg.params
-            cfg = replace(cfg, params=ExpanderParams(
-                param_keys.get("epsilon", p.epsilon),
-                param_keys.get("s", p.s),
-                param_keys.get("denominator", p.denominator),
-                param_keys.get("denominator_const", p.denominator_const),
-            ))
-        if overrides:
-            cfg = replace(cfg, **overrides)
-    if args.seed is not None:
-        cfg = replace(cfg, rng_seed=args.seed)
-    if getattr(args, "eulerian_finish", None) is not None:
-        cfg = replace(cfg, eulerian_finish=args.eulerian_finish)
-    return cfg
+        return PipelineConfig.paper(max(n_hint, 2), seed=seed)
+    return PipelineConfig.engineering(seed=seed)
 
 
 def _params_from_args(args: argparse.Namespace) -> ExpanderParams:
     return ExpanderParams(args.epsilon, args.s, args.denominator, args.denominator_const)
-
-
-def _pairs_doc(g: Graph, vertex_lists: list[tuple[int, ...]]) -> list[list[int]]:
-    return [list(vs) for vs in vertex_lists]
 
 
 # -- subcommand bodies ---------------------------------------------------------
@@ -194,9 +122,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.report:
         doc = {
             "iterations": list(report.iterations),
-            "n_cycles": report.n_cycles,
-            "n_single_edges": report.n_single_edges,
-            "pieces": report.pieces,
+            "n_cycles": len(dec.cycles),
+            "n_single_edges": len(dec.single_edges),
+            "pieces": dec.pieces,
             "degree_trajectory": report.degree_trajectory(),
         }
         with open(args.report, "w") as fh:
@@ -205,7 +133,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if not rep.ok:
         _info(args, "decomposition failed self-validation: " + "; ".join(rep.problems))
         return 1
-    _info(args, f"{report.n_cycles} cycles, {report.n_single_edges} single edges")
+    _info(args, f"{len(dec.cycles)} cycles, {len(dec.single_edges)} single edges")
     return 0
 
 
@@ -343,7 +271,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
         {
             "routed": True,
             "ell": routed.ell,
-            "paths": _pairs_doc(g, [p.vertices for p in routed.paths]),
+            "paths": [list(p.vertices) for p in routed.paths],
         },
         args.out,
     )
@@ -429,13 +357,14 @@ def _str_list(raw: str) -> list[str]:
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=None, help="random seed")
-    shared.add_argument(
-        "--preset", choices=("engineering", "paper"), default="engineering",
-        help="knob preset (default engineering)",
-    )
-    shared.add_argument("--config", help="key=value overrides, one per line")
     shared.add_argument("--quiet", action="store_true", help="suppress progress notes")
     shared.add_argument("--out", help="write the primary output here instead of stdout")
+
+    preset_args = argparse.ArgumentParser(add_help=False)
+    preset_args.add_argument(
+        "--preset", choices=("engineering", "paper"), default="engineering",
+        help="pipeline preset (default engineering)",
+    )
 
     expander_args = argparse.ArgumentParser(add_help=False)
     expander_args.add_argument("--epsilon", type=float, required=True)
@@ -454,13 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="+", help="gnp: N P; gallai: K N; eulerian: N P; regular: N D")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("decompose", parents=[shared], help="run the full pipeline")
+    p = sub.add_parser("decompose", parents=[shared, preset_args], help="run the full pipeline")
     p.add_argument("file", nargs="?", help="edge-list file (default stdin)")
     p.add_argument("--report", help="write the per-iteration run report JSON here")
-    p.add_argument(
-        "--eulerian-finish", action=argparse.BooleanOptionalAction, default=None,
-        help="consume an all-even leftover into cycles (preset default)",
-    )
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("validate", parents=[shared], help="check a decomposition JSON document")
@@ -508,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", help="edge-list file (default stdin)")
     p.set_defaults(func=_cmd_euler)
 
-    p = sub.add_parser("bench", parents=[shared], help="run the scaling benchmark grid")
+    p = sub.add_parser("bench", parents=[shared, preset_args], help="run the scaling benchmark grid")
     p.add_argument("--families", type=_str_list, default=list(DEFAULT_FAMILIES))
     p.add_argument("--sizes", type=_int_list, default=list(DEFAULT_SIZES))
     p.add_argument("--seeds", type=_int_list, default=list(DEFAULT_SEEDS))

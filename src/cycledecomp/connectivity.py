@@ -102,17 +102,17 @@ def _shortest_through_path(
 ) -> Optional[tuple[list[int], list[int]]]:
     """Shortest u-v path with internals in V, length <= ell, avoiding used edges.
 
-    Breadth-first from u, for u != v and ell >= 1 (``route_pairs`` ensures
-    both).  The path returned ends with the first vertex, in discovery
-    order, that has an unused edge to v.  Each through-set vertex is tested
-    against v's neighbours as it is discovered, so the search stops at the
-    first hit and never expands the last level.  ``to`` caches each
-    target's {neighbour: edge id} map for the searches that share ``adj``.
+    Breadth-first from u, for live vertices u != v and ell >= 1
+    (``route_pairs`` ensures all three).  The path returned ends with the
+    first vertex, in discovery order, that has an unused edge to v.  Each
+    through-set vertex is tested against v's neighbours as it is
+    discovered, so the search stops at the first hit and never expands the
+    last level.  ``to`` caches each target's {neighbour: edge id} map for
+    the searches that share ``adj``.
     """
     to_v = to.get(v)
     if to_v is None:
-        # a target outside the graph has no neighbours and is unreachable
-        to_v = to[v] = dict(adj.get(v, ()))
+        to_v = to[v] = dict(adj[v])
     last = to_v.get(u)
     if last is not None and last not in used:
         return [u, v], [last]
@@ -248,10 +248,14 @@ def route_pairs(
     shortest through-V path of length <= ell in the graph minus edges already
     used; the whole batch is retried with fresh orders up to ``retries``
     times.  matching_oracle: exact
-    backtracking over enumerated candidates (small inputs only).
+    backtracking over enumerated candidates (small inputs only).  Raises
+    ValueError for a pair endpoint that is not a live vertex of g.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
+    for w in (w for pair in batch.pairs for w in pair):
+        if w not in g.vertices:
+            raise ValueError(f"pair endpoint {w} is not a vertex of the graph")
     Vset = frozenset(V)
     if strategy == "matching_oracle":
         return _route_matching_oracle(g, batch, Vset, ell)

@@ -1,4 +1,4 @@
-"""Core graph types plus neighborhood and ball primitives.
+"""Core graph types plus neighborhood primitives.
 
 The central type is an immutable :class:`Graph` that doubles as a subgraph
 view: every view shares one host edge table, so edge ids are dense on the
@@ -113,12 +113,6 @@ class Graph:
                 lst.sort()
             self._adj = adj
         return self._adj
-
-    def neighbors(self, v: int) -> list[tuple[int, int]]:
-        return self.adjacency()[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency()[v])
 
     def degrees(self) -> dict[int, int]:
         return {v: len(lst) for v, lst in self.adjacency().items()}
@@ -326,10 +320,6 @@ class ValidationReport:
     n_single_edges: int
     covered_edges: int
 
-    def raise_if_bad(self) -> None:
-        if not self.ok:
-            raise AssertionError("invalid decomposition: " + "; ".join(self.problems[:5]))
-
 
 def validate_decomposition(g: Graph, d: Decomposition) -> ValidationReport:
     """Check that d is an exact, well-formed edge partition of g.
@@ -386,7 +376,7 @@ def validate_decomposition(g: Graph, d: Decomposition) -> ValidationReport:
     )
 
 
-# -- neighborhood / ball primitives ------------------------------------------
+# -- neighborhood primitives ------------------------------------------------
 
 
 def _check_sets(g: Graph, U: Iterable[int], F: Iterable[int]) -> tuple[set[int], set[int]]:
@@ -425,44 +415,6 @@ def robust_neighborhood(g: Graph, U: Iterable[int], F: Iterable[int], d: int) ->
             if w not in Uset and eid not in Fset:
                 count[w] = count.get(w, 0) + 1
     return {w for w, c in count.items() if c >= d}
-
-
-def ball(
-    g: Graph,
-    U: Iterable[int],
-    V: Iterable[int],
-    i: int,
-    F: Iterable[int] = (),
-) -> set[int]:
-    """Vertices of V reachable from U by a path of length <= i through V.
-
-    Internal path vertices must lie in V; the start vertex need not.  The
-    result is a subset of V, and a start vertex in U cap V is reachable by
-    the empty path.  BFS layering, O(n + m).
-    """
-    if i < 0:
-        raise ValueError("radius must be nonnegative")
-    Uset, Fset = _check_sets(g, U, F)
-    Vset = set(V)
-    if not Vset <= g.vertices:
-        raise ValueError("V must consist of live vertices")
-    adj = g.adjacency()
-    reached = Uset & Vset
-    seen = set(Uset)
-    frontier = list(Uset)
-    dist = 0
-    while frontier and dist < i:
-        dist += 1
-        nxt: list[int] = []
-        for a in frontier:
-            for b, eid in adj[a]:
-                if eid in Fset or b in seen or b not in Vset:
-                    continue
-                seen.add(b)
-                reached.add(b)
-                nxt.append(b)
-        frontier = nxt
-    return reached
 
 
 # -- edge-list text format ----------------------------------------------------

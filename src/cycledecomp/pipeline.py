@@ -61,7 +61,6 @@ class PipelineConfig:
     template_coeff: float = 2 ** -8
     template_budget_frac: float = 0.5
     size_floor: int = 24
-    eulerian_finish: bool = True
     expander_peel: bool = True
     skeleton_min_n: int = 64
     rng_seed: int = 0
@@ -116,13 +115,9 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Per-iteration degree trajectory plus the final decomposition."""
+    """Per-iteration degree trajectory of one log-star run."""
 
     iterations: tuple[dict, ...]
-    n_cycles: int
-    n_single_edges: int
-    pieces: int
-    decomposition: Decomposition
 
     def degree_trajectory(self) -> list[float]:
         out = [it["d_in"] for it in self.iterations]
@@ -394,8 +389,8 @@ def decompose_logstar(
     """Iterate density reduction until the average degree hits the floor.
 
     Runs at most log*(n) + 2 rounds.  When the final leftover has all
-    degrees even and the finisher is enabled, it is consumed into cycles;
-    otherwise its edges come out as singles.
+    degrees even, it is consumed into cycles; otherwise its edges come out
+    as singles.
     """
     cap = log_star(g.n) + 2
     cur = g
@@ -410,10 +405,7 @@ def decompose_logstar(
         cycles.extend(got)
         iterations.append(rep)
         it += 1
-    if cfg.eulerian_finish:
-        fin_cycles, singles = _finish_or_singles(cur)
-    else:
-        fin_cycles, singles = [], cur.edge_id_list()
+    fin_cycles, singles = _finish_or_singles(cur)
     cycles.extend(fin_cycles)
     dec = Decomposition.from_parts(
         g,
@@ -428,11 +420,4 @@ def decompose_logstar(
             "seed": cfg.rng_seed,
         },
     )
-    report = RunReport(
-        iterations=tuple(iterations),
-        n_cycles=len(cycles),
-        n_single_edges=len(singles),
-        pieces=dec.pieces,
-        decomposition=dec,
-    )
-    return dec, report
+    return dec, RunReport(iterations=tuple(iterations))

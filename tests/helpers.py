@@ -44,35 +44,6 @@ def random_connected(rng: random.Random, n: int, extra_p: float = 0.3) -> Graph:
     return Graph.from_edges(n, sorted(pairs))
 
 
-def ball_by_path_enumeration(g: Graph, U, V, i, F=()) -> set[int]:
-    """Independent ball oracle: enumerate every simple path of length <= i
-    starting in U with all internal vertices in V, avoiding edges in F, and
-    collect endpoints that lie in V."""
-    Vset, Fset = set(V), set(F)
-    out = set()
-    adj = g.adjacency()
-
-    def extend(pathv: list[int]) -> None:
-        if len(pathv) - 1 >= i:
-            return
-        tip = pathv[-1]
-        # tip may continue only if it is the start or an internal-in-V vertex
-        if len(pathv) > 1 and tip not in Vset:
-            return
-        for w, eid in adj[tip]:
-            if eid in Fset or w in pathv:
-                continue
-            if w in Vset:
-                out.add(w)
-            extend(pathv + [w])
-
-    for u in U:
-        if u in Vset:
-            out.add(u)
-        extend([u])
-    return out
-
-
 def edges_of(g: Graph) -> set[tuple[int, int]]:
     return {g.edge_table[eid] for eid in g.edge_ids}
 

@@ -114,30 +114,25 @@ class TestDecomposeRoundTrip:
 
 
 class TestConfigPrecedence:
-    def test_file_overrides_preset_and_flag_overrides_file(self, capsys, tmp_path):
+    def test_preset_and_seed_are_the_whole_configuration(self, capsys, tmp_path):
         cfgfile = tmp_path / "knobs.cfg"
-        cfgfile.write_text("eulerian_finish=false\nrng_seed=5\n")
+        cfgfile.write_text("rng_seed=5\n")
+        for argv in (
+            ["decompose", "--config", str(cfgfile)],
+            ["decompose", "--no-eulerian-finish"],
+            ["gen", "gnp", "10", "0.5", "--preset", "paper"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
         two_triangles = "6 6\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n"
         code, out, _ = run(
-            capsys,
-            ["decompose", "--quiet", "--config", str(cfgfile), "--seed", "9"],
+            capsys, ["decompose", "--preset", "paper", "--seed", "9", "--quiet"],
             stdin=two_triangles,
         )
         assert code == 0
-        doc = json.loads(out)
-        # file beat the preset: finisher off leaves 6 singles
-        assert len(doc["edges"]) == 6
-        # flag beat the file: seed 9, not 5
-        assert doc["stats"]["seed"] == 9
-
-    def test_unknown_key_exit2(self, capsys, tmp_path):
-        # a fixed budget is not a config key
-        cfgfile = tmp_path / "bad.cfg"
-        for key in ("no_such_knob", "serve_retries"):
-            cfgfile.write_text(f"{key}=4\n")
-            code, _, err = run(capsys, ["decompose", "--config", str(cfgfile)], stdin="3 0\n")
-            assert code == 2
-            assert key in err
+        stats = json.loads(out)["stats"]
+        assert (stats["preset"], stats["seed"]) == ("paper", 9)
 
     def test_paper_preset_accepted(self, capsys):
         code, out, _ = run(
@@ -350,6 +345,24 @@ class TestRoute:
         )
         assert code == 1
         assert json.loads(out)["routed"] is False
+
+    @pytest.mark.parametrize("strategy", ["greedy", "matching_oracle"])
+    @pytest.mark.parametrize("pair, bad", [("98 99", 98), ("0 99", 99)])
+    def test_endpoint_outside_graph_exit2_one_line(self, capsys, tmp_path, strategy, pair, bad):
+        pairs = tmp_path / "p.txt"
+        pairs.write_text(pair + "\n")
+        through = tmp_path / "v.txt"
+        through.write_text("1 2\n")
+        p4 = "4 3\n0 1\n1 2\n2 3\n"
+        code, out, err = run(
+            capsys,
+            ["route", "--pairs", str(pairs), "--through", str(through),
+             "--ell", "3", "--strategy", strategy],
+            stdin=p4,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: pair endpoint {bad} is not a vertex of the graph\n"
 
 
 class TestPathsCyclesCommands:

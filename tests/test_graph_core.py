@@ -12,7 +12,6 @@ from cycledecomp.graph import (
     Graph,
     ParseError,
     Path,
-    ball,
     decomposition_from_json_dict,
     decomposition_to_json,
     decomposition_to_json_dict,
@@ -26,7 +25,6 @@ from cycledecomp.graph import (
 )
 
 from helpers import (
-    ball_by_path_enumeration,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -63,7 +61,7 @@ def test_subview_drops_edges_with_dead_endpoint():
     g = path_graph(4)
     sub = g.subview(vertices=[0, 1, 3])
     assert sub.m == 1  # only 0-1 survives
-    assert sub.degree(3) == 0
+    assert sub.degrees()[3] == 0
 
 
 def test_components():
@@ -75,85 +73,6 @@ def test_fingerprint_distinguishes_views():
     g = complete_graph(4)
     assert g.fingerprint() != g.subview(edge_ids=list(g.edge_ids)[:3]).fingerprint()
     assert g.fingerprint() == Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]).fingerprint()
-
-
-# -- ball --------------------------------------------------------------------
-
-
-def test_ball_full_reachability_on_path():
-    g = path_graph(3)
-    assert ball(g, {0}, {0, 1, 2}, 2) == {0, 1, 2}
-
-
-def test_ball_blocked_internal_vertex():
-    # b outside V blocks the only route from a to c
-    g = path_graph(3)
-    expected = ball_by_path_enumeration(g, {0}, {0, 2}, 2)
-    assert expected == {0}
-    assert ball(g, {0}, {0, 2}, 2) == expected
-
-
-def test_ball_radius_zero_is_intersection():
-    g = cycle_graph(5)
-    assert ball(g, {0, 2}, {2, 3}, 0) == {2}
-
-
-def test_ball_start_vertex_outside_v_still_expands():
-    g = path_graph(3)
-    # start a is not in V, but a->b->c has internal b in V
-    assert ball(g, {0}, {1, 2}, 2) == {1, 2}
-
-
-def test_ball_respects_f():
-    g = cycle_graph(4)
-    f = {g.edge_id(0, 1)}
-    assert ball(g, {0}, set(range(4)), 1, f) == {0, 3}
-
-
-def test_ball_input_validation():
-    g = path_graph(3)
-    with pytest.raises(ValueError):
-        ball(g, {9}, {0}, 1)
-    with pytest.raises(ValueError):
-        ball(g, {0}, {0}, -1)
-    with pytest.raises(ValueError):
-        ball(g, {0}, {0}, 1, {99})
-
-
-@st.composite
-def small_graph_and_sets(draw):
-    n = draw(st.integers(min_value=2, max_value=7))
-    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    pairs = [e for e in possible if draw(st.booleans())]
-    g = Graph.from_edges(n, pairs)
-    U = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
-    V = draw(st.sets(st.integers(0, n - 1), max_size=n))
-    F = draw(st.sets(st.sampled_from(sorted(g.edge_ids)), max_size=3)) if g.m else set()
-    i = draw(st.integers(0, 4))
-    return g, U, V, F, i
-
-
-@given(small_graph_and_sets())
-@settings(max_examples=120, deadline=None)
-def test_ball_matches_path_enumeration_and_monotonicity(data):
-    g, U, V, F, i = data
-    got = ball(g, U, V, i, F)
-    assert got == ball_by_path_enumeration(g, U, V, i, F)
-    assert got <= ball(g, U, V, i + 1, F)
-    assert got <= ball(g, U, V | {0}, i, F)
-    assert ball(g, U, V, i, set()) >= got  # antitone in F
-
-
-@given(small_graph_and_sets())
-@settings(max_examples=60, deadline=None)
-def test_ball_unbounded_radius_is_component_union(data):
-    g, U, _, _, _ = data
-    reach = ball(g, U, set(g.vertices), g.n, set())
-    comp_union = set()
-    for comp in g.components():
-        if set(comp) & U:
-            comp_union |= set(comp)
-    assert reach == comp_union
 
 
 # -- neighborhood ------------------------------------------------------------

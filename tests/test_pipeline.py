@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -15,7 +14,6 @@ from cycledecomp.graph import (
 )
 from cycledecomp.pipeline import (
     PipelineConfig,
-    RunReport,
     _close_cycle,
     decompose_expander,
     decompose_general,
@@ -228,7 +226,7 @@ class TestDecomposeLogstar:
         d, rr = decompose_logstar(g, CFG)
         assert not d.cycles
         assert len(d.single_edges) == 9
-        assert rr.pieces == 9
+        assert d.pieces == 9
         assert rr.iterations == ()
 
     def test_star_all_singles(self):
@@ -252,12 +250,6 @@ class TestDecomposeLogstar:
         assert (len(d.cycles), len(d.single_edges)) == (2, 0)
         assert rr.iterations == ()
 
-    def test_finisher_can_be_disabled(self):
-        g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        d, _ = decompose_logstar(g, replace(CFG, eulerian_finish=False))
-        assert d.stats["eulerian_finished"] is False
-        assert (len(d.cycles), len(d.single_edges)) == (0, 6)
-
     def test_eulerian_union_of_cycles_no_singles(self):
         pairs = set()
         for s in (1, 3, 7):
@@ -277,15 +269,6 @@ class TestDecomposeLogstar:
         assert len(rr.iterations) <= log_star(128) + 2
         traj = rr.degree_trajectory()
         assert all(b <= a + 1e-9 for a, b in zip(traj, traj[1:]))
-
-    def test_report_matches_decomposition(self):
-        g = gnp(64, 0.25, 8)
-        d, rr = decompose_logstar(g, CFG)
-        assert rr.n_cycles == len(d.cycles)
-        assert rr.n_single_edges == len(d.single_edges)
-        assert rr.pieces == len(d.cycles) + len(d.single_edges)
-        assert rr.decomposition is d
-        assert isinstance(rr, RunReport)
 
     def test_determinism_byte_identical(self):
         g = complete_graph(7)
