@@ -77,9 +77,8 @@ def _info(args: argparse.Namespace, msg: str) -> None:
         print(msg, file=sys.stderr)
 
 
-def _build_config(args: argparse.Namespace, n_hint: int) -> PipelineConfig:
-    seed = args.seed if args.seed is not None else 0
-    if args.preset == "paper":
+def _build_config(preset: str, n_hint: int, seed: int = 0) -> PipelineConfig:
+    if preset == "paper":
         return PipelineConfig.paper(max(n_hint, 2), seed=seed)
     return PipelineConfig.engineering(seed=seed)
 
@@ -92,18 +91,17 @@ def _params_from_args(args: argparse.Namespace) -> ExpanderParams:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else 0
     fam = args.family
     vals = args.params
     try:
         if fam == "gnp":
-            g = gen_gnp(int(vals[0]), float(vals[1]), seed)
+            g = gen_gnp(int(vals[0]), float(vals[1]), args.seed)
         elif fam == "gallai":
             g = gen_gallai_bipartite(int(vals[0]), int(vals[1]))
         elif fam == "eulerian":
-            g = gen_eulerian(int(vals[0]), float(vals[1]), seed)
+            g = gen_eulerian(int(vals[0]), float(vals[1]), args.seed)
         elif fam == "regular":
-            g = gen_regular(int(vals[0]), int(vals[1]), seed)
+            g = gen_regular(int(vals[0]), int(vals[1]), args.seed)
         else:
             raise ValueError(f"unknown family {fam!r}")
     except (IndexError, ValueError) as exc:
@@ -115,7 +113,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     g = _read_graph(args.file)
-    cfg = _build_config(args, g.host_n)
+    cfg = _build_config(args.preset, g.host_n, args.seed)
     dec, report = decompose_logstar(g, cfg)
     rep = validate_decomposition(g, dec)
     _emit(decomposition_to_json(dec, g) + "\n", args.out)
@@ -164,7 +162,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         _params_from_args(args),
         mode=args.mode,
         cap=args.cap,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     doc = {
         "is_expander": verdict.is_expander,
@@ -188,11 +186,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_expanders(args: argparse.Namespace) -> int:
     g = _read_graph(args.file)
     p = _params_from_args(args)
-    seed = args.seed if args.seed is not None else 0
     tab = g.edge_table
     if args.split:
         try:
-            res = split_expander_edges(g, p, args.split, seed, check=args.check)
+            res = split_expander_edges(g, p, args.split, args.seed, check=args.check)
         except SplitFailure as exc:
             print(f"expanders: split failed: {exc}", file=sys.stderr)
             return 1
@@ -206,7 +203,7 @@ def _cmd_expanders(args: argparse.Namespace) -> int:
         }
         _emit_json(doc, args.out)
         return 0
-    res = almost_decompose_into_expanders(g, p, cap=args.cap, seed=seed)
+    res = almost_decompose_into_expanders(g, p, cap=args.cap, seed=args.seed)
     doc = {
         "parts": [
             {
@@ -254,7 +251,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
         frozenset(through),
         args.ell,
         strategy=args.strategy,
-        rng_seed=args.seed if args.seed is not None else 0,
+        rng_seed=args.seed,
     )
     if isinstance(routed, RouteFailure):
         _emit_json(
@@ -321,7 +318,7 @@ def _cmd_euler(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _build_config(args, max(args.sizes) if args.sizes else 2)
+    cfg = _build_config(args.preset, max(args.sizes) if args.sizes else 2)
     try:
         text = bench_scaling(
             families=args.families,
@@ -356,9 +353,11 @@ def _str_list(raw: str) -> list[str]:
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=None, help="random seed")
     shared.add_argument("--quiet", action="store_true", help="suppress progress notes")
     shared.add_argument("--out", help="write the primary output here instead of stdout")
+
+    seed_args = argparse.ArgumentParser(add_help=False)
+    seed_args.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
     preset_args = argparse.ArgumentParser(add_help=False)
     preset_args.add_argument(
@@ -378,12 +377,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[shared], help="generate an instance as an edge list")
+    p = sub.add_parser(
+        "gen", parents=[shared, seed_args], help="generate an instance as an edge list"
+    )
     p.add_argument("family", choices=("gnp", "gallai", "eulerian", "regular"))
     p.add_argument("params", nargs="+", help="gnp: N P; gallai: K N; eulerian: N P; regular: N D")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("decompose", parents=[shared, preset_args], help="run the full pipeline")
+    p = sub.add_parser(
+        "decompose", parents=[shared, seed_args, preset_args], help="run the full pipeline"
+    )
     p.add_argument("file", nargs="?", help="edge-list file (default stdin)")
     p.add_argument("--report", help="write the per-iteration run report JSON here")
     p.set_defaults(func=_cmd_decompose)
@@ -394,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser(
-        "certify", parents=[shared, expander_args], help="test the expansion property"
+        "certify", parents=[shared, seed_args, expander_args], help="test the expansion property"
     )
     p.add_argument("file", nargs="?", help="edge-list file (default stdin)")
     p.add_argument("--mode", choices=("exhaustive", "heuristic"), default="exhaustive")
@@ -402,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser(
-        "expanders", parents=[shared, expander_args],
+        "expanders", parents=[shared, seed_args, expander_args],
         help="split into expander parts (or edge classes with --split)",
     )
     p.add_argument("file", nargs="?", help="edge-list file (default stdin)")
@@ -411,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=20, help="exhaustive certification cap")
     p.set_defaults(func=_cmd_expanders)
 
-    p = sub.add_parser("route", parents=[shared], help="route a pair batch through a vertex set")
+    p = sub.add_parser(
+        "route", parents=[shared, seed_args], help="route a pair batch through a vertex set"
+    )
     p.add_argument("file", nargs="?", help="edge-list file (default stdin)")
     p.add_argument("--pairs", required=True, help="file of 'u v' lines")
     p.add_argument("--through", required=True, help="file of through-vertex ids")
@@ -433,7 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", help="edge-list file (default stdin)")
     p.set_defaults(func=_cmd_euler)
 
-    p = sub.add_parser("bench", parents=[shared, preset_args], help="run the scaling benchmark grid")
+    # no abbreviations: --seed would otherwise be taken for --seeds
+    p = sub.add_parser(
+        "bench", parents=[shared, preset_args], help="run the scaling benchmark grid",
+        allow_abbrev=False,
+    )
     p.add_argument("--families", type=_str_list, default=list(DEFAULT_FAMILIES))
     p.add_argument("--sizes", type=_int_list, default=list(DEFAULT_SIZES))
     p.add_argument("--seeds", type=_int_list, default=list(DEFAULT_SEEDS))

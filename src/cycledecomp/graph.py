@@ -232,11 +232,12 @@ class Path:
 
     def check(self, g: Graph) -> None:
         """Raise unless every edge is live in g and joins its two vertices."""
+        live, tab, vs = g.edge_ids, g.edge_table, self.vertices
         for i, eid in enumerate(self.edge_ids):
-            if eid not in g.edge_ids:
+            if eid not in live:
                 raise ValueError(f"path edge {eid} not live")
-            a, b = self.vertices[i], self.vertices[i + 1]
-            if tuple(sorted((a, b))) != g.endpoints(eid):
+            a, b = vs[i], vs[i + 1]
+            if ((a, b) if a < b else (b, a)) != tab[eid]:
                 raise ValueError(f"path edge {eid} does not join {a},{b}")
 
 
@@ -260,12 +261,13 @@ class Cycle:
         return len(self.edge_ids)
 
     def check(self, g: Graph) -> None:
-        L = len(self.vertices)
+        live, tab, vs = g.edge_ids, g.edge_table, self.vertices
+        L = len(vs)
         for i, eid in enumerate(self.edge_ids):
-            if eid not in g.edge_ids:
+            if eid not in live:
                 raise ValueError(f"cycle edge {eid} not live")
-            a, b = self.vertices[i], self.vertices[(i + 1) % L]
-            if tuple(sorted((a, b))) != g.endpoints(eid):
+            a, b = vs[i], vs[(i + 1) % L]
+            if ((a, b) if a < b else (b, a)) != tab[eid]:
                 raise ValueError(f"cycle edge {eid} does not join {a},{b}")
 
 

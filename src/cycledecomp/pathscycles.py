@@ -9,6 +9,7 @@ consumers rely on.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -273,7 +274,7 @@ def find_long_cycle_dfs(g: Graph, *, y_fraction: float = 1 / 3) -> Optional[Cycl
     containing all of Y.  When X and Z are separated (Y is a separator, which
     well-expanding inputs rule out but sparse ones do not) the search falls
     back to the longest single-back-edge cycle, so None is returned only for
-    acyclic inputs.
+    acyclic inputs.  Reads only g's adjacency and components.
     """
     if g.n == 0 or g.m == 0:
         return None
@@ -287,6 +288,7 @@ def find_long_cycle_dfs(g: Graph, *, y_fraction: float = 1 / 3) -> Optional[Cycl
     unexplored.discard(root)
     u_count, r_count = len(comp) - 1, 0
     path = [root]
+    path_e: list[Optional[int]] = [None]  # path_e[t] joins path[t - 1] and path[t]
     ptr = {root: 0}
     snapshot: Optional[list[int]] = None
     while path:
@@ -306,11 +308,13 @@ def find_long_cycle_dfs(g: Graph, *, y_fraction: float = 1 / 3) -> Optional[Cycl
         ptr[v] = i
         if nxt is None:
             path.pop()
+            path_e.pop()
             r_count += 1
         else:
             unexplored.discard(nxt)
             u_count -= 1
             path.append(nxt)
+            path_e.append(lst[i][1])
             ptr[nxt] = 0
     if snapshot is None or len(snapshot) < 3:
         return _longest_back_edge_cycle(g, adj)
@@ -353,11 +357,62 @@ def find_long_cycle_dfs(g: Graph, *, y_fraction: float = 1 / 3) -> Optional[Cycl
 
     pos = {v: i for i, v in enumerate(snapshot)}
     ix, iz = pos[q_vs[0]], pos[hit]
-    seg = snapshot[ix : iz + 1]
-    seg_es = [g.edge_id(seg[t], seg[t + 1]) for t in range(len(seg) - 1)]
-    cyc_vs = tuple(seg) + tuple(reversed(q_vs[1:-1]))
-    cyc_es = tuple(seg_es) + tuple(reversed(q_es))
+    cyc_vs = tuple(snapshot[ix : iz + 1]) + tuple(reversed(q_vs[1:-1]))
+    cyc_es = tuple(path_e[ix + 1 : iz + 1]) + tuple(reversed(q_es))
     return Cycle(cyc_vs, cyc_es)
+
+
+def _drop_cycle(
+    adj: dict[int, list[tuple[int, int]]],
+    alive: set[int],
+    cyc: Cycle,
+    ptr: list[int] | dict[int, int] | None = None,
+) -> None:
+    """Remove a cycle's edges from the live adjacency and from alive.
+
+    Each cycle vertex loses the entries of its two cycle neighbours.  The
+    lists stay sorted, so each entry is found by bisection and deleted in
+    place, the later one first.  A scan position in ptr moves back by the
+    number of entries deleted before it, so it still names the same next
+    live entry.
+    """
+    vs = cyc.vertices
+    for x, y, z in zip(vs, vs[-1:] + vs[:-1], vs[1:] + vs[:1]):
+        lst = adj[x]
+        ky = bisect_left(lst, (y,))
+        kz = bisect_left(lst, (z,))
+        if ky < kz:
+            del lst[kz], lst[ky]
+        else:
+            del lst[ky], lst[kz]
+        if ptr is not None:
+            p = ptr[x]
+            ptr[x] = p - (ky < p) - (kz < p)
+    alive.difference_update(cyc.edge_ids)
+
+
+def _live_view(g: Graph, alive: set[int], adj: dict[int, list[tuple[int, int]]]) -> Graph:
+    """g restricted to the edges in alive, with adj as its adjacency.
+
+    adj must hold exactly the edges in alive, in sorted lists: that is what
+    ``adjacency()`` would build, so the view skips building it.  Restricting
+    edges never drops a vertex, so nothing needs filtering.
+    """
+    view = Graph(g.host_n, g.edge_table, g.vertices, frozenset(alive))
+    view._adj = adj
+    return view
+
+
+def _per_vertex(g: Graph, value: int) -> list[int] | dict[int, int]:
+    """A table holding value for every vertex of g, indexed by vertex id.
+
+    A list over the host's ids is the fastest to index, but costs time in
+    the host's size; below a sixteenth of the host, where a part of a large
+    graph is swept, a dict over g's own vertices costs less to build.
+    """
+    if 16 * g.n >= g.host_n:
+        return [value] * g.host_n
+    return dict.fromkeys(g.vertices, value)
 
 
 def _back_edge_pass(
@@ -369,44 +424,49 @@ def _back_edge_pass(
 ) -> int:
     """One DFS sweep extracting qualifying back-edge cycles in place.
 
-    Per-vertex adjacency pointers only move forward, so a full pass is
-    near-linear; cycles missed because their stack was truncated are picked
-    up by later passes.
+    adj is the live adjacency: every extracted cycle leaves it at once, so
+    a sweep scans live entries only.  Per-vertex adjacency pointers move
+    forward (a deleted entry behind a pointer pulls it back one place), so
+    a full pass is near-linear in the live edges; cycles missed because
+    their stack was truncated are picked up by later passes.
     """
     found = 0
-    visited: set[int] = set()
-    ptr = {v: 0 for v in g.vertices}
+    visited = _per_vertex(g, False)
+    depth = _per_vertex(g, -1)
+    ptr = _per_vertex(g, 0)
     for root in g.vertex_list():
-        if root in visited:
+        if visited[root]:
             continue
-        visited.add(root)
+        visited[root] = True
         stack_v = [root]
         stack_e: list[Optional[int]] = [None]
-        depth = {root: 0}
+        depth[root] = 0
         top = 1
         while stack_v:
             v = stack_v[-1]
             lst = adj[v]
+            end = len(lst)
             i = ptr[v]
+            tree_e = stack_e[-1]
             advanced = False
-            while i < len(lst):
+            while i < end:
                 w, eid = lst[i]
-                if eid not in alive or eid == stack_e[-1]:
+                if eid == tree_e:
                     i += 1
                     continue
-                j = depth.get(w)
-                if j is not None:
+                j = depth[w]
+                if j >= 0:
                     if top - j >= min_len:
-                        cyc_vs = tuple(stack_v[j:])
-                        cyc_es = tuple(stack_e[j + 1 :]) + (eid,)
-                        out.append(Cycle(cyc_vs, cyc_es))
-                        alive.difference_update(cyc_es)
+                        cyc = Cycle(tuple(stack_v[j:]), tuple(stack_e[j + 1 :]) + (eid,))
+                        out.append(cyc)
+                        _drop_cycle(adj, alive, cyc, ptr)
                         found += 1
                         # unmark the consumed vertices so this pass can
                         # descend through them again along surviving edges
                         for t in range(j + 1, top):
-                            del depth[stack_v[t]]
-                            visited.discard(stack_v[t])
+                            x = stack_v[t]
+                            depth[x] = -1
+                            visited[x] = False
                         del stack_v[j + 1 :]
                         del stack_e[j + 1 :]
                         top = j + 1
@@ -414,11 +474,11 @@ def _back_edge_pass(
                         break
                     i += 1
                     continue
-                if w in visited:
+                if visited[w]:
                     i += 1
                     continue
                 ptr[v] = i + 1
-                visited.add(w)
+                visited[w] = True
                 depth[w] = top
                 stack_v.append(w)
                 stack_e.append(eid)
@@ -429,7 +489,7 @@ def _back_edge_pass(
                 ptr[v] = i
                 stack_v.pop()
                 stack_e.pop()
-                del depth[v]
+                depth[v] = -1
                 top -= 1
     return found
 
@@ -440,25 +500,27 @@ def peel_long_cycles(g: Graph, min_len: int) -> tuple[list[Cycle], Graph]:
     Each round tries the DFS long-cycle finder once, then runs back-edge
     sweeps until they stop producing; rounds repeat until neither search
     finds anything.  Maximality is relative to these searches (a second peel
-    of the residual returns no cycles).
+    of the residual returns no cycles).  The finder, the sweeps and the
+    returned residual all read one live adjacency, from which every cycle's
+    edges are deleted as it is taken, in the order the lists already had.
     """
     if min_len < 3:
         raise ValueError("min_len must be at least 3")
     alive = set(g.edge_ids)
-    adj = g.adjacency()
+    adj = {v: list(lst) for v, lst in g.adjacency().items()}
     cycles: list[Cycle] = []
     while True:
         progress = False
-        cyc = find_long_cycle_dfs(g.subview(edge_ids=alive))
+        cyc = find_long_cycle_dfs(_live_view(g, alive, adj))
         if cyc is not None and len(cyc.edge_ids) >= min_len:
             cycles.append(cyc)
-            alive.difference_update(cyc.edge_ids)
+            _drop_cycle(adj, alive, cyc)
             progress = True
         while _back_edge_pass(g, adj, alive, min_len, cycles):
             progress = True
         if not progress:
             break
-    return cycles, g.subview(edge_ids=alive)
+    return cycles, _live_view(g, alive, adj)
 
 
 def eulerian_cycle_decompose(g: Graph) -> list[Cycle]:

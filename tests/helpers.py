@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
+from typing import Optional
 
-from cycledecomp.graph import Graph
+from cycledecomp.graph import Cycle, Graph
 
 
 def path_graph(k: int) -> Graph:
@@ -133,3 +135,264 @@ def reference_shortest_through_path(adj, used, V, u, v, ell):
                     nxt.append(b)
         frontier = nxt
     return None
+
+
+# -- reference long-cycle peel ------------------------------------------------
+# The peel as it stood before it kept a compacted live adjacency: every sweep
+# skips consumed edges through the ``alive`` set, and every finder round runs
+# on a fresh ``g.subview(edge_ids=alive)``.  Kept verbatim (names prefixed) as
+# the oracle of the differential test.
+
+
+def _reference_longest_back_edge_cycle(g: Graph, adj) -> Optional[Cycle]:
+    """Longest cycle closable by a single DFS back edge, over all components.
+
+    The DFS stack holds one vertex per depth, so any in-stack neighbor other
+    than the parent is a proper ancestor and closes a simple cycle of length
+    >= 3.  Returns None exactly when g is acyclic.
+    """
+    seen: set[int] = set()
+    best: Optional[Cycle] = None
+    for root in g.vertex_list():
+        if root in seen:
+            continue
+        depth = {root: 0}
+        pe: dict[int, tuple[int, int]] = {}  # child -> (parent, edge id)
+        stack = [root]
+        instack = {root}
+        ptr = {root: 0}
+        while stack:
+            v = stack[-1]
+            lst = adj[v]
+            i = ptr[v]
+            advanced = False
+            while i < len(lst):
+                w, eid = lst[i]
+                i += 1
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    pe[w] = (v, eid)
+                    ptr[v] = i
+                    stack.append(w)
+                    instack.add(w)
+                    ptr[w] = 0
+                    advanced = True
+                    break
+                if w in instack and (v not in pe or pe[v][1] != eid):
+                    length = depth[v] - depth[w] + 1
+                    if length >= 3 and (best is None or length > best.length):
+                        ups = []
+                        x = v
+                        while x != w:
+                            ups.append(x)
+                            x = pe[x][0]
+                        down = ups[::-1]
+                        best = Cycle(
+                            tuple([w] + down),
+                            tuple([pe[x][1] for x in down] + [eid]),
+                        )
+            if not advanced:
+                ptr[v] = i
+                stack.pop()
+                instack.discard(v)
+        seen.update(depth)
+    return best
+
+
+def reference_find_long_cycle_dfs(g: Graph, *, y_fraction: float = 1 / 3) -> Optional[Cycle]:
+    """Long-cycle extraction via the unexplored/path/removed DFS process.
+
+    Runs DFS on the largest component tracking the unexplored set U and the
+    removed set R; the path P is snapshotted at the first moment |U| = |R|.
+    P splits into consecutive X, Y, Z; a shortest X-Z path Q in G minus Y is
+    found by multi-source BFS (its interior automatically avoids all of P),
+    and Q plus the P-segment between its endpoints closes a simple cycle
+    containing all of Y.  When X and Z are separated (Y is a separator, which
+    well-expanding inputs rule out but sparse ones do not) the search falls
+    back to the longest single-back-edge cycle, so None is returned only for
+    acyclic inputs.
+    """
+    if g.n == 0 or g.m == 0:
+        return None
+    comp = max(g.components(), key=len)
+    if len(comp) < 3:
+        return None
+    adj = g.adjacency()
+    root = comp[0]
+
+    unexplored = set(comp)
+    unexplored.discard(root)
+    u_count, r_count = len(comp) - 1, 0
+    path = [root]
+    ptr = {root: 0}
+    snapshot: Optional[list[int]] = None
+    while path:
+        if u_count == r_count:
+            snapshot = list(path)
+            break
+        v = path[-1]
+        lst = adj[v]
+        i = ptr[v]
+        nxt = None
+        while i < len(lst):
+            w = lst[i][0]
+            if w in unexplored:
+                nxt = w
+                break
+            i += 1
+        ptr[v] = i
+        if nxt is None:
+            path.pop()
+            r_count += 1
+        else:
+            unexplored.discard(nxt)
+            u_count -= 1
+            path.append(nxt)
+            ptr[nxt] = 0
+    if snapshot is None or len(snapshot) < 3:
+        return _reference_longest_back_edge_cycle(g, adj)
+
+    p = len(snapshot)
+    y_len = max(1, min(int(y_fraction * p), p - 2))
+    x_len = (p - y_len + 1) // 2
+    X = snapshot[:x_len]
+    Y = snapshot[x_len : x_len + y_len]
+    Z = snapshot[x_len + y_len :]
+
+    y_set = set(Y)
+    z_set = set(Z)
+    parent: dict[int, Optional[tuple[int, int]]] = {x: None for x in X}
+    queue = deque(sorted(X))
+    hit = None
+    while queue and hit is None:
+        v = queue.popleft()
+        for w, eid in adj[v]:
+            if w in y_set or w in parent:
+                continue
+            parent[w] = (v, eid)
+            if w in z_set:
+                hit = w
+                break
+            queue.append(w)
+    if hit is None:
+        return _reference_longest_back_edge_cycle(g, adj)
+
+    q_vs = [hit]
+    q_es: list[int] = []
+    cur = hit
+    while parent[cur] is not None:
+        prev, eid = parent[cur]
+        q_vs.append(prev)
+        q_es.append(eid)
+        cur = prev
+    q_vs.reverse()  # X endpoint first
+    q_es.reverse()
+
+    pos = {v: i for i, v in enumerate(snapshot)}
+    ix, iz = pos[q_vs[0]], pos[hit]
+    seg = snapshot[ix : iz + 1]
+    seg_es = [g.edge_id(seg[t], seg[t + 1]) for t in range(len(seg) - 1)]
+    cyc_vs = tuple(seg) + tuple(reversed(q_vs[1:-1]))
+    cyc_es = tuple(seg_es) + tuple(reversed(q_es))
+    return Cycle(cyc_vs, cyc_es)
+
+
+def _reference_back_edge_pass(
+    g: Graph,
+    adj: dict[int, list[tuple[int, int]]],
+    alive: set[int],
+    min_len: int,
+    out: list[Cycle],
+) -> int:
+    """One DFS sweep extracting qualifying back-edge cycles in place.
+
+    Per-vertex adjacency pointers only move forward, so a full pass is
+    near-linear; cycles missed because their stack was truncated are picked
+    up by later passes.
+    """
+    found = 0
+    visited: set[int] = set()
+    ptr = {v: 0 for v in g.vertices}
+    for root in g.vertex_list():
+        if root in visited:
+            continue
+        visited.add(root)
+        stack_v = [root]
+        stack_e: list[Optional[int]] = [None]
+        depth = {root: 0}
+        top = 1
+        while stack_v:
+            v = stack_v[-1]
+            lst = adj[v]
+            i = ptr[v]
+            advanced = False
+            while i < len(lst):
+                w, eid = lst[i]
+                if eid not in alive or eid == stack_e[-1]:
+                    i += 1
+                    continue
+                j = depth.get(w)
+                if j is not None:
+                    if top - j >= min_len:
+                        cyc_vs = tuple(stack_v[j:])
+                        cyc_es = tuple(stack_e[j + 1 :]) + (eid,)
+                        out.append(Cycle(cyc_vs, cyc_es))
+                        alive.difference_update(cyc_es)
+                        found += 1
+                        # unmark the consumed vertices so this pass can
+                        # descend through them again along surviving edges
+                        for t in range(j + 1, top):
+                            del depth[stack_v[t]]
+                            visited.discard(stack_v[t])
+                        del stack_v[j + 1 :]
+                        del stack_e[j + 1 :]
+                        top = j + 1
+                        advanced = True
+                        break
+                    i += 1
+                    continue
+                if w in visited:
+                    i += 1
+                    continue
+                ptr[v] = i + 1
+                visited.add(w)
+                depth[w] = top
+                stack_v.append(w)
+                stack_e.append(eid)
+                top += 1
+                advanced = True
+                break
+            if not advanced:
+                ptr[v] = i
+                stack_v.pop()
+                stack_e.pop()
+                del depth[v]
+                top -= 1
+    return found
+
+
+def reference_peel_long_cycles(g: Graph, min_len: int) -> tuple[list[Cycle], Graph]:
+    """Greedily extract edge-disjoint cycles of length >= min_len.
+
+    Each round tries the DFS long-cycle finder once, then runs back-edge
+    sweeps until they stop producing; rounds repeat until neither search
+    finds anything.  Maximality is relative to these searches (a second peel
+    of the residual returns no cycles).
+    """
+    if min_len < 3:
+        raise ValueError("min_len must be at least 3")
+    alive = set(g.edge_ids)
+    adj = g.adjacency()
+    cycles: list[Cycle] = []
+    while True:
+        progress = False
+        cyc = reference_find_long_cycle_dfs(g.subview(edge_ids=alive))
+        if cyc is not None and len(cyc.edge_ids) >= min_len:
+            cycles.append(cyc)
+            alive.difference_update(cyc.edge_ids)
+            progress = True
+        while _reference_back_edge_pass(g, adj, alive, min_len, cycles):
+            progress = True
+        if not progress:
+            break
+    return cycles, g.subview(edge_ids=alive)

@@ -134,6 +134,13 @@ class TestConfigPrecedence:
         stats = json.loads(out)["stats"]
         assert (stats["preset"], stats["seed"]) == ("paper", 9)
 
+    @pytest.mark.parametrize("command", ["validate", "paths", "longcycle", "euler", "bench"])
+    def test_seed_only_where_it_is_read(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "3"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_paper_preset_accepted(self, capsys):
         code, out, _ = run(
             capsys, ["decompose", "--preset", "paper", "--quiet"], stdin="4 3\n0 1\n1 2\n2 3\n"

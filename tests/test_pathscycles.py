@@ -14,7 +14,15 @@ from cycledecomp.pathscycles import (
     well_spread_path_cycle_decompose,
 )
 
-from helpers import complete_graph, cycle_graph, path_graph, random_gnp, star_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_gnp,
+    reference_find_long_cycle_dfs,
+    reference_peel_long_cycles,
+    star_graph,
+)
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:
@@ -183,6 +191,79 @@ class TestPeelLongCycles:
         g = complete_graph(12)
         cycles, residual = peel_long_cycles(g, 3)
         assert sum(len(c.edge_ids) for c in cycles) >= g.m - g.n
+
+
+def scattered_subview(rng: random.Random) -> Graph:
+    """A few G(k, p) communities on interleaved vertex ids plus isolated
+    vertices, restricted to a random vertex subset and a random edge subset,
+    so the view has gaps in its vertex and edge ids.  Every other host is
+    twenty times larger than the vertices it uses, as when a small part of
+    a large graph is peeled."""
+    n = rng.randint(4, 60)
+    host_n = n * rng.choice((1, 20))
+    ids = rng.sample(range(host_n), n)
+    pairs: set[tuple[int, int]] = set()
+    start = 0
+    for _ in range(rng.randint(1, 4)):
+        k = rng.randint(2, max(2, n // 3))
+        block = ids[start : start + k]
+        start += k
+        p = rng.uniform(0.2, 1.0)
+        for a in range(len(block)):
+            for b in range(a + 1, len(block)):
+                if rng.random() < p:
+                    u, v = block[a], block[b]
+                    pairs.add((u, v) if u < v else (v, u))
+    host = Graph.from_edges(host_n, sorted(pairs))
+    verts = [v for v in ids if rng.random() < 0.85]
+    view = host.subview(vertices=verts)
+    return view.subview(edge_ids=[e for e in view.edge_id_list() if rng.random() < 0.8])
+
+
+def peel_signature(g: Graph, peel, min_len: int):
+    cycles, residual = peel(g, min_len)
+    return [(c.vertices, c.edge_ids) for c in cycles], residual
+
+
+class TestPeelMatchesReference:
+    """The peel on one compacted live adjacency against the peel that skips
+    consumed edges through a set and rebuilds a subview per finder round
+    (``helpers.reference_peel_long_cycles``): same cycles in the same order,
+    same residual, and a residual adjacency equal to a freshly built one."""
+
+    def check(self, g: Graph, min_len: int) -> int:
+        got, residual = peel_signature(g, peel_long_cycles, min_len)
+        want, ref_residual = peel_signature(g, reference_peel_long_cycles, min_len)
+        assert got == want, (g, min_len)
+        assert residual.edge_ids == ref_residual.edge_ids
+        assert residual.vertices == g.vertices
+        fresh = Graph(g.host_n, g.edge_table, g.vertices, residual.edge_ids)
+        assert residual.adjacency() == fresh.adjacency()
+        return len(got)
+
+    def test_gnp_at_every_min_len(self):
+        rng = random.Random(20261018)
+        cases = with_cycles = 0
+        while cases < 1500:
+            n = rng.randint(3, 60)
+            g = gnp(n, rng.uniform(0.05, 0.9), rng.randrange(10**6))
+            assert find_long_cycle_dfs(g) == reference_find_long_cycle_dfs(g)
+            for min_len in range(3, n + 1):
+                with_cycles += self.check(g, min_len) > 0
+                cases += 1
+        assert with_cycles >= 300
+
+    def test_subviews_with_gaps_isolated_vertices_and_components(self):
+        rng = random.Random(6)
+        several = small_part = 0
+        for _ in range(600):
+            g = scattered_subview(rng)
+            several += len([c for c in g.components() if len(c) > 1]) > 1
+            small_part += 16 * g.n < g.host_n
+            assert find_long_cycle_dfs(g) == reference_find_long_cycle_dfs(g)
+            for min_len in sorted({3, rng.randint(3, 8), rng.randint(3, max(3, g.n))}):
+                self.check(g, min_len)
+        assert several >= 100 and small_part >= 200
 
 
 class TestEulerianDecompose:
