@@ -45,8 +45,9 @@ dec2, _ = decompose_logstar(even, cfg)
 print(f"\nall-even input n=64 m={even.m}: {len(dec2.cycles)} cycles, "
       f"{len(dec2.single_edges)} singles")
 
-# the paper-parameter preset wires the literal parameter forms (no peel
-# stage, no skeleton size gate); same validity contract, different constants
+# the paper preset's removal budget covers every degree, so its expander
+# split removes every edge: each density round is a peel at ceil(d), and
+# the rest is leftover for the next round; same validity contract
 paper_cfg = PipelineConfig.paper(g.n, seed=0)
 dec3, _ = decompose_logstar(g, paper_cfg)
 assert validate_decomposition(g, dec3).ok

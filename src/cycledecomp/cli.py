@@ -179,7 +179,15 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             "F": sorted([list(tab[eid]) for eid in F]),
             "reverified": verdict.reverify(g),
         }
-    _emit_json(doc, args.out)
+    # the exact count can pass Python's int-to-text digit limit (absent before
+    # 3.10.7); lift it for this write only, so input parsing keeps it
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_limit(0)
+    try:
+        _emit_json(doc, args.out)
+    finally:
+        set_limit(limit)
     return 0
 
 

@@ -423,7 +423,6 @@ def build_skeleton(
     *,
     ell_route: int,
     template_p: float,
-    ell_template: Optional[int] = None,
     rng_seed: int = 0,
     retries: int = 8,
     on_stuck: str = "fail",
@@ -487,14 +486,12 @@ def build_skeleton(
     edge_union: set[int] = set()
     for path in routed.paths:
         edge_union.update(path.edge_ids)
-    if ell_template is None:
-        ell_template = max(4, math.ceil(math.log2(max(n, 2)) ** 2 / 4))
     return Skeleton(
         subgraph=g.subview(edge_ids=edge_union),
         template=template,
         through_set=Vset,
         ell_route=ell_route,
-        ell_template=ell_template,
+        ell_template=max(4, math.ceil(math.log2(max(n, 2)) ** 2 / 4)),
         replacements=replacements,
         template_attempts=tmpl.attempts,
         dropped_template_edges=dropped,

@@ -77,8 +77,11 @@ def almost_decompose_into_expanders(
             continue
         comps = cur.components()
         if len(comps) > 1:
+            adj = cur.adjacency()  # one pass, not an edge scan per component
             for comp in sorted(comps, reverse=True):
-                stack.append((cur.induced(comp), depth + 1))
+                eids = frozenset(eid for v in comp for _, eid in adj[v])
+                part = Graph(cur.host_n, cur.edge_table, frozenset(comp), eids)
+                stack.append((part, depth + 1))
             continue
 
         violation = _find_violation(cur, p, cap=cap, seed=seed)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -33,7 +34,7 @@ class TheoremViolation(AssertionError):
 
 @dataclass(frozen=True)
 class ExpanderParams:
-    """Expansion parameters: epsilon in (0,1], robustness budget s >= 0.
+    """Expansion parameters: epsilon in (0,1], finite robustness budget s >= 0.
 
     ``denominator`` selects the threshold denominator as a function of the
     live vertex count: "log2sq" gives max(1, log2(n)^2); "const" gives the
@@ -48,8 +49,8 @@ class ExpanderParams:
     def __post_init__(self):
         if not (0 < self.epsilon <= 1):
             raise ValueError("epsilon must lie in (0, 1]")
-        if self.s < 0:
-            raise ValueError("s must be nonnegative")
+        if not 0 <= self.s < math.inf:
+            raise ValueError("s must be finite and nonnegative")
         if self.denominator not in ("log2sq", "const"):
             raise ValueError("denominator must be 'log2sq' or 'const'")
 
@@ -65,7 +66,8 @@ class ExpanderParams:
         return math.ceil(self.epsilon * u_size / self.denominator_value(n))
 
     def budget(self, u_size: int) -> int:
-        return math.floor(self.s * u_size)
+        """floor(s*|U|), saturating at the largest float where that overflows."""
+        return math.floor(min(self.s * u_size, sys.float_info.max))
 
     def connectivity_only(self, n: int) -> bool:
         """True when (epsilon, s)-expansion on n vertices is just connectivity.

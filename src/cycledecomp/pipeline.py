@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -32,6 +33,11 @@ DEGREE_FLOOR = 4.0  # density rounds stop at this average degree
 TRI_PARTITION_RETRIES = 16  # vertex tri-partition draws before round-robin
 SERVE_RETRIES = 8  # greedy routing retries per template or closure batch
 SKELETON_BUILD_ATTEMPTS = 3  # template seeds tried per skeleton
+ELL_ROUTE = 4  # length cap of each skeleton route and closure
+TEMPLATE_COEFF = 2 ** -8  # c in the template density c*log^5(n)/n
+TEMPLATE_BUDGET_FRAC = 0.5  # share of a part's edges the template may cost
+SIZE_FLOOR = 24  # residues below this order skip the skeleton machinery
+SKELETON_MIN_N = 64  # residues below this order run closure-free
 
 
 def log_star(n: int) -> int:
@@ -48,29 +54,11 @@ def log_star(n: int) -> int:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs for the decomposition drivers.
-
-    Presets: ``engineering`` keeps every stage exercised at desk scale;
-    ``paper`` uses the literal asymptotic forms, most of which saturate or
-    become vacuous below astronomical n.
-    """
+    """A preset and a seed: the whole configuration of the drivers."""
 
     params: ExpanderParams
-    ell_route: int = 4
-    ell_template: Optional[int] = None
-    template_coeff: float = 2 ** -8
-    template_budget_frac: float = 0.5
-    size_floor: int = 24
-    expander_peel: bool = True
-    skeleton_min_n: int = 64
     rng_seed: int = 0
     preset: str = "engineering"
-
-    def __post_init__(self):
-        if self.ell_route < 1 or self.size_floor < 1:
-            raise ValueError("budgets must be positive")
-        if self.template_budget_frac <= 0 or self.template_coeff <= 0:
-            raise ValueError("template knobs must be positive")
 
     @classmethod
     def engineering(cls, seed: int = 0) -> "PipelineConfig":
@@ -82,35 +70,41 @@ class PipelineConfig:
 
     @classmethod
     def paper(cls, n: int, seed: int = 0) -> "PipelineConfig":
-        # literal forms; s and the size floor are astronomically binding
+        """Literal parameters: epsilon 2^-5, s = log2(n)^273, denominator 1.
+
+        s saturates at the largest float past n of about 11,290.  As
+        budget(1) = floor(s) >= n - 1 for every n <= MAX_VERTICES and the
+        threshold at |U| = 1 is 1, every vertex with an edge is a violation,
+        the split removes every edge, and ``decompose_expander`` never sees
+        one: each density round peels long cycles at ceil(d), and the split
+        turns the rest into leftover.
+        """
         logn = max(1.0, math.log2(max(n, 2)))
+        try:
+            s = logn ** 273
+        except OverflowError:
+            s = sys.float_info.max
         return cls(
-            params=ExpanderParams(2 ** -5, float(logn) ** 273, "const", 1.0),
-            ell_route=math.ceil(logn ** 2),
-            ell_template=max(4, math.ceil(logn ** 2 / 4)),
-            template_coeff=2 ** 7,
-            template_budget_frac=1.0,
-            size_floor=2 ** 12,
-            skeleton_min_n=0,
-            expander_peel=False,
+            params=ExpanderParams(2 ** -5, s, "const", 1.0),
             rng_seed=seed,
             preset="paper",
         )
 
-    def resolve_template_p(self, n: int, m_avail: int) -> float:
-        """Density for the routing template on an n-vertex host part.
 
-        The asymptotic form c*log^5(n)/n is clamped so the expected host-edge
-        cost of embedding the template (edges times route length) stays under
-        a fraction of the routable edges; without the clamp the template
-        cannot embed edge-disjointly at desk scale.
-        """
-        if n < 2:
-            return 0.0
-        total = n * (n - 1) / 2
-        paper_form = self.template_coeff * math.log2(n) ** 5 / n
-        clamp = self.template_budget_frac * m_avail / (total * self.ell_route)
-        return max(0.0, min(1.0, paper_form, clamp))
+def resolve_template_p(n: int, m_avail: int) -> float:
+    """Density for the routing template on an n-vertex host part.
+
+    The asymptotic form c*log^5(n)/n is clamped so the expected host-edge
+    cost of embedding the template (edges times route length) stays under
+    a fraction of the routable edges; without the clamp the template
+    cannot embed edge-disjointly at desk scale.
+    """
+    if n < 2:
+        return 0.0
+    total = n * (n - 1) / 2
+    paper_form = TEMPLATE_COEFF * math.log2(n) ** 5 / n
+    clamp = TEMPLATE_BUDGET_FRAC * m_avail / (total * ELL_ROUTE)
+    return max(0.0, min(1.0, paper_form, clamp))
 
 
 @dataclass(frozen=True)
@@ -204,22 +198,18 @@ def decompose_expander(g: Graph, cfg: PipelineConfig) -> Decomposition:
         "dropped_template_edges": 0,
         "skeleton_edges": 0,
     }
-    if work.m == 0:
-        return Decomposition.from_parts(g, [], [], stats=stats)
-
     cycles: list[Cycle] = []
     singles: list[int] = []
-    if cfg.expander_peel:
-        min_len = max(3, math.ceil(work.avg_degree()))
-        peeled, work = peel_long_cycles(work, min_len)
-        cycles.extend(peeled)
-        stats["peeled_cycles"] = len(peeled)
-        stats["peel_min_len"] = min_len
+    min_len = max(3, math.ceil(work.avg_degree()))
+    peeled, work = peel_long_cycles(work, min_len)
+    cycles.extend(peeled)
+    stats["peeled_cycles"] = len(peeled)
+    stats["peel_min_len"] = min_len
 
     if work.m == 0:
         return Decomposition.from_parts(g, cycles, [], stats=stats)
 
-    if work.n < cfg.size_floor:
+    if work.n < SIZE_FLOOR:
         # small residues skip the skeleton machinery
         extra, leftover = peel_long_cycles(work, 3)
         cycles.extend(extra)
@@ -246,19 +236,18 @@ def decompose_expander(g: Graph, cfg: PipelineConfig) -> Decomposition:
 
     # closures only pay off when the through classes are large enough to
     # route; below the gate the classes run closure-free
-    engage = work.n >= cfg.skeleton_min_n
+    engage = work.n >= SKELETON_MIN_N
     stats["skeleton_engaged"] = engage
     skeletons: list[Optional[Skeleton]] = []
     for i, part in enumerate(parts):
-        p_t = cfg.resolve_template_p(work.n, part.m)
+        p_t = resolve_template_p(work.n, part.m)
         got: Optional[Skeleton] = None
         for attempt in range(SKELETON_BUILD_ATTEMPTS if engage else 0):
             built = build_skeleton(
                 part,
                 classes[i],
-                ell_route=cfg.ell_route,
+                ell_route=ELL_ROUTE,
                 template_p=p_t,
-                ell_template=cfg.ell_template,
                 rng_seed=_derive_seed(seed, 2 + i) + 7919 * attempt,
                 retries=SERVE_RETRIES,
                 on_stuck="drop",

@@ -141,6 +141,12 @@ class TestConfigPrecedence:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    def test_paper_preset_past_float_range(self, capsys):
+        # log2(12000)^273 is no float; the preset's s saturates instead
+        code, out, err = run(capsys, ["decompose", "--preset", "paper"], stdin="12000 1\n0 1\n")
+        assert code == 0, err
+        assert json.loads(out)["edges"] == [[0, 1]]
+
     def test_paper_preset_accepted(self, capsys):
         code, out, _ = run(
             capsys, ["decompose", "--preset", "paper", "--quiet"], stdin="4 3\n0 1\n1 2\n2 3\n"
@@ -220,6 +226,47 @@ class TestCertify:
         assert doc["is_expander"] is True and doc["certified"] is True
         assert doc["mode"] == "exhaustive" and doc["witness"] is None
         assert doc["subsets_checked"] == sum(math.comb(30, k) for k in range(1, 21))
+
+
+    @pytest.mark.parametrize("s", ["inf", "nan"])
+    def test_non_finite_s_exit2_one_line(self, capsys, s):
+        c4 = "4 4\n0 1\n1 2\n2 3\n0 3\n"
+        code, out, err = run(
+            capsys, ["certify", "--epsilon", "0.5", "--s", s, "--mode", "heuristic"], stdin=c4
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_huge_budget_saturates(self, capsys):
+        c4 = "4 4\n0 1\n1 2\n2 3\n0 3\n"
+        code, out, err = run(
+            capsys, ["certify", "--epsilon", "0.5", "--s", "1e308", "--mode", "heuristic"], stdin=c4
+        )
+        assert code == 0, err
+        assert json.loads(out)["is_expander"] is False
+
+    def test_count_past_the_digit_limit_is_exact(self, capsys):
+        # the 15000-cycle is connected, so every subset up to 10000 vertices
+        # counts: a 4,516-digit number, past Python's default int-text limit
+        n = 15000
+        edges = f"{n} {n}\n" + "".join(f"{min(i, (i + 1) % n)} {max(i, (i + 1) % n)}\n"
+                                        for i in range(n))
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, ["certify", "--epsilon", "0.001", "--s", "0"], stdin=edges)
+        assert code == 0, err
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            doc = json.loads(out)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        expected = 2 ** n - 1 - sum(math.comb(n, k) for k in range(2 * n // 3 + 1, n + 1))
+        assert doc["is_expander"] is True
+        assert doc["subsets_checked"] == expected
+        # input parsing keeps the limit: a huge digit string still exits 2
+        code, _, err = run(capsys, ["certify", "--epsilon", "0.001", "--s", "0"],
+                           stdin="9" * 5000 + " 1\n")
+        assert code == 2 and err.startswith("error: ")
 
 
 class TestExpanders:

@@ -1,5 +1,6 @@
 """Tests for recursive almost-decomposition and randomized edge splitting."""
 
+import itertools
 import math
 import random
 
@@ -136,6 +137,32 @@ class TestAlmostDecompose:
         assert [pt.fingerprint() for pt in slow.parts] == [pt.fingerprint() for pt in fast.parts]
         assert slow.removed == fast.removed
         assert slow.certified == tuple(pt.n <= 20 for pt in slow.parts)
+
+    def test_component_parts_equal_induced_reference(self):
+        # disjoint G(k, 0.6) blocks on shuffled ids, as hosts and as
+        # subviews with gaps in the vertex and edge ids
+        p = ExpanderParams(2**-5, 0)
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randrange(8, 60)
+            ids = rng.sample(range(n), n)
+            edges = []
+            for start in range(0, n, 6):
+                block = ids[start:start + rng.randrange(1, 7)]
+                edges += [(min(a, b), max(a, b)) for a, b in itertools.combinations(block, 2)
+                          if rng.random() < 0.6]
+            host = Graph.from_edges(n, edges)
+            view = host.subview(
+                vertices=[v for v in host.vertex_list() if rng.random() < 0.8],
+                edge_ids=[e for e in host.edge_id_list() if rng.random() < 0.8],
+            )
+            for g in (host, view):
+                r = almost_decompose_into_expanders(g, p)
+                ref = [g.induced(c) for c in g.components()]
+                assert len(ref) > 1
+                assert [(pt.vertices, pt.edge_ids) for pt in r.parts] == [
+                    (h.vertices, h.edge_ids) for h in ref
+                ]
 
     def test_deterministic_across_runs(self):
         g = gnp(13, 0.3, 5)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,20 @@ def test_params_validation():
     assert p.denominator_value(4) == 4.0
     assert p.threshold(2, 4) == 1  # ceil(2/4)
     assert ExpanderParams(1, 1, "const", 1.0).threshold(5, 10) == 5
+
+
+def test_params_reject_non_finite_s():
+    # a guard, not an assert: it must hold under python -O too
+    for s in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ExpanderParams(epsilon=0.5, s=s)
+
+
+def test_budget_saturates_instead_of_overflowing():
+    p = ExpanderParams(epsilon=0.5, s=sys.float_info.max)
+    top = math.floor(sys.float_info.max)
+    assert p.budget(1) == p.budget(2) == p.budget(10 ** 6) == top
+    assert ExpanderParams(epsilon=0.5, s=2.5).budget(3) == 7
 
 
 # -- worst_case_frontier --------------------------------------------------------

@@ -1,0 +1,30 @@
+"""The validity guards hold under ``python -O``, which strips assert statements.
+
+The guard tests run in a ``python -O -m pytest`` subprocess; pytest keeps the
+asserts of the test modules themselves, so only the package runs optimized.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GUARD_TESTS = [
+    "tests/test_pipeline.py::TestCloseCycle",
+    "tests/test_cli.py::TestValidateMalformed",
+    "tests/test_expansion.py::test_params_reject_non_finite_s",
+]
+
+
+def test_guards_hold_under_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *GUARD_TESTS],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:]
+    assert "passed" in proc.stdout and "failed" not in proc.stdout

@@ -1,18 +1,21 @@
 """Tests for the decomposition drivers: expander, general, density, log-star."""
 
-import math
 import random
+from dataclasses import fields
 
 import pytest
 
-from cycledecomp.expansion import ExpanderParams
+from cycledecomp import pipeline
 from cycledecomp.graph import (
+    MAX_VERTICES,
     Graph,
     Path,
     decomposition_to_json,
     validate_decomposition,
 )
 from cycledecomp.pipeline import (
+    ELL_ROUTE,
+    TEMPLATE_BUDGET_FRAC,
     PipelineConfig,
     _close_cycle,
     decompose_expander,
@@ -20,9 +23,11 @@ from cycledecomp.pipeline import (
     decompose_logstar,
     density_step,
     log_star,
+    resolve_template_p,
 )
 
 from helpers import complete_graph, cycle_graph, path_graph, random_gnp, star_graph
+from test_golden import INSTANCES
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:
@@ -35,6 +40,14 @@ def ten_triangles() -> Graph:
         b = 3 * k
         edges += [(b, b + 1), (b + 1, b + 2), (b, b + 2)]
     return Graph.from_edges(30, edges)
+
+
+def three_dense_blocks() -> Graph:
+    edges = []
+    for k in range(3):
+        block = gnp(30, 0.5, k)
+        edges += [(30 * k + a, 30 * k + b) for a, b in block.edge_table]
+    return Graph.from_edges(90, edges)
 
 
 CFG = PipelineConfig.engineering()
@@ -58,34 +71,55 @@ class TestPipelineConfig:
         cfg = PipelineConfig.engineering(seed=5)
         assert cfg.preset == "engineering"
         assert cfg.rng_seed == 5
-        assert cfg.expander_peel
         assert cfg.params.epsilon == 2 ** -5
 
-    def test_paper_preset_literal_forms(self):
-        cfg = PipelineConfig.paper(4096)
-        assert cfg.preset == "paper"
-        assert cfg.size_floor == 2 ** 12
-        assert not cfg.expander_peel
-        assert cfg.skeleton_min_n == 0
-        assert cfg.ell_route == math.ceil(math.log2(4096) ** 2)
+    def test_config_is_a_preset_and_a_seed(self):
+        assert [f.name for f in fields(PipelineConfig)] == ["params", "rng_seed", "preset"]
 
-    def test_bad_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(params=ExpanderParams(0.5, 0), ell_route=0)
-        with pytest.raises(ValueError):
-            PipelineConfig(params=ExpanderParams(0.5, 0), template_budget_frac=0)
+    @pytest.mark.parametrize("n", [2, 3, 11_400, 2 ** 20, MAX_VERTICES])
+    def test_paper_budget_covers_every_degree(self, n):
+        # past n of about 11,290, log2(n)^273 is no float and s saturates
+        cfg = PipelineConfig.paper(n)
+        assert cfg.preset == "paper"
+        assert cfg.params.budget(1) >= n - 1
+        assert cfg.params.threshold(1, n) == 1
 
     def test_template_p_clamped_by_host_budget(self):
         # dense host: paper form wins; starved host: budget clamp wins
-        rich = CFG.resolve_template_p(64, 2016)
-        poor = CFG.resolve_template_p(64, 30)
+        rich = resolve_template_p(64, 2016)
+        poor = resolve_template_p(64, 30)
         assert 0 < poor < rich <= 1
         total = 64 * 63 / 2
-        assert poor * total * CFG.ell_route <= CFG.template_budget_frac * 30 + 1e-9
+        assert poor * total * ELL_ROUTE <= TEMPLATE_BUDGET_FRAC * 30 + 1e-9
 
     def test_template_p_degenerate(self):
-        assert CFG.resolve_template_p(1, 10) == 0.0
-        assert CFG.resolve_template_p(0, 0) == 0.0
+        assert resolve_template_p(1, 10) == 0.0
+        assert resolve_template_p(0, 0) == 0.0
+
+
+class TestPaperNeverReachesClosures:
+    @pytest.mark.parametrize("name", sorted(INSTANCES) + ["disconnected"])
+    def test_split_removes_every_edge(self, name, monkeypatch):
+        g = three_dense_blocks() if name == "disconnected" else INSTANCES[name]()
+        splits, entered = [], []
+        split, expander = pipeline.almost_decompose_into_expanders, pipeline.decompose_expander
+
+        def spy_split(h, *args, **kwargs):
+            res = split(h, *args, **kwargs)
+            splits.append((h.m, len(res.removed)))
+            return res
+
+        def spy_expander(h, cfg):
+            entered.append(h.m)
+            return expander(h, cfg)
+
+        monkeypatch.setattr(pipeline, "almost_decompose_into_expanders", spy_split)
+        monkeypatch.setattr(pipeline, "decompose_expander", spy_expander)
+        dec, _ = decompose_logstar(g, PipelineConfig.paper(g.n))
+        assert validate_decomposition(g, dec).ok
+        assert splits
+        assert all(removed == m for m, removed in splits)
+        assert not any(entered)
 
 
 class TestCloseCycle:
