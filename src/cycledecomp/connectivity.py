@@ -94,6 +94,7 @@ class RouteFailure:
 def _shortest_through_path(
     adj: dict[int, list[tuple[int, int]]],
     to: dict[int, dict[int, int]],
+    through: dict[int, list[tuple[int, int]]],
     used: set[int],
     V: frozenset[int],
     u: int,
@@ -108,7 +109,9 @@ def _shortest_through_path(
     through-set vertex is tested against v's neighbours as it is
     discovered, so the search stops at the first hit and never expands the
     last level.  ``to`` caches each target's {neighbour: edge id} map for
-    the searches that share ``adj``.
+    the searches that share ``adj``; ``through`` caches each expanded
+    vertex's adjacency filtered to V, in adjacency order, for the searches
+    that share ``adj`` and V.
     """
     to_v = to.get(v)
     if to_v is None:
@@ -123,8 +126,11 @@ def _shortest_through_path(
         dist += 1  # a vertex discovered in this round closes a path of this length
         nxt: list[int] = []
         for a in frontier:
-            for b, eid in adj[a]:
-                if b in parent or b not in V or eid in used:
+            inner = through.get(a)
+            if inner is None:
+                inner = through[a] = [(b, eid) for b, eid in adj[a] if b in V]
+            for b, eid in inner:
+                if b in parent or eid in used:
                     continue
                 parent[b] = (a, eid)
                 last = to_v.get(b)
@@ -247,12 +253,15 @@ def route_pairs(
     greedy: pairs are processed in a seeded random order, each taking the
     shortest through-V path of length <= ell in the graph minus edges already
     used; the whole batch is retried with fresh orders up to ``retries``
-    times.  matching_oracle: exact
-    backtracking over enumerated candidates (small inputs only).  Raises
-    ValueError for a pair endpoint that is not a live vertex of g.
+    times, and every attempt but the last stops at its first stuck pair.
+    matching_oracle: exact backtracking over enumerated candidates (small
+    inputs only).  Raises ValueError for ``ell`` or ``retries`` below 1 and
+    for a pair endpoint that is not a live vertex of g.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
+    if retries < 1:
+        raise ValueError("retries must be at least 1")
     for w in (w for pair in batch.pairs for w in pair):
         if w not in g.vertices:
             raise ValueError(f"pair endpoint {w} is not a vertex of the graph")
@@ -264,29 +273,33 @@ def route_pairs(
 
     adj = g.adjacency()
     to: dict[int, dict[int, int]] = {}
+    through: dict[int, list[tuple[int, int]]] = {}
     rng = random.Random(rng_seed)
     k = len(batch.pairs)
-    last_stuck: list[int] = []
     for attempt in range(1, retries + 1):
         order = list(range(k))
         rng.shuffle(order)
+        # only the last attempt's stuck list is reported, so an earlier
+        # attempt is abandoned at its first stuck pair
+        final = attempt == retries
         used: set[int] = set()
         found: dict[int, tuple[list[int], list[int]]] = {}
         stuck: list[int] = []
         for idx in order:
             u, v = batch.pairs[idx]
-            res = _shortest_through_path(adj, to, used, Vset, u, v, ell)
+            res = _shortest_through_path(adj, to, through, used, Vset, u, v, ell)
             if res is None:
                 stuck.append(idx)
+                if not final:
+                    break
                 continue
             found[idx] = res
             used.update(res[1])
         if not stuck:
             paths = tuple(Path(tuple(found[i][0]), tuple(found[i][1])) for i in range(k))
             return RoutedPaths(paths, Vset, ell)
-        last_stuck = stuck
     return RouteFailure(
-        tuple(batch.pairs[i] for i in sorted(last_stuck)),
+        tuple(batch.pairs[i] for i in sorted(stuck)),
         retries,
         "greedy",
         "dead end after retries",
@@ -450,6 +463,7 @@ def build_skeleton(
     batch = PairBatch.from_pairs(mapped, t=max(1, t_template))
     adj = g.adjacency()
     to: dict[int, dict[int, int]] = {}
+    through: dict[int, list[tuple[int, int]]] = {}
     dropped = 0
     pass_idx = 0
     congestion_passes = 0
@@ -465,7 +479,9 @@ def build_skeleton(
         stuck = set(routed.stuck)
         shed = {
             pr for pr in stuck
-            if _shortest_through_path(adj, to, set(), Vset, pr[0], pr[1], ell_route) is None
+            if _shortest_through_path(
+                adj, to, through, set(), Vset, pr[0], pr[1], ell_route
+            ) is None
         }
         if not shed:
             congestion_passes += 1

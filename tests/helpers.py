@@ -5,9 +5,15 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from typing import Optional
+from typing import Iterable, Optional, Union
 
-from cycledecomp.graph import Cycle, Graph
+from cycledecomp.connectivity import (
+    PairBatch,
+    RouteFailure,
+    RoutedPaths,
+    _route_matching_oracle,
+)
+from cycledecomp.graph import Cycle, Graph, Path
 
 
 def path_graph(k: int) -> Graph:
@@ -135,6 +141,73 @@ def reference_shortest_through_path(adj, used, V, u, v, ell):
                     nxt.append(b)
         frontier = nxt
     return None
+
+
+# -- reference router ----------------------------------------------------------
+# ``route_pairs`` as it stood before non-final attempts stopped at their first
+# stuck pair and searches expanded cached through-set lists: every attempt
+# routes every pair, and each search is the full-scan reference above.  Kept
+# verbatim (the search call aside) as the oracle of the differential test.
+
+
+def reference_route_pairs(
+    g: Graph,
+    batch: PairBatch,
+    V: Iterable[int],
+    ell: int,
+    strategy: str = "greedy",
+    *,
+    rng_seed: int = 0,
+    retries: int = 8,
+) -> Union[RoutedPaths, RouteFailure]:
+    """Connect every pair by edge-disjoint paths internally through V.
+
+    greedy: pairs are processed in a seeded random order, each taking the
+    shortest through-V path of length <= ell in the graph minus edges already
+    used; the whole batch is retried with fresh orders up to ``retries``
+    times.  matching_oracle: exact
+    backtracking over enumerated candidates (small inputs only).  Raises
+    ValueError for a pair endpoint that is not a live vertex of g.
+    """
+    if ell < 1:
+        raise ValueError("ell must be at least 1")
+    for w in (w for pair in batch.pairs for w in pair):
+        if w not in g.vertices:
+            raise ValueError(f"pair endpoint {w} is not a vertex of the graph")
+    Vset = frozenset(V)
+    if strategy == "matching_oracle":
+        return _route_matching_oracle(g, batch, Vset, ell)
+    if strategy != "greedy":
+        raise ValueError(f"unknown strategy {strategy!r}")
+
+    adj = g.adjacency()
+    rng = random.Random(rng_seed)
+    k = len(batch.pairs)
+    last_stuck: list[int] = []
+    for attempt in range(1, retries + 1):
+        order = list(range(k))
+        rng.shuffle(order)
+        used: set[int] = set()
+        found: dict[int, tuple[list[int], list[int]]] = {}
+        stuck: list[int] = []
+        for idx in order:
+            u, v = batch.pairs[idx]
+            res = reference_shortest_through_path(adj, used, Vset, u, v, ell)
+            if res is None:
+                stuck.append(idx)
+                continue
+            found[idx] = res
+            used.update(res[1])
+        if not stuck:
+            paths = tuple(Path(tuple(found[i][0]), tuple(found[i][1])) for i in range(k))
+            return RoutedPaths(paths, Vset, ell)
+        last_stuck = stuck
+    return RouteFailure(
+        tuple(batch.pairs[i] for i in sorted(last_stuck)),
+        retries,
+        "greedy",
+        "dead end after retries",
+    )
 
 
 # -- reference long-cycle peel ------------------------------------------------

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycledecomp import connectivity
+from cycledecomp.bench import gen_gnp
 from cycledecomp.connectivity import (
     PairBatch,
     RoutedPaths,
@@ -24,7 +26,13 @@ from cycledecomp.connectivity import (
 from cycledecomp.expansion import CapacityError
 from cycledecomp.graph import Graph
 
-from helpers import complete_graph, cycle_graph, reference_shortest_through_path
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    reference_route_pairs,
+    reference_shortest_through_path,
+)
 
 
 def gnp(n, p, seed):
@@ -65,21 +73,25 @@ class TestShortestThroughPath:
             adj = g.adjacency()
             to = {}  # shared by the searches on this graph, as in route_pairs
             eids = g.edge_id_list()
-            for _ in range(20):
-                used = {e for e in eids if rng.random() < rng.random() ** 2}
+            for _ in range(5):
                 V = frozenset(w for w in verts if rng.random() < rng.random())
-                u, v = rng.sample(verts, 2)
-                ell = rng.randint(1, 6)
-                want = reference_shortest_through_path(adj, used, V, u, v, ell)
-                assert _shortest_through_path(adj, to, used, V, u, v, ell) == want, (
-                    g.fingerprint(), sorted(used), sorted(V), u, v, ell)
-                seen["cases"] += 1
-                seen["adjacent through a used edge"] += dict(adj[u]).get(v, -1) in used
-                seen["v in V"] += v in V
-                seen["ell = 1"] += ell == 1
-                seen["unreachable"] += want is None
-                seen["path of length ell > 1"] += want is not None and 1 < len(want[1]) == ell
-                seen["path of length >= 3"] += want is not None and len(want[1]) >= 3
+                through = {}  # shared by the searches through this V, as in route_pairs
+                for _ in range(4):
+                    used = {e for e in eids if rng.random() < rng.random() ** 2}
+                    u, v = rng.sample(verts, 2)
+                    ell = rng.randint(1, 6)
+                    warm = bool(through)
+                    want = reference_shortest_through_path(adj, used, V, u, v, ell)
+                    got = _shortest_through_path(adj, to, through, used, V, u, v, ell)
+                    assert got == want, (g.fingerprint(), sorted(used), sorted(V), u, v, ell)
+                    seen["cases"] += 1
+                    seen["search on a filled through-set cache"] += warm
+                    seen["adjacent through a used edge"] += dict(adj[u]).get(v, -1) in used
+                    seen["v in V"] += v in V
+                    seen["ell = 1"] += ell == 1
+                    seen["unreachable"] += want is None
+                    seen["path of length ell > 1"] += want is not None and 1 < len(want[1]) == ell
+                    seen["path of length >= 3"] += want is not None and len(want[1]) >= 3
         assert seen["cases"] >= 10_000
         assert min(seen.values()) >= 100, seen
 
@@ -159,6 +171,34 @@ class TestRoutePairs:
         with pytest.raises(ValueError):
             route_pairs(g, PairBatch.from_pairs([(0, 1)]), g.vertices, 1, strategy="astar")
 
+    def test_retries_must_be_positive(self):
+        g = gen_gnp(30, 0.5, 1)
+        for retries in (0, -1):
+            for pairs in ([], [(0, 1), (2, 3)]):
+                with pytest.raises(ValueError, match="retries must be at least 1"):
+                    route_pairs(g, PairBatch.from_pairs(pairs), range(10), 3, retries=retries)
+            # with nothing reported stuck, nothing would be shed and the
+            # builder would re-route the same batch forever
+            with pytest.raises(ValueError, match="retries must be at least 1"):
+                build_skeleton(g, range(10), ell_route=3, template_p=0.3,
+                               retries=retries, on_stuck="drop")
+
+    def test_non_final_attempts_stop_at_first_stuck_pair(self, monkeypatch):
+        # no two pair ends are adjacent and V is empty: every pair is stuck
+        # in every attempt, so routing every pair each time would search 24 times
+        calls = []
+        search = connectivity._shortest_through_path
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(connectivity, "_shortest_through_path", counted)
+        pairs = ((0, 2), (3, 5), (6, 8))
+        r = route_pairs(path_graph(10), PairBatch.from_pairs(pairs), set(), 3, retries=8)
+        assert len(calls) == (8 - 1) + 3
+        assert r == RouteFailure(pairs, 8, "greedy", "dead end after retries")
+
     def test_determinism(self):
         g = gnp(24, 0.3, 4)
         verts = g.vertex_list()
@@ -188,6 +228,90 @@ class TestRoutePairs:
             assert greedy.validate(g, b) == []
         if isinstance(oracle, RoutedPaths):
             assert oracle.validate(g, b) == []
+
+
+class TestRouterMatchesReference:
+    """The greedy router against ``reference_route_pairs``, which routes
+    every pair of every attempt with the full-scan search."""
+
+    def test_route_pairs(self):
+        rng = random.Random(8)
+        seen: Counter = Counter()
+        while seen["cases"] < 2000:
+            # contended: as many pairs at one vertex as it has edges, in a
+            # graph dense enough that some orders route them all and some not
+            contended = rng.random() < 0.5
+            p = rng.choice([0.4, 0.5] if contended else [0.1, 0.2, 0.4, 0.7, 1.0])
+            g = gnp(rng.randint(10 if contended else 2, 30), p, rng.randrange(10**6))
+            if rng.random() < 0.3:  # vertex ids with gaps
+                g = g.subview(vertices=[w for w in g.vertices if rng.random() < 0.8])
+            verts = g.vertex_list()
+            if len(verts) < 2:
+                continue
+            adj = g.adjacency()
+            if contended:
+                hub = rng.choice(verts)
+                ends = rng.sample([w for w in verts if w != hub], max(1, len(adj[hub])))
+                pairs = [(hub, w) for w in ends]
+                V = frozenset(verts)
+                ell = rng.randint(2, 3)
+            else:
+                pairs = [tuple(rng.sample(verts, 2)) for _ in range(rng.randint(1, 10))]
+                V = frozenset(w for w in verts if rng.random() < rng.random())
+                ell = rng.randint(1, 6)
+            if rng.random() < 0.3:
+                pairs.append(rng.choice(pairs))
+            batch = PairBatch.from_pairs(pairs)
+            retries = rng.randint(1, 8)
+            seed = rng.randrange(10**6)
+            want = reference_route_pairs(g, batch, V, ell, rng_seed=seed, retries=retries)
+            got = route_pairs(g, batch, V, ell, rng_seed=seed, retries=retries)
+            assert got == want, (g.fingerprint(), batch.pairs, sorted(V), ell, retries, seed)
+            seen["cases"] += 1
+            seen["duplicate pair"] += len(set(batch.pairs)) < len(batch.pairs)
+            seen["pair with no path in the whole graph"] += any(
+                reference_shortest_through_path(adj, set(), V, u, v, ell) is None
+                for u, v in batch.pairs
+            )
+            if isinstance(want, RouteFailure):
+                seen["failure"] += 1
+            elif isinstance(reference_route_pairs(g, batch, V, ell, rng_seed=seed, retries=1),
+                            RoutedPaths):
+                seen["success on the first attempt"] += 1
+            else:
+                seen["success after two or more attempts"] += 1
+        assert min(seen.values()) >= 100, seen
+
+    @pytest.mark.parametrize("on_stuck", ["drop", "fail"])
+    def test_build_skeleton(self, on_stuck, monkeypatch):
+        rng = random.Random(12)
+        hosts = []
+        for _ in range(50):
+            g = gnp(rng.randint(8, 32), rng.uniform(0.2, 0.8), rng.randrange(10**6))
+            if rng.random() < 0.3:  # vertex ids with gaps
+                g = g.subview(vertices=[w for w in g.vertices if rng.random() < 0.8])
+            V = frozenset(w for w in g.vertices if rng.random() < rng.uniform(0.3, 1.0))
+            kwargs = dict(ell_route=rng.randint(2, 4), template_p=rng.uniform(0.1, 0.5),
+                          rng_seed=rng.randrange(10**6), retries=rng.randint(1, 8),
+                          on_stuck=on_stuck)
+            hosts.append((g, V, kwargs))
+        got = [build_skeleton(g, V, **kwargs) for g, V, kwargs in hosts]
+        monkeypatch.setattr(connectivity, "route_pairs", reference_route_pairs)
+        want = [build_skeleton(g, V, **kwargs) for g, V, kwargs in hosts]
+        seen: Counter = Counter()
+        for sk, ref in zip(got, want):
+            assert type(sk) is type(ref)
+            if isinstance(sk, SkeletonFailure):
+                assert sk == ref
+                seen["failure"] += 1
+                continue
+            assert sk.subgraph.edge_ids == ref.subgraph.edge_ids
+            assert sk.replacements == ref.replacements
+            assert sk.dropped_template_edges == ref.dropped_template_edges
+            seen["skeleton"] += 1
+            seen["skeleton with shed template edges"] += sk.dropped_template_edges > 0
+        shed_or_failed = "failure" if on_stuck == "fail" else "skeleton with shed template edges"
+        assert seen["skeleton"] >= 5 and seen[shed_or_failed] >= 5, seen
 
 
 class TestMakeTemplate:

@@ -29,6 +29,8 @@ INSTANCES = {
     "k64": lambda: Graph.from_edges(64, list(itertools.combinations(range(64), 2))),
     # most closures and skeleton routing of the fixed instances
     "k128": lambda: Graph.from_edges(128, list(itertools.combinations(range(128), 2))),
+    # skeleton builds that shed stuck template edges after their congestion passes
+    "k144": lambda: Graph.from_edges(144, list(itertools.combinations(range(144), 2))),
     # the dense workload's shape: several back-edge sweeps per peel round
     "gnp384_half": lambda: gen_gnp(384, 0.5, 1000),
 }
@@ -45,6 +47,7 @@ GOLDEN = {
     ("k64", "engineering"): "7c0f3182409ad053c8b8e60861729e08ec3bb0f6ba567e5282ebe30129d5796c",
     ("k64", "paper"): "78c1b3ee9dfaffee990aa57b1315859f6febd41aa3a76f7582022c47b8f00cc5",
     ("k128", "engineering"): "ab6020889d568c9c24f387a93b3ea9b3fe7d8a299bf1c1c3accdb24232f08654",
+    ("k144", "engineering"): "e180903d62720af99ba33341f39f17c5265d492a9dafd10c857e7252e39624b2",
     ("gnp384_half", "engineering"): "5f4ce156c513305bc29d473dd3cfae0d582813d209f425fcb8ad8817d0c0f969",
 }
 

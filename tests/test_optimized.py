@@ -14,6 +14,7 @@ GUARD_TESTS = [
     "tests/test_pipeline.py::TestCloseCycle",
     "tests/test_cli.py::TestValidateMalformed",
     "tests/test_expansion.py::test_params_reject_non_finite_s",
+    "tests/test_connectivity.py::TestRoutePairs::test_retries_must_be_positive",
 ]
 
 
