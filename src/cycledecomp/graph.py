@@ -65,19 +65,28 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         if n > MAX_VERTICES:
             raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
-        table: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
+        index: dict[tuple[int, int], int] = {}
         for u, v in pairs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"endpoint out of range: ({u}, {v}) with n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
             key = (u, v) if u < v else (v, u)
-            if key in seen:
+            if key in index:
                 raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            table.append(key)
-        return cls(n, tuple(table), frozenset(range(n)), frozenset(range(len(table))))
+            index[key] = len(index)
+        # the index is not kept: generators hold many graphs at once and
+        # seldom look an edge up, so it is built on the first edge_id call
+        return cls._host(n, index)
+
+    @classmethod
+    def _host(cls, n: int, index: dict[tuple[int, int], int]) -> "Graph":
+        """Host graph on ``range(n)`` whose edge ids number index's keys in order.
+
+        index maps each edge (u, v), u < v, to its position among the keys;
+        the caller has checked the pairs.
+        """
+        return cls(n, tuple(index), frozenset(range(n)), frozenset(range(len(index))))
 
     # -- basic accessors -------------------------------------------------
 
@@ -120,12 +129,16 @@ class Graph:
     def avg_degree(self) -> float:
         return 2.0 * self.m / self.n if self.n else 0.0
 
+    def _edge_index(self) -> dict[tuple[int, int], int]:
+        """Live edges as {(u, v): edge id} with u < v, built on first use."""
+        if self._eid_of is None:
+            tab = self.edge_table
+            self._eid_of = {tab[eid]: eid for eid in self.edge_ids}
+        return self._eid_of
+
     def edge_id(self, u: int, v: int) -> int:
         """Live edge id joining u and v; KeyError if absent."""
-        if self._eid_of is None:
-            self._eid_of = {self.edge_table[eid]: eid for eid in self.edge_ids}
-        key = (u, v) if u < v else (v, u)
-        return self._eid_of[key]
+        return self._edge_index()[(u, v) if u < v else (v, u)]
 
     def has_edge(self, u: int, v: int) -> bool:
         try:
@@ -262,11 +275,9 @@ class Cycle:
 
     def check(self, g: Graph) -> None:
         live, tab, vs = g.edge_ids, g.edge_table, self.vertices
-        L = len(vs)
-        for i, eid in enumerate(self.edge_ids):
+        for eid, a, b in zip(self.edge_ids, vs, vs[1:] + vs[:1]):
             if eid not in live:
                 raise ValueError(f"cycle edge {eid} not live")
-            a, b = vs[i], vs[(i + 1) % L]
             if ((a, b) if a < b else (b, a)) != tab[eid]:
                 raise ValueError(f"cycle edge {eid} does not join {a},{b}")
 
@@ -351,6 +362,12 @@ def validate_decomposition(g: Graph, d: Decomposition) -> ValidationReport:
         except ValueError as exc:
             note(f"cycle {ci}: {exc}")
             continue
+        # a checked cycle's edges are distinct, so when none is covered yet
+        # they are added at once
+        if used.isdisjoint(cyc.edge_ids):
+            used.update(cyc.edge_ids)
+            covered += len(cyc.edge_ids)
+            continue
         for eid in cyc.edge_ids:
             if eid in used:
                 note(f"cycle {ci}: edge {eid} already covered")
@@ -429,43 +446,44 @@ def parse_edge_list(text: str) -> Graph:
     first nonblank character is ``#`` are ignored.  Raises :class:`ParseError`
     with a 1-based line number on any malformed content.
     """
-    n = -1
-    m = -1
-    pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    header_done = False
+    n = m = -1
+    # (u, v) -> edge id in line order: the duplicate check and the graph's
+    # edge index are one dict
+    index: dict[tuple[int, int], int] = {}
+    k = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ParseError(f"expected two integers, got {raw!r}", line_no)
+        fields = raw.split()
         try:
-            a, b = int(fields[0]), int(fields[1])
+            a, b = fields
+            a, b = int(a), int(b)
         except ValueError:
+            # blank and comment lines land here too: "#" is no part of an integer
+            if not fields or fields[0][0] == "#":
+                continue
             raise ParseError(f"expected two integers, got {raw!r}", line_no) from None
-        if not header_done:
+        if m < 0:
             if a < 0 or b < 0:
                 raise ParseError("header counts must be nonnegative", line_no)
             if a > MAX_VERTICES:
                 raise ParseError(f"header n={a} exceeds the limit of {MAX_VERTICES}", line_no)
             n, m = a, b
-            header_done = True
             continue
-        if len(pairs) == m:
+        if k == m:
             raise ParseError(f"more than {m} edge lines", line_no)
         if not (0 <= a < b < n):
             raise ParseError(f"edge must satisfy 0 <= u < v < n, got {a} {b}", line_no)
-        if (a, b) in seen:
+        key = (a, b)
+        if key in index:
             raise ParseError(f"duplicate edge {a} {b}", line_no)
-        seen.add((a, b))
-        pairs.append((a, b))
-    if not header_done:
+        index[key] = k
+        k += 1
+    if m < 0:
         raise ParseError("missing header line", 1)
-    if len(pairs) != m:
-        raise ParseError(f"header promised {m} edges, found {len(pairs)}", 1)
-    return Graph.from_edges(n, pairs)
+    if k != m:
+        raise ParseError(f"header promised {m} edges, found {k}", 1)
+    g = Graph._host(n, index)
+    g._eid_of = index  # the validators of this graph's decomposition read it
+    return g
 
 
 def format_edge_list(g: Graph) -> str:
@@ -506,17 +524,23 @@ def decomposition_from_json_dict(doc: dict, g: Graph) -> Decomposition:
     Raises ValueError naming the pair when a cycle or single edge joins two
     vertices that are not adjacent in g.
     """
+    index = g._edge_index()
 
     def eid(u: int, v: int) -> int:
         try:
-            return g.edge_id(u, v)
+            return index[(u, v) if u < v else (v, u)]
         except KeyError:
             raise ValueError(f"({u}, {v}) is not an edge of the graph") from None
 
     cycles = []
     for verts in doc["cycles"]:
         vs = tuple(verts)
-        eids = tuple(eid(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
+        nxt = vs[1:] + vs[:1]
+        try:
+            eids = tuple([index[(a, b) if a < b else (b, a)] for a, b in zip(vs, nxt)])
+        except KeyError:
+            # name the first pair that is not an edge, in the cycle's order
+            eids = tuple([eid(a, b) for a, b in zip(vs, nxt)])
         cycles.append(Cycle(vs, eids))
     singles = tuple(eid(u, v) for u, v in doc["edges"])
     return Decomposition(
@@ -602,8 +626,13 @@ def validate_decomposition_json(doc: dict, g: Optional[Graph] = None) -> Validat
             if len(set(verts)) != len(verts):
                 note(f"{what}: repeated vertex")
                 continue
-            for i in range(len(verts) - 1 + closing):
-                add_edge(verts[i], verts[(i + 1) % len(verts)], what)
+            nxt = verts[1:] + verts[:1] if closing else verts[1:]
+            if 0 <= min(verts) and max(verts) < n:
+                # distinct vertices in range: no pair is a loop or out of range
+                edge_multiset += [(a, b) if a < b else (b, a) for a, b in zip(verts, nxt)]
+            else:
+                for a, b in zip(verts, nxt):
+                    add_edge(a, b, what)
     singles = members("edges")
     for si, item in enumerate(singles):
         if not isinstance(item, list) or len(item) != 2:
@@ -620,7 +649,7 @@ def validate_decomposition_json(doc: dict, g: Optional[Graph] = None) -> Validat
         note(f"document covers {len(edge_multiset)} edges but claims m={m}")
 
     if g is not None:
-        actual = {g.edge_table[eid] for eid in g.edge_ids}
+        actual = g._edge_index().keys()
         implied = counts.keys()
         if g.host_n != n:
             note(f"graph has n={g.host_n}, document says {n}")

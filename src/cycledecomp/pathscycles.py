@@ -506,20 +506,26 @@ def peel_long_cycles(g: Graph, min_len: int) -> tuple[list[Cycle], Graph]:
     """
     if min_len < 3:
         raise ValueError("min_len must be at least 3")
+    if g.n < min_len:  # no room for a cycle that long
+        return [], g
     alive = set(g.edge_ids)
     adj = {v: list(lst) for v, lst in g.adjacency().items()}
     cycles: list[Cycle] = []
+    swept = False
     while True:
-        progress = False
         cyc = find_long_cycle_dfs(_live_view(g, alive, adj))
-        if cyc is not None and len(cyc.edge_ids) >= min_len:
+        progress = cyc is not None and len(cyc.edge_ids) >= min_len
+        if progress:
             cycles.append(cyc)
             _drop_cycle(adj, alive, cyc)
-            progress = True
+        elif swept:
+            # nothing changed since the last sweep, which found nothing
+            break
         while _back_edge_pass(g, adj, alive, min_len, cycles):
             progress = True
         if not progress:
             break
+        swept = True
     return cycles, _live_view(g, alive, adj)
 
 

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
-from collections import deque
+from collections import Counter, deque
 from typing import Iterable, Optional, Union
 
 from cycledecomp.connectivity import (
@@ -13,7 +14,15 @@ from cycledecomp.connectivity import (
     RoutedPaths,
     _route_matching_oracle,
 )
-from cycledecomp.graph import Cycle, Graph, Path
+from cycledecomp.graph import (
+    MAX_VERTICES,
+    Cycle,
+    Decomposition,
+    Graph,
+    ParseError,
+    Path,
+    ValidationReport,
+)
 
 
 def path_graph(k: int) -> Graph:
@@ -469,3 +478,262 @@ def reference_peel_long_cycles(g: Graph, min_len: int) -> tuple[list[Cycle], Gra
         if not progress:
             break
     return cycles, g.subview(edge_ids=alive)
+
+
+# -- reference parser -----------------------------------------------------------
+# ``parse_edge_list`` and ``Graph.from_edges`` as they stood before the parser
+# built the host graph's edge index itself: the parser checks each line, then
+# ``from_edges`` checks every pair again in a set of its own, and the graph
+# builds its {pair: edge id} map on the first ``edge_id`` call.  Kept verbatim
+# as the oracle of the differential test.
+
+
+def reference_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    table: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"endpoint out of range: ({u}, {v}) with n={n}")
+        if u == v:
+            raise ValueError(f"loop at vertex {u} not allowed")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ValueError(f"duplicate edge {key}")
+        seen.add(key)
+        table.append(key)
+    return Graph(n, tuple(table), frozenset(range(n)), frozenset(range(len(table))))
+
+
+def reference_parse_edge_list(text: str) -> Graph:
+    n = -1
+    m = -1
+    pairs: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    header_done = False
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise ParseError(f"expected two integers, got {raw!r}", line_no)
+        try:
+            a, b = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ParseError(f"expected two integers, got {raw!r}", line_no) from None
+        if not header_done:
+            if a < 0 or b < 0:
+                raise ParseError("header counts must be nonnegative", line_no)
+            if a > MAX_VERTICES:
+                raise ParseError(f"header n={a} exceeds the limit of {MAX_VERTICES}", line_no)
+            n, m = a, b
+            header_done = True
+            continue
+        if len(pairs) == m:
+            raise ParseError(f"more than {m} edge lines", line_no)
+        if not (0 <= a < b < n):
+            raise ParseError(f"edge must satisfy 0 <= u < v < n, got {a} {b}", line_no)
+        if (a, b) in seen:
+            raise ParseError(f"duplicate edge {a} {b}", line_no)
+        seen.add((a, b))
+        pairs.append((a, b))
+    if not header_done:
+        raise ParseError("missing header line", 1)
+    if len(pairs) != m:
+        raise ParseError(f"header promised {m} edges, found {len(pairs)}", 1)
+    return reference_from_edges(n, pairs)
+
+
+# -- reference validators ---------------------------------------------------------
+# ``validate_decomposition``, ``decomposition_from_json_dict`` and
+# ``validate_decomposition_json`` as they stood before they read the graph's
+# edge index and added each cycle's edges in bulk: one ``add_edge`` call and
+# one edge-id lookup per edge.  Kept verbatim as the oracle of the
+# differential test, with the pieces they called (``Cycle.check``,
+# ``Graph.edge_id``, ``_vertex_ids``) copied in as they were then.
+
+
+def _reference_cycle_check(cyc: Cycle, g: Graph) -> None:
+    live, tab, vs = g.edge_ids, g.edge_table, cyc.vertices
+    L = len(vs)
+    for i, eid in enumerate(cyc.edge_ids):
+        if eid not in live:
+            raise ValueError(f"cycle edge {eid} not live")
+        a, b = vs[i], vs[(i + 1) % L]
+        if ((a, b) if a < b else (b, a)) != tab[eid]:
+            raise ValueError(f"cycle edge {eid} does not join {a},{b}")
+
+
+def reference_validate_decomposition(g: Graph, d: Decomposition) -> ValidationReport:
+    problems: list[str] = []
+
+    def note(msg: str) -> None:
+        if len(problems) < 20:
+            problems.append(msg)
+
+    if d.source != g.fingerprint():
+        note(f"fingerprint mismatch: {d.source} vs {g.fingerprint()}")
+    if d.n != g.host_n:
+        note(f"vertex count mismatch: {d.n} vs {g.host_n}")
+    if d.m != g.m:
+        note(f"edge count mismatch: {d.m} vs {g.m}")
+
+    used: set[int] = set()
+    covered = 0
+    for ci, cyc in enumerate(d.cycles):
+        try:
+            _reference_cycle_check(cyc, g)
+        except ValueError as exc:
+            note(f"cycle {ci}: {exc}")
+            continue
+        for eid in cyc.edge_ids:
+            if eid in used:
+                note(f"cycle {ci}: edge {eid} already covered")
+            else:
+                used.add(eid)
+                covered += 1
+    for eid in d.single_edges:
+        if eid not in g.edge_ids:
+            note(f"single edge {eid} not live")
+        elif eid in used:
+            note(f"single edge {eid} already covered")
+        else:
+            used.add(eid)
+            covered += 1
+    missing = g.edge_ids - used
+    if missing:
+        note(f"{len(missing)} live edges uncovered, e.g. {sorted(missing)[:5]}")
+
+    return ValidationReport(
+        ok=not problems,
+        problems=tuple(problems),
+        n_cycles=len(d.cycles),
+        n_single_edges=len(d.single_edges),
+        covered_edges=covered,
+    )
+
+
+def reference_decomposition_from_json_dict(doc: dict, g: Graph) -> Decomposition:
+    eid_of = {g.edge_table[eid]: eid for eid in g.edge_ids}
+
+    def eid(u: int, v: int) -> int:
+        try:
+            return eid_of[(u, v) if u < v else (v, u)]
+        except KeyError:
+            raise ValueError(f"({u}, {v}) is not an edge of the graph") from None
+
+    cycles = []
+    for verts in doc["cycles"]:
+        vs = tuple(verts)
+        eids = tuple(eid(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
+        cycles.append(Cycle(vs, eids))
+    singles = tuple(eid(u, v) for u, v in doc["edges"])
+    return Decomposition(
+        source=doc.get("source", g.fingerprint()),
+        n=doc["n"],
+        m=doc["m"],
+        cycles=tuple(cycles),
+        single_edges=singles,
+        stats=dict(doc.get("stats", {})),
+    )
+
+
+def _reference_vertex_ids(item, what: str, note) -> Optional[list[int]]:
+    if isinstance(item, list) and all(type(v) is int for v in item):
+        return item
+    if not isinstance(item, list) or not all(isinstance(v, (int, float)) for v in item):
+        raise ValueError(f"{what}: expected a list of vertex ids, got {repr(item)[:40]}")
+    bad = next(v for v in item if type(v) is not int)
+    note(f"{what}: vertex id {json.dumps(bad)} is not an integer")
+    return None
+
+
+def reference_validate_decomposition_json(doc: dict, g: Optional[Graph] = None) -> ValidationReport:
+    if not isinstance(doc, dict):
+        raise ValueError("decomposition document must be a JSON object")
+    problems: list[str] = []
+
+    def note(msg: str) -> None:
+        if len(problems) < 20:
+            problems.append(msg)
+
+    def members(key: str) -> list:
+        val = doc.get(key, [])
+        if not isinstance(val, list):
+            raise ValueError(f"{key} must be a list")
+        return val
+
+    n = doc.get("n")
+    m = doc.get("m")
+    if type(n) is not int or n < 0:  # bools are not counts
+        note("bad or missing n")
+        n = 0
+    if type(m) is not int or m < 0:
+        note("bad or missing m")
+        m = 0
+
+    edge_multiset: list[tuple[int, int]] = []
+
+    def add_edge(a: int, b: int, what: str) -> None:
+        if a == b:
+            note(f"{what}: loop at {a}")
+            return
+        if not (0 <= a < n and 0 <= b < n):
+            note(f"{what}: endpoint out of range ({a}, {b})")
+            return
+        edge_multiset.append((a, b) if a < b else (b, a))
+
+    # a cycle also joins its last vertex to its first; a path does not
+    for key, kind, min_len, closing in (("cycles", "cycle", 3, 1), ("paths", "path", 2, 0)):
+        for idx, item in enumerate(members(key)):
+            what = f"{kind} {idx}"
+            verts = _reference_vertex_ids(item, what, note)
+            if verts is None:
+                continue
+            if len(verts) < min_len:
+                note(f"{what}: fewer than {min_len} vertices")
+                continue
+            if len(set(verts)) != len(verts):
+                note(f"{what}: repeated vertex")
+                continue
+            for i in range(len(verts) - 1 + closing):
+                add_edge(verts[i], verts[(i + 1) % len(verts)], what)
+    singles = members("edges")
+    for si, item in enumerate(singles):
+        if not isinstance(item, list) or len(item) != 2:
+            raise ValueError(f"single edge {si}: expected a [u, v] pair, got {repr(item)[:40]}")
+        pair = _reference_vertex_ids(item, f"single edge {si}", note)
+        if pair is not None:
+            add_edge(pair[0], pair[1], "single edge")
+
+    counts = Counter(edge_multiset)
+    if len(counts) != len(edge_multiset):
+        dupes = sorted(e for e, c in counts.items() if c > 1)
+        note(f"edges covered more than once, e.g. {dupes[:5]}")
+    if len(edge_multiset) != m:
+        note(f"document covers {len(edge_multiset)} edges but claims m={m}")
+
+    if g is not None:
+        actual = {g.edge_table[eid] for eid in g.edge_ids}
+        implied = counts.keys()
+        if g.host_n != n:
+            note(f"graph has n={g.host_n}, document says {n}")
+        if implied != actual:
+            extra = sorted(implied - actual)[:5]
+            miss = sorted(actual - implied)[:5]
+            note(f"edge sets differ from graph (extra {extra}, missing {miss})")
+        src = doc.get("source")
+        if src is not None and src != g.fingerprint():
+            note("source fingerprint does not match graph")
+
+    return ValidationReport(
+        ok=not problems,
+        problems=tuple(problems),
+        n_cycles=len(members("cycles")),
+        n_single_edges=len(singles),
+        covered_edges=len(counts),
+    )

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycledecomp.graph import (
@@ -29,6 +29,8 @@ from helpers import (
     cycle_graph,
     path_graph,
     random_gnp,
+    reference_from_edges,
+    reference_parse_edge_list,
     star_graph,
 )
 
@@ -251,6 +253,100 @@ def test_parse_edge_list_returns_graph_or_parse_error(text):
     except ParseError:
         return
     assert isinstance(g, Graph)
+
+
+def parse_outcome(parse, text: str):
+    """The graph's fields, or the ParseError's text and line number."""
+    try:
+        g = parse(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.line_no
+    return g.host_n, g.edge_table, g.vertices, g.edge_ids
+
+
+_DIGITS = {"0": "\u0660", "3": "\u0663", "7": "\u096d"}  # Arabic-Indic, Devanagari
+_PAD = st.sampled_from(["", "", " ", "\t", "\x1f"])
+_GAP = st.sampled_from([" ", " ", "\t", "  ", " \t", "\x1f", "\xa0"])
+_SKIPPED = st.sampled_from(["", " ", "\t", "#", "# c", "  # 1 2", "\t#x", "\x1f#"])
+_MALFORMED = st.one_of(
+    st.sampled_from(["1", "1 2 3", "0 1 # c", "2.0 3", "0x1 2", "x y", "1 -"]),
+    st.text(max_size=5),
+)
+
+
+def _spell(k: int, style: int) -> str:
+    """An integer as the parser may meet it: signed, with an underscore or
+    in another script's digits."""
+    if style == 1 and k >= 0:
+        return f"+{k}"
+    if style == 2 and k >= 10:
+        return f"{k // 10}_{k % 10}"
+    if style == 3:
+        return "".join(_DIGITS.get(c, c) for c in str(k))
+    return str(k)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text near the valid format: a header, edge lines with small
+    ids (so duplicates and out-of-range ids are common), an edge count off by
+    one now and then, comments, blank and malformed lines, and one of the
+    line breaks ``str.splitlines`` knows."""
+    n = draw(st.sampled_from(list(range(2, 13)) * 2 + [-1, 0, 1]))
+    pairs = []
+    for _ in range(draw(st.integers(0, 8))):
+        a = draw(st.integers(0, max(n - 2, 0)))
+        b = a + 1 + draw(st.integers(0, max(n - a - 2, 0)))
+        # now and then a negative, swapped, too large or loop pair
+        flaw = draw(st.sampled_from([None] * 12 + [0, 1, 2, 3]))
+        pairs.append((a, b) if flaw is None else [(-1, b), (b, a), (a, n), (a, a)][flaw])
+    m = len(pairs) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    lines = []
+    for a, b in [(n, m)] + pairs:
+        pad, gap, end = draw(_PAD), draw(_GAP), draw(_PAD)
+        sa, sb = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+        lines.append(f"{pad}{_spell(a, sa)}{gap}{_spell(b, sb)}{end}")
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_SKIPPED))
+    if draw(st.integers(0, 4)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_MALFORMED))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028"]))
+    return newline.join(lines) + draw(st.sampled_from(["", "\n", newline]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_list_texts())
+@example("3 2\r\n0 1\r\n1 2\r\n")
+@example("\t# c\n11 1\n+0 1_0")
+@example("  #\x0b4 2\x0b\u0660 \u0663\x0b0\t3\n")
+@example("4 2\x1c0 1\x1c0 1")
+@example("4 1\n0 4\n")
+@example("4 1\n0 1\n1 2\n")
+@example("4 3\n0 1\n")
+def test_parser_matches_reference(text):
+    """The parser builds the same graph as the parser that checked every pair
+    twice, or raises the same ParseError; a parsed graph answers edge_id and
+    has_edge as a from_edges graph does, and its views drop dropped edges."""
+    got = parse_outcome(parse_edge_list, text)
+    assert got == parse_outcome(reference_parse_edge_list, text), text
+    if got[0] == "error":
+        return
+    g = parse_edge_list(text)
+    pairs = [g.edge_table[e] for e in sorted(g.edge_ids)]
+    for other in (Graph.from_edges(g.host_n, pairs), reference_from_edges(g.host_n, pairs)):
+        for u in range(-1, g.host_n + 1):
+            for v in range(-1, g.host_n + 1):
+                assert g.has_edge(u, v) is other.has_edge(u, v)
+                if g.has_edge(u, v):
+                    assert g.edge_id(u, v) == other.edge_id(u, v)
+    if pairs:
+        u, v = pairs[0]
+        assert g.edge_id(u, v) == 0
+        for view in (g.without_edges([0]), g.subview(edge_ids=range(1, g.m)),
+                     g.subview(vertices=set(g.vertices) - {u})):
+            with pytest.raises(KeyError):
+                view.edge_id(u, v)
+            assert not view.has_edge(v, u)
 
 
 # -- decomposition JSON ----------------------------------------------------------

@@ -15,6 +15,9 @@ GUARD_TESTS = [
     "tests/test_cli.py::TestValidateMalformed",
     "tests/test_expansion.py::test_params_reject_non_finite_s",
     "tests/test_connectivity.py::TestRoutePairs::test_retries_must_be_positive",
+    "tests/test_graph_core.py::test_edge_list_errors_carry_line_numbers",
+    "tests/test_graph_core.py::test_vertex_count_over_the_limit_rejected_before_allocation",
+    "tests/test_graph_core.py::test_parser_matches_reference",
 ]
 
 

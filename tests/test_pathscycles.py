@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycledecomp import pathscycles
 from cycledecomp.graph import Graph
 from cycledecomp.pathscycles import (
     eulerian_cycle_decompose,
@@ -164,6 +165,30 @@ class TestPeelLongCycles:
     def test_min_len_validated(self):
         with pytest.raises(ValueError):
             peel_long_cycles(cycle_graph(5), 2)
+
+    @pytest.mark.parametrize("g,min_len,sweeps,peeled", [
+        # the finder takes the whole cycle, one sweep finds nothing, and the
+        # finder's next miss ends the peel without the sweep that repeated it
+        (cycle_graph(10), 5, 1, 1),
+        # two sweeps, the second empty, then the finder misses
+        (complete_graph(6), 3, 2, 2),
+        # fewer vertices than min_len: no search at all
+        (cycle_graph(10), 11, 0, 0),
+    ])
+    def test_no_sweep_repeats_an_empty_one(self, monkeypatch, g, min_len, sweeps, peeled):
+        calls = []
+        sweep = pathscycles._back_edge_pass
+
+        def counting(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(pathscycles, "_back_edge_pass", counting)
+        cycles, residual = peel_long_cycles(g, min_len)
+        assert (len(calls), len(cycles)) == (sweeps, peeled)
+        want, ref_residual = reference_peel_long_cycles(g, min_len)
+        assert [c.vertices for c in cycles] == [c.vertices for c in want]
+        assert residual.edge_ids == ref_residual.edge_ids
 
     @given(n=st.integers(3, 20), p=st.floats(0.2, 0.9), seed=st.integers(0, 9999),
            min_len=st.integers(3, 8))
