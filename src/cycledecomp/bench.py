@@ -230,10 +230,16 @@ def bench_scaling(
     Rows are merged in (family, n, seed) order regardless of worker count,
     so a fixed grid and seeds reproduce the same table (runtime column
     aside).  The first bound or validity violation raises BenchFailure with
-    the instance saved beside the output file.
+    the instance saved beside the output file.  Raises ValueError, before
+    any instance runs, for an unknown family, a size below 1 or a worker
+    count below 1.
     """
     if cfg is None:
         cfg = PipelineConfig.engineering()
+    if min(sizes, default=1) < 1:
+        raise ValueError(f"sizes must be at least 1, got {min(sizes)}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     for f in families:
         if f not in ("gnp8n", "gnp05", "eulerian") and not (
             f.startswith("gallai") and f[len("gallai"):].isdigit()

@@ -208,7 +208,92 @@ def well_spread_path_cycle_decompose(g: Graph, mode: str = "euler") -> WellSprea
     return WellSpreadResult(tuple(paths), tuple(kept), tuple(kept))
 
 
-def _longest_back_edge_cycle(g: Graph, adj) -> Optional[Cycle]:
+def _arrays(g: Graph) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """Per-vertex neighbour and edge-id lists of g's live edges, in neighbour order.
+
+    The edge table is walked in edge-id order, so a table in pair order
+    gives every list already sorted; only the lists that come out of order
+    are sorted, both by neighbour.
+    """
+    nbrs: dict[int, list[int]] = {v: [] for v in g.vertices}
+    eids: dict[int, list[int]] = {v: [] for v in g.vertices}
+    tab = g.edge_table
+    for e in sorted(g.edge_ids):
+        u, v = tab[e]
+        nbrs[u].append(v)
+        eids[u].append(e)
+        nbrs[v].append(u)
+        eids[v].append(e)
+    for v, nb in nbrs.items():
+        if nb != sorted(nb):
+            order = sorted(range(len(nb)), key=nb.__getitem__)
+            eb = eids[v]
+            nbrs[v] = [nb[k] for k in order]
+            eids[v] = [eb[k] for k in order]
+    return nbrs, eids
+
+
+class _LiveView(Graph):
+    """g restricted to the edges in alive, carrying the peel's integer arrays.
+
+    nbrs and eids hold exactly the live edges, as ``_arrays`` would build
+    them.  The peel deletes from them in place, so a view taken during a
+    peel describes its edges only until the next cycle is dropped.  The
+    tuple ``adjacency()`` is built from the arrays on its first call.
+    """
+
+    __slots__ = ("nbrs", "eids")
+
+    def __init__(
+        self,
+        g: Graph,
+        alive: set[int],
+        nbrs: dict[int, list[int]],
+        eids: dict[int, list[int]],
+    ):
+        super().__init__(g.host_n, g.edge_table, g.vertices, frozenset(alive))
+        self.nbrs = nbrs
+        self.eids = eids
+
+    def adjacency(self) -> dict[int, list[tuple[int, int]]]:
+        if self._adj is None:
+            eids = self.eids
+            self._adj = {v: list(zip(nb, eids[v])) for v, nb in self.nbrs.items()}
+        return self._adj
+
+
+def _largest_component(g: Graph, nbrs: dict[int, list[int]]) -> tuple[int, set[int]]:
+    """Smallest vertex and vertex set of g's largest component.
+
+    Among components of equal size the one with the smallest vertex wins,
+    as ``max(g.components(), key=len)`` picks it.  The search stops once
+    the vertices left unseen could not form a larger one.
+    """
+    root, best = -1, set()
+    seen: set[int] = set()
+    unseen = g.n
+    for r in g.vertex_list():
+        if unseen <= len(best):
+            break
+        if r in seen:
+            continue
+        comp = {r}
+        stack = [r]
+        while stack:
+            for b in nbrs[stack.pop()]:
+                if b not in comp:
+                    comp.add(b)
+                    stack.append(b)
+        seen |= comp
+        unseen -= len(comp)
+        if len(comp) > len(best):
+            root, best = r, comp
+    return root, best
+
+
+def _longest_back_edge_cycle(
+    g: Graph, nbrs: dict[int, list[int]], eids: dict[int, list[int]]
+) -> Optional[Cycle]:
     """Longest cycle closable by a single DFS back edge, over all components.
 
     The DFS stack holds one vertex per depth, so any in-stack neighbor other
@@ -227,11 +312,11 @@ def _longest_back_edge_cycle(g: Graph, adj) -> Optional[Cycle]:
         ptr = {root: 0}
         while stack:
             v = stack[-1]
-            lst = adj[v]
+            nb, eb = nbrs[v], eids[v]
             i = ptr[v]
             advanced = False
-            while i < len(lst):
-                w, eid = lst[i]
+            while i < len(nb):
+                w, eid = nb[i], eb[i]
                 i += 1
                 if w not in depth:
                     depth[w] = depth[v] + 1
@@ -274,19 +359,22 @@ def find_long_cycle_dfs(g: Graph, *, y_fraction: float = 1 / 3) -> Optional[Cycl
     containing all of Y.  When X and Z are separated (Y is a separator, which
     well-expanding inputs rule out but sparse ones do not) the search falls
     back to the longest single-back-edge cycle, so None is returned only for
-    acyclic inputs.  Reads only g's adjacency and components.
+    acyclic inputs.  Reads the per-vertex neighbour and edge-id arrays: a
+    view the peel hands over carries its own, any other graph gets them
+    built from its edge table.
     """
     if g.n == 0 or g.m == 0:
         return None
-    comp = max(g.components(), key=len)
-    if len(comp) < 3:
+    if isinstance(g, _LiveView):
+        nbrs, eids = g.nbrs, g.eids
+    else:
+        nbrs, eids = _arrays(g)
+    root, unexplored = _largest_component(g, nbrs)
+    if len(unexplored) < 3:
         return None
-    adj = g.adjacency()
-    root = comp[0]
 
-    unexplored = set(comp)
     unexplored.discard(root)
-    u_count, r_count = len(comp) - 1, 0
+    u_count, r_count = len(unexplored), 0
     path = [root]
     path_e: list[Optional[int]] = [None]  # path_e[t] joins path[t - 1] and path[t]
     ptr = {root: 0}
@@ -296,28 +384,25 @@ def find_long_cycle_dfs(g: Graph, *, y_fraction: float = 1 / 3) -> Optional[Cycl
             snapshot = list(path)
             break
         v = path[-1]
-        lst = adj[v]
+        nb = nbrs[v]
+        end = len(nb)
         i = ptr[v]
-        nxt = None
-        while i < len(lst):
-            w = lst[i][0]
-            if w in unexplored:
-                nxt = w
-                break
+        while i < end and nb[i] not in unexplored:
             i += 1
         ptr[v] = i
-        if nxt is None:
+        if i == end:
             path.pop()
             path_e.pop()
             r_count += 1
         else:
-            unexplored.discard(nxt)
+            w = nb[i]
+            unexplored.discard(w)
             u_count -= 1
-            path.append(nxt)
-            path_e.append(lst[i][1])
-            ptr[nxt] = 0
+            path.append(w)
+            path_e.append(eids[v][i])
+            ptr[w] = 0
     if snapshot is None or len(snapshot) < 3:
-        return _longest_back_edge_cycle(g, adj)
+        return _longest_back_edge_cycle(g, nbrs, eids)
 
     p = len(snapshot)
     y_len = max(1, min(int(y_fraction * p), p - 2))
@@ -333,7 +418,7 @@ def find_long_cycle_dfs(g: Graph, *, y_fraction: float = 1 / 3) -> Optional[Cycl
     hit = None
     while queue and hit is None:
         v = queue.popleft()
-        for w, eid in adj[v]:
+        for w, eid in zip(nbrs[v], eids[v]):
             if w in y_set or w in parent:
                 continue
             parent[w] = (v, eid)
@@ -342,7 +427,7 @@ def find_long_cycle_dfs(g: Graph, *, y_fraction: float = 1 / 3) -> Optional[Cycl
                 break
             queue.append(w)
     if hit is None:
-        return _longest_back_edge_cycle(g, adj)
+        return _longest_back_edge_cycle(g, nbrs, eids)
 
     q_vs = [hit]
     q_es: list[int] = []
@@ -363,44 +448,33 @@ def find_long_cycle_dfs(g: Graph, *, y_fraction: float = 1 / 3) -> Optional[Cycl
 
 
 def _drop_cycle(
-    adj: dict[int, list[tuple[int, int]]],
+    nbrs: dict[int, list[int]],
+    eids: dict[int, list[int]],
     alive: set[int],
     cyc: Cycle,
     ptr: list[int] | dict[int, int] | None = None,
 ) -> None:
-    """Remove a cycle's edges from the live adjacency and from alive.
+    """Remove a cycle's edges from the live arrays and from alive.
 
     Each cycle vertex loses the entries of its two cycle neighbours.  The
-    lists stay sorted, so each entry is found by bisection and deleted in
-    place, the later one first.  A scan position in ptr moves back by the
-    number of entries deleted before it, so it still names the same next
-    live entry.
+    neighbour lists stay sorted, so each entry is found by bisection and
+    deleted in place from both lists, the later one first.  A scan position
+    in ptr moves back by the number of entries deleted before it, so it
+    still names the same next live entry.
     """
     vs = cyc.vertices
     for x, y, z in zip(vs, vs[-1:] + vs[:-1], vs[1:] + vs[:1]):
-        lst = adj[x]
-        ky = bisect_left(lst, (y,))
-        kz = bisect_left(lst, (z,))
+        nb, eb = nbrs[x], eids[x]
+        ky = bisect_left(nb, y)
+        kz = bisect_left(nb, z)
         if ky < kz:
-            del lst[kz], lst[ky]
+            del nb[kz], nb[ky], eb[kz], eb[ky]
         else:
-            del lst[ky], lst[kz]
+            del nb[ky], nb[kz], eb[ky], eb[kz]
         if ptr is not None:
             p = ptr[x]
             ptr[x] = p - (ky < p) - (kz < p)
     alive.difference_update(cyc.edge_ids)
-
-
-def _live_view(g: Graph, alive: set[int], adj: dict[int, list[tuple[int, int]]]) -> Graph:
-    """g restricted to the edges in alive, with adj as its adjacency.
-
-    adj must hold exactly the edges in alive, in sorted lists: that is what
-    ``adjacency()`` would build, so the view skips building it.  Restricting
-    edges never drops a vertex, so nothing needs filtering.
-    """
-    view = Graph(g.host_n, g.edge_table, g.vertices, frozenset(alive))
-    view._adj = adj
-    return view
 
 
 def _per_vertex(g: Graph, value: int) -> list[int] | dict[int, int]:
@@ -417,79 +491,69 @@ def _per_vertex(g: Graph, value: int) -> list[int] | dict[int, int]:
 
 def _back_edge_pass(
     g: Graph,
-    adj: dict[int, list[tuple[int, int]]],
+    nbrs: dict[int, list[int]],
+    eids: dict[int, list[int]],
     alive: set[int],
     min_len: int,
     out: list[Cycle],
 ) -> int:
     """One DFS sweep extracting qualifying back-edge cycles in place.
 
-    adj is the live adjacency: every extracted cycle leaves it at once, so
-    a sweep scans live entries only.  Per-vertex adjacency pointers move
-    forward (a deleted entry behind a pointer pulls it back one place), so
-    a full pass is near-linear in the live edges; cycles missed because
+    nbrs and eids are the live arrays: per vertex, the neighbours in
+    ascending order and the edge ids beside them.  Every extracted cycle
+    leaves them at once, so a sweep scans live entries only.  One depth
+    table marks each vertex unvisited (-1), finished (-2) or on the stack
+    at that depth; the edge to the parent closes a 2-cycle, below any
+    min_len >= 3, so it needs no test of its own.  Per-vertex scan pointers
+    move forward (a deleted entry behind a pointer pulls it back one place),
+    so a full pass is near-linear in the live edges; cycles missed because
     their stack was truncated are picked up by later passes.
     """
     found = 0
-    visited = _per_vertex(g, False)
     depth = _per_vertex(g, -1)
     ptr = _per_vertex(g, 0)
     for root in g.vertex_list():
-        if visited[root]:
+        if depth[root] != -1:
             continue
-        visited[root] = True
         stack_v = [root]
         stack_e: list[Optional[int]] = [None]
         depth[root] = 0
         top = 1
         while stack_v:
             v = stack_v[-1]
-            lst = adj[v]
-            end = len(lst)
+            nb = nbrs[v]
+            end = len(nb)
             i = ptr[v]
-            tree_e = stack_e[-1]
-            advanced = False
+            lim = top - min_len  # an ancestor at depth <= lim closes a long cycle
             while i < end:
-                w, eid = lst[i]
-                if eid == tree_e:
-                    i += 1
-                    continue
+                w = nb[i]
                 j = depth[w]
-                if j >= 0:
-                    if top - j >= min_len:
-                        cyc = Cycle(tuple(stack_v[j:]), tuple(stack_e[j + 1 :]) + (eid,))
-                        out.append(cyc)
-                        _drop_cycle(adj, alive, cyc, ptr)
-                        found += 1
-                        # unmark the consumed vertices so this pass can
-                        # descend through them again along surviving edges
-                        for t in range(j + 1, top):
-                            x = stack_v[t]
-                            depth[x] = -1
-                            visited[x] = False
-                        del stack_v[j + 1 :]
-                        del stack_e[j + 1 :]
-                        top = j + 1
-                        advanced = True
-                        break
-                    i += 1
-                    continue
-                if visited[w]:
-                    i += 1
-                    continue
-                ptr[v] = i + 1
-                visited[w] = True
-                depth[w] = top
-                stack_v.append(w)
-                stack_e.append(eid)
-                top += 1
-                advanced = True
-                break
-            if not advanced:
-                ptr[v] = i
+                if j == -1:
+                    ptr[v] = i + 1
+                    depth[w] = top
+                    stack_v.append(w)
+                    stack_e.append(eids[v][i])
+                    top += 1
+                    break
+                if 0 <= j <= lim:
+                    cyc = Cycle(tuple(stack_v[j:]), tuple(stack_e[j + 1 :]) + (eids[v][i],))
+                    out.append(cyc)
+                    _drop_cycle(nbrs, eids, alive, cyc, ptr)
+                    found += 1
+                    # unmark the consumed vertices so this pass can descend
+                    # through them again along surviving edges
+                    for t in range(j + 1, top):
+                        depth[stack_v[t]] = -1
+                    del stack_v[j + 1 :]
+                    del stack_e[j + 1 :]
+                    top = j + 1
+                    break
+                i += 1
+            else:
+                ptr[v] = end
                 stack_v.pop()
                 stack_e.pop()
-                depth[v] = -1
+                depth[v] = -2
                 top -= 1
     return found
 
@@ -500,33 +564,40 @@ def peel_long_cycles(g: Graph, min_len: int) -> tuple[list[Cycle], Graph]:
     Each round tries the DFS long-cycle finder once, then runs back-edge
     sweeps until they stop producing; rounds repeat until neither search
     finds anything.  Maximality is relative to these searches (a second peel
-    of the residual returns no cycles).  The finder, the sweeps and the
-    returned residual all read one live adjacency, from which every cycle's
-    edges are deleted as it is taken, in the order the lists already had.
+    of the residual returns no cycles).  The finder and the sweeps read two
+    per-vertex integer arrays, neighbours in ascending order and the edge
+    ids beside them, built once from the edge table (or copied from a
+    residual this function returned), and every cycle's edges are deleted
+    from them as it is taken.  The residual is a view over the final
+    arrays; its tuple ``adjacency()`` is built on the first call.
     """
     if min_len < 3:
         raise ValueError("min_len must be at least 3")
     if g.n < min_len:  # no room for a cycle that long
         return [], g
+    if isinstance(g, _LiveView):
+        nbrs = {v: nb[:] for v, nb in g.nbrs.items()}
+        eids = {v: eb[:] for v, eb in g.eids.items()}
+    else:
+        nbrs, eids = _arrays(g)
     alive = set(g.edge_ids)
-    adj = {v: list(lst) for v, lst in g.adjacency().items()}
     cycles: list[Cycle] = []
     swept = False
     while True:
-        cyc = find_long_cycle_dfs(_live_view(g, alive, adj))
+        cyc = find_long_cycle_dfs(_LiveView(g, alive, nbrs, eids))
         progress = cyc is not None and len(cyc.edge_ids) >= min_len
         if progress:
             cycles.append(cyc)
-            _drop_cycle(adj, alive, cyc)
+            _drop_cycle(nbrs, eids, alive, cyc)
         elif swept:
             # nothing changed since the last sweep, which found nothing
             break
-        while _back_edge_pass(g, adj, alive, min_len, cycles):
+        while _back_edge_pass(g, nbrs, eids, alive, min_len, cycles):
             progress = True
         if not progress:
             break
         swept = True
-    return cycles, _live_view(g, alive, adj)
+    return cycles, _LiveView(g, alive, nbrs, eids)
 
 
 def eulerian_cycle_decompose(g: Graph) -> list[Cycle]:

@@ -139,6 +139,17 @@ class TestBenchScaling:
         with pytest.raises(ValueError):
             bench_scaling(families=("nosuch",), sizes=(16,), seeds=(0,))
 
+    @pytest.mark.parametrize("kw", [
+        dict(sizes=(0,)),
+        dict(sizes=(16, -2)),
+        # rejected before any pool starts
+        dict(sizes=(16,), workers=0),
+        dict(sizes=(16,), workers=-3),
+    ])
+    def test_sizes_and_workers_below_one_rejected_upfront(self, kw):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            bench_scaling(families=("gnp8n",), seeds=(0,), **kw)
+
     def test_small_grid_rows_and_bounds(self, tmp_path):
         out = tmp_path / "r.csv"
         text = bench_scaling(

@@ -464,6 +464,13 @@ class TestBenchCommand:
         assert lines[0].startswith("family,")
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("arg", ["--sizes=0", "--sizes=16,0", "--workers=0", "--workers=-3"])
+    def test_size_or_worker_count_below_one_exits_2_with_one_line(self, capsys, arg):
+        code, out, err = run(capsys, ["bench", "--families", "gnp8n", "--seeds", "0", arg])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be at least 1" in err
+
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(
             capsys, ["bench", "--families", "gnp8n", "--sizes", "12", "--seeds", "1"]

@@ -190,6 +190,34 @@ class TestPeelLongCycles:
         assert [c.vertices for c in cycles] == [c.vertices for c in want]
         assert residual.edge_ids == ref_residual.edge_ids
 
+    @pytest.mark.parametrize("g,min_len,hits", [
+        # the finder takes the whole cycle, then misses on the empty rest
+        (cycle_graph(10), 5, [True, False]),
+        (complete_graph(6), 3, [True, False]),
+        (gnp(40, 0.5, 2), 20, [True, False]),
+        # fewer vertices than min_len: the finder is never called
+        (cycle_graph(10), 11, []),
+    ])
+    def test_every_finder_call_goes_through_the_module_attribute(
+        self, monkeypatch, g, min_len, hits
+    ):
+        # perfbench's tracer wraps pathscycles.find_long_cycle_dfs to count
+        # and time the peel's finder calls (dfs_calls, dfs_s), so the peel
+        # must make each one through that attribute
+        calls = []
+        finder = pathscycles.find_long_cycle_dfs
+
+        def counting(view, **kwargs):
+            cyc = finder(view, **kwargs)
+            calls.append(cyc is not None and len(cyc.edge_ids) >= min_len)
+            return cyc
+
+        monkeypatch.setattr(pathscycles, "find_long_cycle_dfs", counting)
+        cycles, _ = peel_long_cycles(g, min_len)
+        assert calls == hits
+        want, _ = reference_peel_long_cycles(g, min_len)
+        assert [c.vertices for c in cycles] == [c.vertices for c in want]
+
     @given(n=st.integers(3, 20), p=st.floats(0.2, 0.9), seed=st.integers(0, 9999),
            min_len=st.integers(3, 8))
     @settings(max_examples=60, deadline=None)
@@ -289,6 +317,63 @@ class TestPeelMatchesReference:
             for min_len in sorted({3, rng.randint(3, 8), rng.randint(3, max(3, g.n))}):
                 self.check(g, min_len)
         assert several >= 100 and small_part >= 200
+
+
+def shuffled_host(rng: random.Random) -> Graph:
+    """G(n, p) whose edge ids follow a random order of the pairs, so the
+    edge table is not in pair order and the peel's per-vertex lists come
+    out of the edge-id walk unsorted."""
+    n = rng.randint(3, 40)
+    p = rng.uniform(0.1, 0.9)
+    pairs = [(u, v) if rng.random() < 0.5 else (v, u)
+             for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    rng.shuffle(pairs)
+    return Graph.from_edges(n, pairs)
+
+
+class TestPeelOnShuffledEdgeTables:
+    """Hosts whose edge table is not in pair order, and gappy subviews of
+    them, against the reference peel and finder: same cycles in the same
+    order, same residual, a residual adjacency equal to a freshly built one,
+    and a residual that a second peel leaves as it was."""
+
+    def check(self, g: Graph, min_len: int) -> None:
+        assert find_long_cycle_dfs(g) == reference_find_long_cycle_dfs(g)
+        got, residual = peel_signature(g, peel_long_cycles, min_len)
+        want, ref_residual = peel_signature(g, reference_peel_long_cycles, min_len)
+        assert got == want, (g, min_len)
+        assert residual.edge_ids == ref_residual.edge_ids
+        fresh = Graph(g.host_n, g.edge_table, g.vertices, residual.edge_ids)
+        # peel the residual before its adjacency is first built, so a
+        # second peel that wrote into the first one's arrays would show
+        assert find_long_cycle_dfs(residual) == reference_find_long_cycle_dfs(fresh)
+        again, residual2 = peel_signature(residual, peel_long_cycles, 3)
+        want2, ref_residual2 = peel_signature(fresh, reference_peel_long_cycles, 3)
+        assert again == want2
+        assert residual2.edge_ids == ref_residual2.edge_ids
+        assert residual.adjacency() == fresh.adjacency()
+        fresh2 = Graph(g.host_n, g.edge_table, g.vertices, residual2.edge_ids)
+        assert residual2.adjacency() == fresh2.adjacency()
+
+    def test_shuffled_hosts(self):
+        rng = random.Random(1018)
+        unordered = 0
+        for _ in range(300):
+            g = shuffled_host(rng)
+            unordered += list(g.edge_table) != sorted(g.edge_table)
+            for min_len in sorted({3, rng.randint(4, 8), rng.randint(3, g.n)}):
+                self.check(g, min_len)
+        assert unordered >= 250
+
+    def test_gappy_subviews_of_shuffled_hosts(self):
+        rng = random.Random(2026)
+        for _ in range(300):
+            host = shuffled_host(rng)
+            verts = [v for v in host.vertices if rng.random() < 0.8]
+            view = host.subview(vertices=verts)
+            g = view.subview(edge_ids=[e for e in view.edge_id_list() if rng.random() < 0.8])
+            for min_len in sorted({3, rng.randint(4, 8)}):
+                self.check(g, min_len)
 
 
 class TestEulerianDecompose:
