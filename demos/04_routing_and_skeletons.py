@@ -39,7 +39,7 @@ fail = route_pairs(c4, crossing, {0, 1, 2, 3}, ell=2, strategy="matching_oracle"
 print(f"\nC_4 crossing pairs: routed={isinstance(fail, RoutedPaths)} ({fail.reason})")
 
 # a skeleton pays the routing cost once, then serves many batches
-sk = build_skeleton(g, V, ell_route=3, template_p=0.4, rng_seed=7, on_stuck="drop")
+sk = build_skeleton(g, V, ell_route=3, template_p=0.4, rng_seed=7)
 print(f"\nskeleton: m={sk.subgraph.m} of host {g.m}, "
       f"serves batches at length <= {sk.ell_serve}, "
       f"template edges dropped: {sk.dropped_template_edges}")

@@ -231,8 +231,8 @@ def bench_scaling(
     so a fixed grid and seeds reproduce the same table (runtime column
     aside).  The first bound or validity violation raises BenchFailure with
     the instance saved beside the output file.  Raises ValueError, before
-    any instance runs, for an unknown family, a size below 1 or a worker
-    count below 1.
+    any instance runs, for an unknown family, a size below 1, a worker
+    count below 1 or a gallaiK family at a size below 2k + 2.
     """
     if cfg is None:
         cfg = PipelineConfig.engineering()
@@ -241,9 +241,11 @@ def bench_scaling(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     for f in families:
-        if f not in ("gnp8n", "gnp05", "eulerian") and not (
-            f.startswith("gallai") and f[len("gallai"):].isdigit()
-        ):
+        if f.startswith("gallai") and f[len("gallai"):].isdigit():
+            need = 2 * int(f[len("gallai"):]) + 2
+            if min(sizes, default=need) < need:
+                raise ValueError(f"{f} needs n >= {need}, got n={min(sizes)}")
+        elif f not in ("gnp8n", "gnp05", "eulerian"):
             raise ValueError(f"unknown family {f!r}")
     tasks = sorted((f, n, s) for f in families for n in sizes for s in seeds)
     rows: list[dict] = []

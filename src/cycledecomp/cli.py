@@ -90,21 +90,25 @@ def _params_from_args(args: argparse.Namespace) -> ExpanderParams:
 # -- subcommand bodies ---------------------------------------------------------
 
 
+# the two parameters of each generator family, as ``gen`` takes them
+_GEN_PARAMS = {"gnp": "N P", "gallai": "K N", "eulerian": "N P", "regular": "N D"}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     fam = args.family
     vals = args.params
     try:
+        if len(vals) != 2:
+            raise ValueError(f"{fam} takes exactly two parameters, {_GEN_PARAMS[fam]}")
         if fam == "gnp":
             g = gen_gnp(int(vals[0]), float(vals[1]), args.seed)
         elif fam == "gallai":
             g = gen_gallai_bipartite(int(vals[0]), int(vals[1]))
         elif fam == "eulerian":
             g = gen_eulerian(int(vals[0]), float(vals[1]), args.seed)
-        elif fam == "regular":
-            g = gen_regular(int(vals[0]), int(vals[1]), args.seed)
         else:
-            raise ValueError(f"unknown family {fam!r}")
-    except (IndexError, ValueError) as exc:
+            g = gen_regular(int(vals[0]), int(vals[1]), args.seed)
+    except ValueError as exc:
         print(f"gen: {exc}", file=sys.stderr)
         return 2
     _emit(format_edge_list(g), args.out)
@@ -388,8 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "gen", parents=[shared, seed_args], help="generate an instance as an edge list"
     )
-    p.add_argument("family", choices=("gnp", "gallai", "eulerian", "regular"))
-    p.add_argument("params", nargs="+", help="gnp: N P; gallai: K N; eulerian: N P; regular: N D")
+    p.add_argument("family", choices=tuple(_GEN_PARAMS))
+    p.add_argument(
+        "params", nargs="+", help="; ".join(f"{f}: {ps}" for f, ps in _GEN_PARAMS.items())
+    )
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser(

@@ -256,7 +256,7 @@ def route_pairs(
     times, and every attempt but the last stops at its first stuck pair.
     matching_oracle: exact backtracking over enumerated candidates (small
     inputs only).  Raises ValueError for ``ell`` or ``retries`` below 1 and
-    for a pair endpoint that is not a live vertex of g.
+    for a pair endpoint or through-set id that is not a live vertex of g.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
@@ -266,6 +266,8 @@ def route_pairs(
         if w not in g.vertices:
             raise ValueError(f"pair endpoint {w} is not a vertex of the graph")
     Vset = frozenset(V)
+    if not Vset <= g.vertices:
+        raise ValueError(f"through-set id {min(Vset - g.vertices)} is not a vertex of the graph")
     if strategy == "matching_oracle":
         return _route_matching_oracle(g, batch, Vset, ell)
     if strategy != "greedy":
@@ -313,7 +315,6 @@ def route_pairs(
 class TemplateResult:
     graph: Graph
     through_set: frozenset[int]
-    attempts: int
 
 
 def _unrank_pair(idx: int, n: int) -> tuple[int, int]:
@@ -348,33 +349,16 @@ def _sample_gnp_pairs(n: int, p: float, rng: random.Random) -> list[tuple[int, i
     return out
 
 
-def make_template(
-    n: int,
-    p_template: float,
-    rng_seed: int,
-    *,
-    delta_cap: Optional[int] = None,
-    max_resample: int = 64,
-) -> TemplateResult:
-    """Seeded G(n, p) with max degree enforced by resampling.
+def make_template(n: int, p_template: float, rng_seed: int) -> TemplateResult:
+    """Seeded G(n, p) whose designated through-set is the first ceil(n/6) ids.
 
-    The designated through-set is the first ceil(n/6) vertex ids.  The
-    default degree cap follows the 2^8 log^5 n form, which is only binding
-    at scale; the attempts actually used are reported.
+    The paper caps the template's degree at 2^8 log^5 n, which is above
+    n - 1 for every n up to ``MAX_VERTICES``, so no draw is ever rejected.
     """
     if n < 2:
         raise ValueError("template needs n >= 2")
-    if delta_cap is None:
-        delta_cap = max(8, int(256 * math.log2(n) ** 5))
-    rng = random.Random(rng_seed)
-    for attempt in range(1, max_resample + 1):
-        pairs = _sample_gnp_pairs(n, p_template, rng)
-        g = Graph.from_edges(n, pairs)
-        deg = g.degrees()
-        if not deg or max(deg.values()) <= delta_cap:
-            through = frozenset(range(math.ceil(n / 6)))
-            return TemplateResult(g, through, attempt)
-    raise CapacityError(f"template resampling failed {max_resample} times (delta cap {delta_cap})")
+    pairs = _sample_gnp_pairs(n, p_template, random.Random(rng_seed))
+    return TemplateResult(Graph.from_edges(n, pairs), frozenset(range(math.ceil(n / 6))))
 
 
 @dataclass
@@ -387,7 +371,6 @@ class Skeleton:
     ell_route: int
     ell_template: int
     replacements: dict[tuple[int, int], Path] = field(repr=False, default_factory=dict)
-    template_attempts: int = 1
     dropped_template_edges: int = 0
 
     @property
@@ -438,18 +421,15 @@ def build_skeleton(
     template_p: float,
     rng_seed: int = 0,
     retries: int = 8,
-    on_stuck: str = "fail",
 ) -> Union[Skeleton, SkeletonFailure]:
     """Route a random template's edges into g as edge-disjoint through-V paths.
 
     The skeleton is the union of the replacement paths; its routing contract
-    is re-testable by serving random batches.  Failure to route the template
-    is a first-class result carrying the stuck pairs.  With on_stuck="drop"
-    the stuck template edges are shed instead and the skeleton is built on
-    the routable remainder; only an empty remainder fails.
+    is re-testable by serving random batches.  Template edges that cannot
+    be routed are shed and the skeleton is built on the routable remainder;
+    only an empty remainder fails, as a first-class result carrying the
+    stuck pairs.
     """
-    if on_stuck not in ("fail", "drop"):
-        raise ValueError("on_stuck must be 'fail' or 'drop'")
     verts = g.vertex_list()
     n = len(verts)
     if n < 2:
@@ -473,8 +453,6 @@ def build_skeleton(
         )
         if isinstance(routed, RoutedPaths):
             break
-        if on_stuck == "fail":
-            return SkeletonFailure(routed, len(mapped))
         # shed only pairs with no solo through-V path; the rest is congestion
         stuck = set(routed.stuck)
         shed = {
@@ -509,6 +487,5 @@ def build_skeleton(
         ell_route=ell_route,
         ell_template=max(4, math.ceil(math.log2(max(n, 2)) ** 2 / 4)),
         replacements=replacements,
-        template_attempts=tmpl.attempts,
         dropped_template_edges=dropped,
     )

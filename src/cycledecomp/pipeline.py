@@ -1,7 +1,8 @@
-"""End-to-end drivers: expander decomposition into cycles plus edges, the
-general-graph decomposition, one density-reduction step, and the iterated
-log-star loop.
+"""End-to-end drivers: expander decomposition into cycles plus edges, one
+density-reduction round, and the iterated log-star loop.
 
+Each stage hands back a :class:`Stage` of cycles, single edge ids and
+counters; only ``decompose_logstar`` builds a :class:`Decomposition`.
 Validity is inviolable and counts are best-effort: any stage failure
 degrades the affected edges to singles instead of aborting, and every
 degradation is counted in the stats.
@@ -14,7 +15,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .connectivity import PairBatch, RoutedPaths, Skeleton, build_skeleton
 from .decomposer import almost_decompose_into_expanders, split_expander_edges
@@ -107,6 +108,14 @@ def resolve_template_p(n: int, m_avail: int) -> float:
     return max(0.0, min(1.0, paper_form, clamp))
 
 
+class Stage(NamedTuple):
+    """What one stage hands back: cycles, single edge ids and its counters."""
+
+    cycles: list[Cycle]
+    singles: list[int]
+    stats: dict
+
+
 @dataclass(frozen=True)
 class RunReport:
     """Per-iteration degree trajectory of one log-star run."""
@@ -178,7 +187,7 @@ def _serve_closures(
     return cycles, singles, len(dead)
 
 
-def decompose_expander(g: Graph, cfg: PipelineConfig) -> Decomposition:
+def decompose_expander(g: Graph, cfg: PipelineConfig) -> Stage:
     """Decompose one (assumed) expander into cycles plus leftover edges.
 
     Long cycles are peeled first while the graph is dense, then the residue
@@ -186,7 +195,8 @@ def decompose_expander(g: Graph, cfg: PipelineConfig) -> Decomposition:
     is drawn, a routing skeleton is built inside each part, and the
     remainder classes are decomposed into cycles and open paths whose
     closures are routed through the skeletons.  Unused skeleton edges and
-    every failed closure come out as single edges.
+    every failed closure come out as single edges.  The stats always hold
+    the counters in ``PART_COUNTERS``.
     """
     support = frozenset(v for v, d in g.degrees().items() if d > 0)
     work = g.subview(vertices=support)
@@ -197,6 +207,7 @@ def decompose_expander(g: Graph, cfg: PipelineConfig) -> Decomposition:
         "skeleton_failures": 0,
         "dropped_template_edges": 0,
         "skeleton_edges": 0,
+        "skeleton_residual_cycles": 0,
     }
     cycles: list[Cycle] = []
     singles: list[int] = []
@@ -207,7 +218,7 @@ def decompose_expander(g: Graph, cfg: PipelineConfig) -> Decomposition:
     stats["peel_min_len"] = min_len
 
     if work.m == 0:
-        return Decomposition.from_parts(g, cycles, [], stats=stats)
+        return Stage(cycles, singles, stats)
 
     if work.n < SIZE_FLOOR:
         # small residues skip the skeleton machinery
@@ -216,7 +227,7 @@ def decompose_expander(g: Graph, cfg: PipelineConfig) -> Decomposition:
         # a length-3 peel leaves a forest, so no Eulerian finish is possible
         singles.extend(leftover.edge_id_list())
         stats["strategy"] = "small"
-        return Decomposition.from_parts(g, cycles, singles, stats=stats)
+        return Stage(cycles, singles, stats)
 
     seed = cfg.rng_seed
     split = split_expander_edges(work, cfg.params, 3, seed, check="none")
@@ -250,7 +261,6 @@ def decompose_expander(g: Graph, cfg: PipelineConfig) -> Decomposition:
                 template_p=p_t,
                 rng_seed=_derive_seed(seed, 2 + i) + 7919 * attempt,
                 retries=SERVE_RETRIES,
-                on_stuck="drop",
             )
             if isinstance(built, Skeleton):
                 got = built
@@ -304,71 +314,71 @@ def decompose_expander(g: Graph, cfg: PipelineConfig) -> Decomposition:
 
     # unused skeleton edges: salvage cycles, degrade only the open paths
     residual = skeleton_eids - closure_eids
-    stats["skeleton_residual_cycles"] = 0
     if residual:
         ws = well_spread_path_cycle_decompose(work.subview(edge_ids=residual), mode="euler")
         cycles.extend(ws.cycles)
         stats["skeleton_residual_cycles"] = len(ws.cycles)
         for p in ws.paths:
             singles.extend(p.edge_ids)
-    return Decomposition.from_parts(g, cycles, singles, stats=stats)
+    return Stage(cycles, singles, stats)
 
 
-def decompose_general(g: Graph, cfg: PipelineConfig) -> Decomposition:
-    """Decompose any graph: split into expander parts, decompose each.
-
-    Edges removed by the splitting recursion come out as singles; every
-    part (certified or not) runs through the expander driver with a seed
-    derived from its index.
-    """
-    if g.m == 0:
-        return Decomposition.from_parts(g, [], [], stats={"strategy": "general", "parts": 0})
-    res = almost_decompose_into_expanders(
-        g, cfg.params, cap=EXHAUSTIVE_CAP, seed=cfg.rng_seed
-    )
-    cycles: list[Cycle] = []
-    singles: list[int] = sorted(res.removed)
-    part_sizes: list[int] = []
-    for idx, part in enumerate(res.parts):
-        part_sizes.append(part.n)
-        if part.m == 0:
-            continue
-        sub = replace(cfg, rng_seed=_derive_seed(cfg.rng_seed, 101 + idx))
-        d = decompose_expander(part, sub)
-        cycles.extend(d.cycles)
-        singles.extend(d.single_edges)
-    stats = {
-        "strategy": "general",
-        "parts": len(res.parts),
-        "part_sizes": part_sizes,
-        "removed_edges": len(res.removed),
-        "recursion_depth": res.max_depth,
-    }
-    return Decomposition.from_parts(g, cycles, singles, stats=stats)
+# counters of each expander part that a density round sums into its report
+PART_COUNTERS = (
+    "peeled_cycles",
+    "closed_paths",
+    "fallback_paths",
+    "skeleton_failures",
+    "dropped_template_edges",
+    "skeleton_edges",
+    "skeleton_residual_cycles",
+)
 
 
 def density_step(g: Graph, cfg: PipelineConfig) -> tuple[list[Cycle], Graph, dict]:
-    """One density-reduction round: peel long cycles, decompose the rest.
+    """One density-reduction round: peel, split into expanders, decompose each.
 
-    Returns the edge-disjoint cycles found, the leftover view (input minus
-    all cycle edges), and a report with the in/out average degrees.
+    Long cycles of length at least the average degree are peeled first.  The
+    residue is split into expander parts; the edges the split removes are
+    left over, and every part runs through ``decompose_expander`` with a
+    seed derived from its index.  Returns the edge-disjoint cycles found,
+    the leftover view (input minus all cycle edges), and a report with the
+    in/out average degrees, the edge ledger and the split's and parts'
+    counters.
     """
     t0 = time.perf_counter()
     d_in = g.avg_degree()
     min_len = max(3, math.ceil(d_in))
     peeled, residual = peel_long_cycles(g, min_len)
-    dec = decompose_general(residual, cfg)
-    cycles = peeled + list(dec.cycles)
-    leftover = residual.subview(edge_ids=frozenset(dec.single_edges))
-    report = {
-        "d_in": d_in,
-        "d_out": leftover.avg_degree(),
-        "min_len": min_len,
-        "cycles_peeled": len(peeled),
-        "cycles_general": len(dec.cycles),
-        "edges_left": leftover.m,
-        "seconds": time.perf_counter() - t0,
-    }
+    cycles = list(peeled)
+    singles: list[int] = []
+    report = {"d_in": d_in, "min_len": min_len, "edges_in": g.m, "parts": 0, "removed_edges": 0}
+    report.update(dict.fromkeys(PART_COUNTERS, 0))
+    if residual.m:
+        res = almost_decompose_into_expanders(
+            residual, cfg.params, cap=EXHAUSTIVE_CAP, seed=cfg.rng_seed
+        )
+        singles.extend(res.removed)
+        report["parts"] = len(res.parts)
+        report["removed_edges"] = len(res.removed)
+        for idx, part in enumerate(res.parts):
+            if part.m == 0:
+                continue
+            sub = replace(cfg, rng_seed=_derive_seed(cfg.rng_seed, 101 + idx))
+            got = decompose_expander(part, sub)
+            cycles.extend(got.cycles)
+            singles.extend(got.singles)
+            for key in PART_COUNTERS:
+                report[key] += got.stats[key]
+    leftover = Graph(g.host_n, g.edge_table, residual.vertices, frozenset(singles))
+    report.update(
+        d_out=leftover.avg_degree(),
+        cycles_peeled=len(peeled),
+        cycles_general=len(cycles) - len(peeled),
+        cycle_edges=sum(len(c.edge_ids) for c in cycles),
+        edges_left=leftover.m,
+        seconds=time.perf_counter() - t0,
+    )
     return cycles, leftover, report
 
 

@@ -145,10 +145,14 @@ class TestBenchScaling:
         # rejected before any pool starts
         dict(sizes=(16,), workers=0),
         dict(sizes=(16,), workers=-3),
+        # rejected before the gallai1 cells run
+        dict(families=("gallai1", "gallai5"), sizes=(2048, 8)),
     ])
-    def test_sizes_and_workers_below_one_rejected_upfront(self, kw):
-        with pytest.raises(ValueError, match="must be at least 1"):
-            bench_scaling(families=("gnp8n",), seeds=(0,), **kw)
+    def test_sizes_and_workers_below_one_rejected_upfront(self, kw, monkeypatch):
+        monkeypatch.setattr(bench, "_bench_one", lambda *a: pytest.fail("an instance ran"))
+        match = "gallai5 needs n >= 12, got n=8" if "families" in kw else "must be at least 1"
+        with pytest.raises(ValueError, match=match):
+            bench_scaling(**{"families": ("gnp8n",), "seeds": (0,), **kw})
 
     def test_small_grid_rows_and_bounds(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cycledecomp.cli import main
 from cycledecomp.graph import parse_edge_list
+from cycledecomp.pipeline import PART_COUNTERS
 
 from helpers import complete_graph, cycle_graph
 
@@ -51,6 +52,17 @@ class TestGen:
         code, _, err = run(capsys, ["gen", "gnp", "16"])
         assert code == 2
         assert "gen" in err
+
+    @pytest.mark.parametrize("argv, names", [
+        (["gnp", "10"], "N P"),
+        (["gnp", "4", "0.5", "99"], "N P"),
+        (["gallai", "1"], "K N"),
+        (["regular", "10", "4", "2"], "N D"),
+    ])
+    def test_wrong_parameter_count_exit2_one_line(self, capsys, argv, names):
+        code, out, err = run(capsys, ["gen", *argv])
+        assert (code, out) == (2, "")
+        assert err == f"gen: {argv[0]} takes exactly two parameters, {names}\n"
 
 
 class TestDecomposeRoundTrip:
@@ -105,6 +117,12 @@ class TestDecomposeRoundTrip:
         doc = json.loads(rpt.read_text())
         assert doc["pieces"] == doc["n_cycles"] + doc["n_single_edges"]
         assert isinstance(doc["degree_trajectory"], list)
+        assert doc["iterations"]
+        for it in doc["iterations"]:
+            assert set(it) == {
+                "d_in", "d_out", "min_len", "seconds", "edges_in", "cycle_edges", "edges_left",
+                "cycles_peeled", "cycles_general", "parts", "removed_edges", *PART_COUNTERS,
+            }
 
     def test_determinism_byte_identical(self, capsys):
         _, edges, _ = run(capsys, ["gen", "gnp", "24", "0.5", "--seed", "4"])
@@ -417,6 +435,21 @@ class TestRoute:
         assert code == 2
         assert out == ""
         assert err == f"error: pair endpoint {bad} is not a vertex of the graph\n"
+
+    @pytest.mark.parametrize("strategy", ["greedy", "matching_oracle"])
+    def test_through_id_outside_graph_exit2_one_line(self, capsys, tmp_path, strategy):
+        pairs = tmp_path / "p.txt"
+        pairs.write_text("0 2\n")
+        through = tmp_path / "v.txt"
+        through.write_text("1 7\n")
+        code, out, err = run(
+            capsys,
+            ["route", "--pairs", str(pairs), "--through", str(through),
+             "--ell", "2", "--strategy", strategy],
+            stdin="3 2\n0 1\n1 2\n",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: through-set id 7 is not a vertex of the graph\n"
 
 
 class TestPathsCyclesCommands:

@@ -1,4 +1,4 @@
-"""Tests for the decomposition drivers: expander, general, density, log-star."""
+"""Tests for the decomposition drivers: expander, density round, log-star."""
 
 import random
 from dataclasses import fields
@@ -8,6 +8,7 @@ import pytest
 from cycledecomp import pipeline
 from cycledecomp.graph import (
     MAX_VERTICES,
+    Decomposition,
     Graph,
     Path,
     decomposition_to_json,
@@ -15,11 +16,11 @@ from cycledecomp.graph import (
 )
 from cycledecomp.pipeline import (
     ELL_ROUTE,
+    PART_COUNTERS,
     TEMPLATE_BUDGET_FRAC,
     PipelineConfig,
     _close_cycle,
     decompose_expander,
-    decompose_general,
     decompose_logstar,
     density_step,
     log_star,
@@ -132,34 +133,40 @@ class TestCloseCycle:
             _close_cycle(p, q)
 
 
+def as_decomposition(g: Graph, stage: pipeline.Stage) -> Decomposition:
+    return Decomposition.from_parts(g, stage.cycles, stage.singles, stats=stage.stats)
+
+
 class TestDecomposeExpander:
     def test_triangle(self):
         g = cycle_graph(3)
-        d = decompose_expander(g, CFG)
-        assert validate_decomposition(g, d).ok
-        assert len(d.cycles) == 1 and not d.single_edges
+        got = decompose_expander(g, CFG)
+        assert validate_decomposition(g, as_decomposition(g, got)).ok
+        assert len(got.cycles) == 1 and not got.singles
 
     def test_complete_32_frozen(self):
         g = complete_graph(32)
-        d = decompose_expander(g, CFG)
-        rep = validate_decomposition(g, d)
-        assert rep.ok
-        assert len(d.cycles) <= 3 * 32
-        assert (len(d.cycles), len(d.single_edges)) == (82, 52)
-        assert d.stats["skeleton_engaged"] is False
-        assert d.stats["peeled_cycles"] == 3
+        got = decompose_expander(g, CFG)
+        assert validate_decomposition(g, as_decomposition(g, got)).ok
+        assert len(got.cycles) <= 3 * 32
+        assert (len(got.cycles), len(got.singles)) == (82, 52)
+        assert got.stats["skeleton_engaged"] is False
+        assert got.stats["peeled_cycles"] == 3
 
     def test_complete_64_engages_skeletons(self):
         g = complete_graph(64)
-        d = decompose_expander(g, CFG)
-        assert validate_decomposition(g, d).ok
-        st = d.stats
+        got = decompose_expander(g, CFG)
+        assert validate_decomposition(g, as_decomposition(g, got)).ok
+        st = got.stats
         assert st["skeleton_engaged"] is True
         assert st["skeleton_failures"] == 0
         assert st["skeleton_edges"] > 0
-        # closure bookkeeping adds up: every piece is a cycle or a single
-        assert len(d.cycles) + len(d.single_edges) == st["pieces"]
-        assert (len(d.cycles), len(d.single_edges)) == (303, 187)
+        assert (len(got.cycles), len(got.singles)) == (303, 187)
+
+    def test_every_part_counter_in_every_branch(self):
+        # empty, small-residue and skeleton branches
+        for g in (Graph.from_edges(5, []), complete_graph(7), complete_graph(32)):
+            assert set(PART_COUNTERS) <= set(decompose_expander(g, CFG).stats)
 
     def test_isolated_vertices_do_not_matter(self):
         import itertools
@@ -169,57 +176,71 @@ class TestDecomposeExpander:
         a = decompose_expander(base, CFG)
         b = decompose_expander(padded, CFG)
         assert [c.edge_ids for c in a.cycles] == [c.edge_ids for c in b.cycles]
-        assert a.single_edges == b.single_edges
+        assert a.singles == b.singles
 
     def test_empty_graph(self):
         g = Graph.from_edges(5, [])
-        d = decompose_expander(g, CFG)
-        assert not d.cycles and not d.single_edges
+        got = decompose_expander(g, CFG)
+        assert not got.cycles and not got.singles
 
     def test_determinism(self):
         g = gnp(48, 0.4, 9)
         a = decompose_expander(g, CFG)
         b = decompose_expander(g, CFG)
-        assert decomposition_to_json(a, g) == decomposition_to_json(b, g)
+        assert decomposition_to_json(as_decomposition(g, a), g) == decomposition_to_json(
+            as_decomposition(g, b), g
+        )
 
     def test_seed_changes_outcome_shape_not_validity(self):
         g = gnp(48, 0.4, 9)
         for seed in (1, 2, 3):
-            d = decompose_expander(g, PipelineConfig.engineering(seed=seed))
-            assert validate_decomposition(g, d).ok
+            got = decompose_expander(g, PipelineConfig.engineering(seed=seed))
+            assert validate_decomposition(g, as_decomposition(g, got)).ok
+
+
+def round_as_decomposition(g: Graph, cycles, leftover: Graph) -> Decomposition:
+    return Decomposition.from_parts(g, cycles, leftover.edge_ids)
 
 
 class TestDecomposeGeneral:
+    """One density round on general graphs: peel, split into parts, decompose each."""
+
     def test_ten_disjoint_triangles(self):
         g = ten_triangles()
-        d = decompose_general(g, CFG)
-        assert validate_decomposition(g, d).ok
-        assert len(d.cycles) == 10
-        assert not d.single_edges
+        cycles, leftover, rep = density_step(g, CFG)
+        assert validate_decomposition(g, round_as_decomposition(g, cycles, leftover)).ok
+        assert len(cycles) == 10 and rep["cycles_peeled"] == 10
+        assert leftover.m == 0
+        # the peel leaves no edges, so the split never runs
+        assert rep["parts"] == 0
 
-    def test_edgeless(self):
+    def test_edgeless(self, monkeypatch):
+        def no_split(*args, **kwargs):
+            raise AssertionError("split called on an edgeless graph")
+
+        monkeypatch.setattr(pipeline, "almost_decompose_into_expanders", no_split)
         g = Graph.from_edges(5, [])
-        d = decompose_general(g, CFG)
-        assert not d.cycles and not d.single_edges
-        assert d.stats["parts"] == 0
+        cycles, leftover, rep = density_step(g, CFG)
+        assert not cycles and leftover.m == 0
+        assert rep["parts"] == 0
 
     def test_random_dense_frozen(self):
         g = gnp(256, 0.3, 11)
-        d = decompose_general(g, CFG)
-        rep = validate_decomposition(g, d)
-        assert rep.ok
-        assert len(d.cycles) <= 6 * 256
-        assert (len(d.cycles), len(d.single_edges)) == (148, 339)
+        cycles, leftover, rep = density_step(g, CFG)
+        assert validate_decomposition(g, round_as_decomposition(g, cycles, leftover)).ok
+        assert (len(cycles), leftover.m) == (149, 149)
+        assert (rep["cycles_peeled"], rep["cycles_general"]) == (112, 37)
 
     def test_partition_accounting(self):
         g = gnp(60, 0.2, 4)
-        d = decompose_general(g, CFG)
-        assert validate_decomposition(g, d).ok
-        covered = set()
-        for c in d.cycles:
+        cycles, leftover, rep = density_step(g, CFG)
+        assert validate_decomposition(g, round_as_decomposition(g, cycles, leftover)).ok
+        assert (len(cycles), leftover.m) == (22, 32)
+        covered = set(leftover.edge_ids)
+        for c in cycles:
             covered.update(c.edge_ids)
-        covered.update(d.single_edges)
         assert covered == set(g.edge_ids)
+        assert rep["edges_in"] == rep["cycle_edges"] + rep["edges_left"] == g.m
 
 
 class TestDensityStep:
@@ -252,6 +273,47 @@ class TestDensityStep:
                 used.add(eid)
         assert used.isdisjoint(leftover.edge_ids)
         assert used | set(leftover.edge_ids) == set(g.edge_ids)
+
+
+class TestRoundLedger:
+    def test_one_fingerprint_per_run(self, monkeypatch):
+        computed = []
+        fingerprint = Graph.fingerprint
+
+        def counted(h):
+            if h._fp is None:
+                computed.append(h)
+            return fingerprint(h)
+
+        monkeypatch.setattr(Graph, "fingerprint", counted)
+        g = INSTANCES["k64"]()
+        _, rr = decompose_logstar(g, CFG)
+        assert sum(it["parts"] for it in rr.iterations) >= 2
+        assert computed == [g]
+
+    @pytest.mark.parametrize("preset", ["engineering", "paper"])
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_every_edge_and_cycle_accounted(self, name, preset, monkeypatch):
+        finished = []
+        finish = pipeline._finish_or_singles
+
+        def spy(h):
+            got = finish(h)
+            finished.append(len(got[0]))
+            return got
+
+        monkeypatch.setattr(pipeline, "_finish_or_singles", spy)
+        g = INSTANCES[name]()
+        cfg = PipelineConfig.paper(g.n) if preset == "paper" else CFG
+        dec, rr = decompose_logstar(g, cfg)
+        assert rr.iterations
+        for it in rr.iterations:
+            assert it["edges_in"] == it["cycle_edges"] + it["edges_left"]
+            assert set(PART_COUNTERS) <= set(it)
+        for a, b in zip(rr.iterations, rr.iterations[1:]):
+            assert b["edges_in"] == a["edges_left"]
+        rounds = sum(it["cycles_peeled"] + it["cycles_general"] for it in rr.iterations)
+        assert rounds == len(dec.cycles) - finished[0]
 
 
 class TestDecomposeLogstar:
