@@ -44,6 +44,9 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """Binomial random graph, deterministic under seed."""
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
+    empty = Graph.from_edges(n, [])  # rejects a bad n before any pair is drawn
+    if p == 0:
+        return empty
     rng = random.Random(seed)
     pairs = []
     for u in range(n):

@@ -52,11 +52,11 @@ def almost_decompose_into_expanders(
     tagged certified when the exhaustive pass vouched for them or when
     connectivity alone proves them expanders.
 
-    When ``p.connectivity_only(n)`` holds for a part (zero removal budget,
-    unit thresholds: the ``engineering`` parameters up to n of about 8000),
-    being an expander means being connected, so the parts are the connected
-    components, each certified whatever its size; both certifiers then
-    answer from a component count.
+    When ``p.connectivity_only(n)`` holds for every component's order n
+    (zero removal budget, unit thresholds: the ``engineering`` parameters up
+    to n of about 8000), being an expander means being connected, so the
+    components are emitted as certified parts at once, without asking a
+    certifier.  Their edge ids come from one pass over the edge table.
 
     Asserted on return: exact edge partition, Σ|parts| <= 2n, recursion
     depth <= n, and removed = ∅ whenever s = 0.
@@ -76,12 +76,25 @@ def almost_decompose_into_expanders(
         if cur.n == 0:
             continue
         comps = cur.components()
+        split = [cur]
         if len(comps) > 1:
-            adj = cur.adjacency()  # one pass, not an edge scan per component
-            for comp in sorted(comps, reverse=True):
-                eids = frozenset(eid for v in comp for _, eid in adj[v])
-                part = Graph(cur.host_n, cur.edge_table, frozenset(comp), eids)
-                stack.append((part, depth + 1))
+            # each component's edge ids in one pass, through a vertex label
+            label = {v: i for i, comp in enumerate(comps) for v in comp}
+            eids: list[list[int]] = [[] for _ in comps]
+            for e in cur.edge_ids:
+                eids[label[cur.edge_table[e][0]]].append(e)
+            split = [
+                Graph(cur.host_n, cur.edge_table, frozenset(comp), frozenset(es))
+                for comp, es in zip(comps, eids)
+            ]
+        if all(p.connectivity_only(len(comp)) for comp in comps):
+            # every component is an expander as it stands
+            parts.extend(split)
+            certified.extend([True] * len(split))
+            max_depth = max(max_depth, depth + (len(split) > 1))
+            continue
+        if len(split) > 1:
+            stack.extend((part, depth + 1) for part in reversed(split))
             continue
 
         violation = _find_violation(cur, p, cap=cap, seed=seed)

@@ -124,7 +124,16 @@ class Graph:
         return self._adj
 
     def degrees(self) -> dict[int, int]:
-        return {v: len(lst) for v, lst in self.adjacency().items()}
+        """Live degrees keyed as ``adjacency()``, read from it only if already built."""
+        if self._adj is not None:
+            return {v: len(lst) for v, lst in self._adj.items()}
+        deg = dict.fromkeys(self.vertices, 0)
+        tab = self.edge_table
+        for e in self.edge_ids:
+            u, v = tab[e]
+            deg[u] += 1
+            deg[v] += 1
+        return deg
 
     def avg_degree(self) -> float:
         return 2.0 * self.m / self.n if self.n else 0.0

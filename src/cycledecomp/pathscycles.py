@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graph import Cycle, Graph, Path
 
@@ -238,8 +238,9 @@ class _LiveView(Graph):
 
     nbrs and eids hold exactly the live edges, as ``_arrays`` would build
     them.  The peel deletes from them in place, so a view taken during a
-    peel describes its edges only until the next cycle is dropped.  The
-    tuple ``adjacency()`` is built from the arrays on its first call.
+    peel describes its edges only until the next cycle is dropped.
+    ``components()`` reads the arrays; the tuple ``adjacency()`` is built
+    from them on its first call.
     """
 
     __slots__ = ("nbrs", "eids")
@@ -261,20 +262,14 @@ class _LiveView(Graph):
             self._adj = {v: list(zip(nb, eids[v])) for v, nb in self.nbrs.items()}
         return self._adj
 
+    def components(self) -> list[list[int]]:
+        return [sorted(comp) for _, comp in _component_sets(self, self.nbrs)]
 
-def _largest_component(g: Graph, nbrs: dict[int, list[int]]) -> tuple[int, set[int]]:
-    """Smallest vertex and vertex set of g's largest component.
 
-    Among components of equal size the one with the smallest vertex wins,
-    as ``max(g.components(), key=len)`` picks it.  The search stops once
-    the vertices left unseen could not form a larger one.
-    """
-    root, best = -1, set()
+def _component_sets(g: Graph, nbrs: dict[int, list[int]]) -> Iterator[tuple[int, set[int]]]:
+    """g's components as (smallest vertex, vertex set), by smallest vertex."""
     seen: set[int] = set()
-    unseen = g.n
     for r in g.vertex_list():
-        if unseen <= len(best):
-            break
         if r in seen:
             continue
         comp = {r}
@@ -285,9 +280,24 @@ def _largest_component(g: Graph, nbrs: dict[int, list[int]]) -> tuple[int, set[i
                     comp.add(b)
                     stack.append(b)
         seen |= comp
+        yield r, comp
+
+
+def _largest_component(g: Graph, nbrs: dict[int, list[int]]) -> tuple[int, set[int]]:
+    """Smallest vertex and vertex set of g's largest component.
+
+    Among components of equal size the one with the smallest vertex wins,
+    as ``max(g.components(), key=len)`` picks it.  The search stops once
+    the vertices left unseen could not form a larger one.
+    """
+    root, best = -1, set()
+    unseen = g.n
+    for r, comp in _component_sets(g, nbrs):
         unseen -= len(comp)
         if len(comp) > len(best):
             root, best = r, comp
+        if unseen <= len(best):
+            break
     return root, best
 
 

@@ -199,7 +199,7 @@ def decompose_expander(g: Graph, cfg: PipelineConfig) -> Stage:
     the counters in ``PART_COUNTERS``.
     """
     support = frozenset(v for v, d in g.degrees().items() if d > 0)
-    work = g.subview(vertices=support)
+    work = g if len(support) == g.n else g.subview(vertices=support)
     stats: dict = {
         "strategy": "expander",
         "fallback_paths": 0,

@@ -14,6 +14,12 @@ from cycledecomp.connectivity import (
     RoutedPaths,
     _route_matching_oracle,
 )
+from cycledecomp.decomposer import (
+    AlmostDecomposeResult,
+    _assert_almost_decompose_guarantees,
+    _find_violation,
+)
+from cycledecomp.expansion import ExpanderParams, TheoremViolation
 from cycledecomp.graph import (
     MAX_VERTICES,
     Cycle,
@@ -22,6 +28,7 @@ from cycledecomp.graph import (
     ParseError,
     Path,
     ValidationReport,
+    neighborhood,
 )
 
 
@@ -59,6 +66,33 @@ def random_connected(rng: random.Random, n: int, extra_p: float = 0.3) -> Graph:
         if rng.random() < extra_p:
             pairs.add((u, v))
     return Graph.from_edges(n, sorted(pairs))
+
+
+def scattered_subview(rng: random.Random) -> Graph:
+    """A few G(k, p) communities on interleaved vertex ids plus isolated
+    vertices, restricted to a random vertex subset and a random edge subset,
+    so the view has gaps in its vertex and edge ids.  Every other host is
+    twenty times larger than the vertices it uses, as when a small part of
+    a large graph is peeled."""
+    n = rng.randint(4, 60)
+    host_n = n * rng.choice((1, 20))
+    ids = rng.sample(range(host_n), n)
+    pairs: set[tuple[int, int]] = set()
+    start = 0
+    for _ in range(rng.randint(1, 4)):
+        k = rng.randint(2, max(2, n // 3))
+        block = ids[start : start + k]
+        start += k
+        p = rng.uniform(0.2, 1.0)
+        for a in range(len(block)):
+            for b in range(a + 1, len(block)):
+                if rng.random() < p:
+                    u, v = block[a], block[b]
+                    pairs.add((u, v) if u < v else (v, u))
+    host = Graph.from_edges(host_n, sorted(pairs))
+    verts = [v for v in ids if rng.random() < 0.85]
+    view = host.subview(vertices=verts)
+    return view.subview(edge_ids=[e for e in view.edge_id_list() if rng.random() < 0.8])
 
 
 def edges_of(g: Graph) -> set[tuple[int, int]]:
@@ -737,3 +771,90 @@ def reference_validate_decomposition_json(doc: dict, g: Optional[Graph] = None) 
         n_single_edges=len(singles),
         covered_edges=len(counts),
     )
+
+
+# -- reference expander split ---------------------------------------------------
+# ``almost_decompose_into_expanders`` as it stood before it emitted the
+# components at once in the connectivity-only regime: it builds the tuple
+# adjacency for the components' edge ids, pushes every component back on
+# its stack, and asks both certifiers about each.  Kept verbatim (name
+# prefixed) as the oracle of the differential test.
+
+
+def reference_almost_decompose_into_expanders(
+    g: Graph,
+    p: ExpanderParams,
+    *,
+    cap: int = 20,
+    seed: int = 0,
+) -> AlmostDecomposeResult:
+    """Recursively split g along expansion violations.
+
+    At each node: disconnected graphs recurse per component (batched form of
+    the violation U = smallest component, F = empty).  Otherwise a violation
+    (U, F) is searched heuristically, with an exhaustive fallback when the
+    part fits under ``cap``; finding one splits the node into
+    G1 = G[U ∪ N_{G-F}(U)] - F and G2 = G∖U - E(G1) - F with F removed, and
+    both sides recurse.  Parts where no violation is found are emitted,
+    tagged certified when the exhaustive pass vouched for them or when
+    connectivity alone proves them expanders.
+
+    When ``p.connectivity_only(n)`` holds for a part (zero removal budget,
+    unit thresholds: the ``engineering`` parameters up to n of about 8000),
+    being an expander means being connected, so the parts are the connected
+    components, each certified whatever its size; both certifiers then
+    answer from a component count.
+
+    Asserted on return: exact edge partition, Σ|parts| <= 2n, recursion
+    depth <= n, and removed = ∅ whenever s = 0.
+    """
+    parts: list[Graph] = []
+    certified: list[bool] = []
+    removed: set[int] = set()
+    max_depth = 0
+    n_top = max(g.n, 1)
+
+    stack: list[tuple[Graph, int]] = [(g, 0)]
+    while stack:
+        cur, depth = stack.pop()
+        max_depth = max(max_depth, depth)
+        if depth > n_top:
+            raise TheoremViolation("almost-decomposition recursion exceeded n levels")
+        if cur.n == 0:
+            continue
+        comps = cur.components()
+        if len(comps) > 1:
+            adj = cur.adjacency()  # one pass, not an edge scan per component
+            for comp in sorted(comps, reverse=True):
+                eids = frozenset(eid for v in comp for _, eid in adj[v])
+                part = Graph(cur.host_n, cur.edge_table, frozenset(comp), eids)
+                stack.append((part, depth + 1))
+            continue
+
+        violation = _find_violation(cur, p, cap=cap, seed=seed)
+        if violation is None:
+            parts.append(cur)
+            certified.append(cur.n <= cap or p.connectivity_only(cur.n))
+            continue
+        U, F = violation
+        X = U | neighborhood(cur, U, F)
+        if len(X) >= cur.n:
+            # no progress possible; only reachable with thresholds far outside
+            # the regime the decomposition argument covers
+            parts.append(cur)
+            certified.append(False)
+            continue
+        g1 = cur.induced(X).without_edges(F)
+        g2 = cur.subview(vertices=cur.vertices - U).without_edges(set(g1.edge_ids) | F)
+        removed |= F
+        stack.append((g2, depth + 1))
+        stack.append((g1, depth + 1))
+
+    result = AlmostDecomposeResult(
+        parts=tuple(parts),
+        removed=frozenset(removed),
+        certified=tuple(certified),
+        max_depth=max_depth,
+    )
+    _assert_almost_decompose_guarantees(g, p, result)
+    return result

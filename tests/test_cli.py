@@ -4,18 +4,23 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycledecomp.cli import main
-from cycledecomp.graph import parse_edge_list
+from cycledecomp.graph import MAX_VERTICES, parse_edge_list
 from cycledecomp.pipeline import PART_COUNTERS
 
 from helpers import complete_graph, cycle_graph
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, argv, stdin: str = "") -> tuple[int, str, str]:
@@ -63,6 +68,25 @@ class TestGen:
         code, out, err = run(capsys, ["gen", *argv])
         assert (code, out) == (2, "")
         assert err == f"gen: {argv[0]} takes exactly two parameters, {names}\n"
+
+    @pytest.mark.parametrize("n, p, out, err", [
+        (MAX_VERTICES + 1, "0", "",
+         f"gen: vertex count {MAX_VERTICES + 1} exceeds the limit of {MAX_VERTICES}\n"),
+        (-1, "0.5", "", "gen: vertex count must be nonnegative\n"),
+        (10 ** 5, "0", f"{10 ** 5} 0\n", ""),
+    ])
+    def test_gnp_vertex_count_checked_before_any_pair_is_drawn(self, n, p, out, err):
+        # a pair loop over n vertices would run far past the timeout
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            q for q in (str(ROOT / "src"), env.get("PYTHONPATH")) if q
+        )
+        cmd = [sys.executable, *["-O"] * sys.flags.optimize, "-m", "cycledecomp.cli"]
+        proc = subprocess.run(
+            [*cmd, "gen", "gnp", str(n), p], cwd=ROOT, env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2 if err else 0, out, err)
 
 
 class TestDecomposeRoundTrip:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycledecomp import decomposer
 from cycledecomp.decomposer import (
     AlmostDecomposeResult,
     SplitFailure,
@@ -17,8 +18,16 @@ from cycledecomp.decomposer import (
 )
 from cycledecomp.expansion import ExpanderParams, certify_expander
 from cycledecomp.graph import Graph
+from cycledecomp.pathscycles import _LiveView, peel_long_cycles
+from cycledecomp.pipeline import PipelineConfig
 
-from helpers import complete_graph, cycle_graph, random_gnp
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    random_gnp,
+    reference_almost_decompose_into_expanders,
+    scattered_subview,
+)
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:
@@ -171,6 +180,70 @@ class TestAlmostDecompose:
         b = almost_decompose_into_expanders(g, p)
         assert [pt.fingerprint() for pt in a.parts] == [pt.fingerprint() for pt in b.parts]
         assert a.removed == b.removed
+
+
+def split_signature(r: AlmostDecomposeResult):
+    return [(pt.vertices, pt.edge_ids) for pt in r.parts], r.removed, r.certified, r.max_depth
+
+
+def several_components() -> Graph:
+    # a 25-cycle, a triangle, an edge and an isolated vertex
+    edges = [(i, (i + 1) % 25) for i in range(25)]
+    edges += [(25, 26), (26, 27), (25, 27), (28, 29)]
+    return Graph.from_edges(31, edges)
+
+
+class TestSplitMatchesReference:
+    """The split that emits components at once in the connectivity-only
+    regime against the split that pushes them back and asks both certifiers
+    (``helpers.reference_almost_decompose_into_expanders``): the same parts
+    in the same order, the same removed edges, certified flags and depth."""
+
+    @staticmethod
+    def params_for(g: Graph) -> list[ExpanderParams]:
+        return [
+            PipelineConfig.engineering().params,
+            PipelineConfig.paper(g.n).params,
+            ExpanderParams(1.0, 0.0, "const", 1.0),  # not connectivity-only
+        ]
+
+    def check(self, g: Graph) -> None:
+        for p in self.params_for(g):
+            got = almost_decompose_into_expanders(g, p, cap=10, seed=3)
+            want = reference_almost_decompose_into_expanders(g, p, cap=10, seed=3)
+            assert split_signature(got) == split_signature(want), (g, p)
+
+    def test_plain_graphs(self):
+        rng = random.Random(20261019)
+        for _ in range(60):
+            self.check(scattered_subview(rng))
+        self.check(several_components())
+        self.check(Graph.from_edges(5, []))
+
+    def test_peel_residuals(self):
+        rng = random.Random(1019)
+        live = 0
+        for _ in range(60):
+            g = scattered_subview(rng)
+            _, residual = peel_long_cycles(g, rng.randint(3, 6))
+            live += isinstance(residual, _LiveView)
+            self.check(residual)
+        assert live >= 40
+
+    def test_certifiers_asked_only_outside_the_connectivity_regime(self, monkeypatch):
+        calls = []
+        real = decomposer.certify_expander
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(decomposer, "certify_expander", counting)
+        g = several_components()
+        r = almost_decompose_into_expanders(g, PipelineConfig.engineering().params)
+        assert len(r.parts) == 4 and calls == []
+        almost_decompose_into_expanders(g, PipelineConfig.paper(g.n).params)
+        assert calls
 
 
 class TestSplitExpanderEdges:

@@ -31,6 +31,7 @@ from helpers import (
     random_gnp,
     reference_from_edges,
     reference_parse_edge_list,
+    scattered_subview,
     star_graph,
 )
 
@@ -69,6 +70,18 @@ def test_subview_drops_edges_with_dead_endpoint():
 def test_components():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
     assert g.components() == [[0, 1, 2], [3, 4], [5]]
+
+
+def test_degrees_equal_the_adjacency_count_without_building_it():
+    rng = random.Random(1019)
+    for _ in range(200):
+        g = scattered_subview(rng)
+        fresh = Graph(g.host_n, g.edge_table, g.vertices, g.edge_ids)
+        counted = fresh.degrees()
+        assert fresh._adj is None
+        want = [(v, len(lst)) for v, lst in g.adjacency().items()]
+        assert list(counted.items()) == want
+        assert list(g.degrees().items()) == want  # read from the built adjacency
 
 
 def test_fingerprint_distinguishes_views():

@@ -22,6 +22,7 @@ from helpers import (
     random_gnp,
     reference_find_long_cycle_dfs,
     reference_peel_long_cycles,
+    scattered_subview,
     star_graph,
 )
 
@@ -246,33 +247,6 @@ class TestPeelLongCycles:
         assert sum(len(c.edge_ids) for c in cycles) >= g.m - g.n
 
 
-def scattered_subview(rng: random.Random) -> Graph:
-    """A few G(k, p) communities on interleaved vertex ids plus isolated
-    vertices, restricted to a random vertex subset and a random edge subset,
-    so the view has gaps in its vertex and edge ids.  Every other host is
-    twenty times larger than the vertices it uses, as when a small part of
-    a large graph is peeled."""
-    n = rng.randint(4, 60)
-    host_n = n * rng.choice((1, 20))
-    ids = rng.sample(range(host_n), n)
-    pairs: set[tuple[int, int]] = set()
-    start = 0
-    for _ in range(rng.randint(1, 4)):
-        k = rng.randint(2, max(2, n // 3))
-        block = ids[start : start + k]
-        start += k
-        p = rng.uniform(0.2, 1.0)
-        for a in range(len(block)):
-            for b in range(a + 1, len(block)):
-                if rng.random() < p:
-                    u, v = block[a], block[b]
-                    pairs.add((u, v) if u < v else (v, u))
-    host = Graph.from_edges(host_n, sorted(pairs))
-    verts = [v for v in ids if rng.random() < 0.85]
-    view = host.subview(vertices=verts)
-    return view.subview(edge_ids=[e for e in view.edge_id_list() if rng.random() < 0.8])
-
-
 def peel_signature(g: Graph, peel, min_len: int):
     cycles, residual = peel(g, min_len)
     return [(c.vertices, c.edge_ids) for c in cycles], residual
@@ -374,6 +348,30 @@ class TestPeelOnShuffledEdgeTables:
             g = view.subview(edge_ids=[e for e in view.edge_id_list() if rng.random() < 0.8])
             for min_len in sorted({3, rng.randint(4, 8)}):
                 self.check(g, min_len)
+
+
+class TestLiveViewReaders:
+    """A live view's components and degrees come from its arrays and the
+    edge table, never from a tuple adjacency, and equal what a plain graph
+    on the same vertex and edge sets answers."""
+
+    def test_components_and_degrees_equal_a_plain_graph(self):
+        rng = random.Random(1019)
+        isolated = 0
+        for _ in range(300):
+            g = scattered_subview(rng)
+            alive = {e for e in g.edge_ids if rng.random() < 0.7}
+            plain = Graph(g.host_n, g.edge_table, g.vertices, frozenset(alive))
+            live = pathscycles._LiveView(g, alive, *pathscycles._arrays(plain))
+            _, residual = peel_long_cycles(g, 3)
+            assert isinstance(residual, pathscycles._LiveView)
+            fresh = Graph(g.host_n, g.edge_table, g.vertices, residual.edge_ids)
+            for view, ref in ((live, plain), (residual, fresh)):
+                assert view.components() == ref.components()
+                assert list(view.degrees().items()) == list(ref.degrees().items())
+                assert view._adj is None
+            isolated += any(len(c) == 1 for c in plain.components())
+        assert isolated >= 200
 
 
 class TestEulerianDecompose:
