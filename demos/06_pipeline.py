@@ -2,11 +2,12 @@
 
 decompose_logstar iterates a density-halving step until the residual is
 sparse, then sweeps up: each iteration peels long cycles, splits the rest
-into certified expander parts, and runs the per-part machinery.  The run
-report shows the density trajectory; the stats dict records the preset,
-the seed, how many density rounds ran and whether the Eulerian finisher
-closed the residual.  Piece counts stay linear in n, which is the whole
-point.
+into certified expander parts, and peels each part at its own average
+degree; a part whose residue is sparse is peeled again at length 3, and
+what is left goes on to the next round.  The run report shows the density
+trajectory; the stats dict records the preset, the seed, how many density
+rounds ran and whether the Eulerian finisher closed the residual.  Piece
+counts stay linear in n, which is the whole point.
 """
 
 import random

@@ -477,7 +477,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing input, or an output path that is a directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -155,6 +155,22 @@ class TestDecomposeRoundTrip:
         assert a == b
 
 
+class TestOutputPathIsADirectory:
+    TRIANGLE = "3 3\n0 1\n1 2\n0 2\n"
+
+    def test_report_to_a_directory_exit2_one_line(self, capsys, tmp_path):
+        argv = ["decompose", "--quiet", "--report", str(tmp_path)]
+        code, _, err = run(capsys, argv, stdin=self.TRIANGLE)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["gen", "gnp", "8", "0.5"], ["decompose", "--quiet"]])
+    def test_out_to_a_directory_exit2_one_line(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, argv + ["--out", str(tmp_path)], stdin=self.TRIANGLE)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestConfigPrecedence:
     def test_preset_and_seed_are_the_whole_configuration(self, capsys, tmp_path):
         cfgfile = tmp_path / "knobs.cfg"

@@ -11,8 +11,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GUARD_TESTS = [
-    "tests/test_pipeline.py::TestCloseCycle",
     "tests/test_cli.py::TestValidateMalformed",
+    "tests/test_cli.py::TestOutputPathIsADirectory::test_report_to_a_directory_exit2_one_line",
+    "tests/test_cli.py::TestOutputPathIsADirectory::test_out_to_a_directory_exit2_one_line",
     "tests/test_expansion.py::test_params_reject_non_finite_s",
     "tests/test_connectivity.py::TestRoutePairs::test_retries_must_be_positive",
     "tests/test_graph_core.py::test_edge_list_errors_carry_line_numbers",

@@ -10,21 +10,16 @@ from cycledecomp.graph import (
     MAX_VERTICES,
     Decomposition,
     Graph,
-    Path,
     decomposition_to_json,
     validate_decomposition,
 )
 from cycledecomp.pipeline import (
-    ELL_ROUTE,
     PART_COUNTERS,
-    TEMPLATE_BUDGET_FRAC,
     PipelineConfig,
-    _close_cycle,
     decompose_expander,
     decompose_logstar,
     density_step,
     log_star,
-    resolve_template_p,
 )
 
 from helpers import complete_graph, cycle_graph, path_graph, random_gnp, star_graph
@@ -85,18 +80,6 @@ class TestPipelineConfig:
         assert cfg.params.budget(1) >= n - 1
         assert cfg.params.threshold(1, n) == 1
 
-    def test_template_p_clamped_by_host_budget(self):
-        # dense host: paper form wins; starved host: budget clamp wins
-        rich = resolve_template_p(64, 2016)
-        poor = resolve_template_p(64, 30)
-        assert 0 < poor < rich <= 1
-        total = 64 * 63 / 2
-        assert poor * total * ELL_ROUTE <= TEMPLATE_BUDGET_FRAC * 30 + 1e-9
-
-    def test_template_p_degenerate(self):
-        assert resolve_template_p(1, 10) == 0.0
-        assert resolve_template_p(0, 0) == 0.0
-
 
 class TestPaperNeverReachesClosures:
     @pytest.mark.parametrize("name", sorted(INSTANCES) + ["disconnected"])
@@ -123,18 +106,22 @@ class TestPaperNeverReachesClosures:
         assert not any(entered)
 
 
-class TestCloseCycle:
-    def test_closure_missing_an_end_raises(self):
-        # a guard, not an assert: it must hold under python -O too
-        g = cycle_graph(6)
-        p = Path((0, 1, 2), (g.edge_id(0, 1), g.edge_id(1, 2)))
-        q = Path((2, 3, 4), (g.edge_id(2, 3), g.edge_id(3, 4)))
-        with pytest.raises(ValueError, match="does not join"):
-            _close_cycle(p, q)
-
-
 def as_decomposition(g: Graph, stage: pipeline.Stage) -> Decomposition:
     return Decomposition.from_parts(g, stage.cycles, stage.singles, stats=stage.stats)
+
+
+def peel_calls(monkeypatch):
+    """Record the length floor and the result of each peel the pipeline makes."""
+    lens, results = [], []
+    peel = pipeline.peel_long_cycles
+
+    def spy(h, min_len):
+        lens.append(min_len)
+        results.append(peel(h, min_len))
+        return results[-1]
+
+    monkeypatch.setattr(pipeline, "peel_long_cycles", spy)
+    return lens, results
 
 
 class TestDecomposeExpander:
@@ -148,23 +135,36 @@ class TestDecomposeExpander:
         g = complete_graph(32)
         got = decompose_expander(g, CFG)
         assert validate_decomposition(g, as_decomposition(g, got)).ok
-        assert len(got.cycles) <= 3 * 32
-        assert (len(got.cycles), len(got.singles)) == (82, 52)
-        assert got.stats["skeleton_engaged"] is False
-        assert got.stats["peeled_cycles"] == 3
+        assert (len(got.cycles), len(got.singles)) == (3, 402)
+        assert (got.stats["peeled_cycles"], got.stats["short_cycles"]) == (3, 0)
 
-    def test_complete_64_engages_skeletons(self):
+    def test_dense_residue_comes_back_whole(self, monkeypatch):
+        # K64 peeled at 63 leaves average degree 57: no second peel
         g = complete_graph(64)
+        lens, peeled = peel_calls(monkeypatch)
         got = decompose_expander(g, CFG)
+        assert lens == [63]
         assert validate_decomposition(g, as_decomposition(g, got)).ok
-        st = got.stats
-        assert st["skeleton_engaged"] is True
-        assert st["skeleton_failures"] == 0
-        assert st["skeleton_edges"] > 0
-        assert (len(got.cycles), len(got.singles)) == (303, 187)
+        assert got.cycles == peeled[0][0]
+        assert got.singles == peeled[0][1].edge_id_list()
+        assert (len(got.cycles), len(got.singles)) == (3, 1826)
+        assert (got.stats["peeled_cycles"], got.stats["short_cycles"]) == (3, 0)
+
+    def test_sparse_residue_is_peeled_again_at_3(self, monkeypatch):
+        # G(48, 0.4) peeled at 20 leaves average degree 2.8
+        g = gnp(48, 0.4, 9)
+        lens, peeled = peel_calls(monkeypatch)
+        got = decompose_expander(g, CFG)
+        assert lens == [20, 3]
+        assert peeled[0][1].avg_degree() <= pipeline.DEGREE_FLOOR
+        assert validate_decomposition(g, as_decomposition(g, got)).ok
+        rest = g.subview(edge_ids=got.singles)
+        assert rest.m == rest.n - len(rest.components())  # a forest
+        assert (got.stats["peeled_cycles"], got.stats["short_cycles"]) == (17, 9)
+        assert (len(got.cycles), len(got.singles)) == (26, 23)
 
     def test_every_part_counter_in_every_branch(self):
-        # empty, small-residue and skeleton branches
+        # empty, sparse-residue and dense-residue parts
         for g in (Graph.from_edges(5, []), complete_graph(7), complete_graph(32)):
             assert set(PART_COUNTERS) <= set(decompose_expander(g, CFG).stats)
 
@@ -228,8 +228,8 @@ class TestDecomposeGeneral:
         g = gnp(256, 0.3, 11)
         cycles, leftover, rep = density_step(g, CFG)
         assert validate_decomposition(g, round_as_decomposition(g, cycles, leftover)).ok
-        assert (len(cycles), leftover.m) == (149, 149)
-        assert (rep["cycles_peeled"], rep["cycles_general"]) == (112, 37)
+        assert (len(cycles), leftover.m) == (150, 145)
+        assert (rep["cycles_peeled"], rep["cycles_general"]) == (112, 38)
 
     def test_partition_accounting(self):
         g = gnp(60, 0.2, 4)
