@@ -1,20 +1,14 @@
-"""Edge-disjoint routing through a vertex set, and prebuilt skeletons.
+"""Edge-disjoint routing through a vertex set.
 
-The cycle-closing machinery needs to connect many vertex pairs at once by
-edge-disjoint paths whose interiors stay inside a designated set V.  This
-demo routes a batch directly, then builds a skeleton: a sparse subgraph
-that commits, ahead of time, to serving such batches on demand.
+Connecting many vertex pairs at once by edge-disjoint paths whose interiors
+stay inside a designated set V is the paper's routing primitive.  This demo
+routes a batch greedily, then lets the exact matching oracle prove that a
+batch cannot be routed.
 """
 
 import itertools
-import random
 
-from cycledecomp.connectivity import (
-    PairBatch,
-    RoutedPaths,
-    build_skeleton,
-    route_pairs,
-)
+from cycledecomp.connectivity import PairBatch, RoutedPaths, route_pairs
 from cycledecomp.graph import Graph
 
 g = Graph.from_edges(32, list(itertools.combinations(range(32), 2)))
@@ -37,18 +31,3 @@ c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 crossing = PairBatch.from_pairs([(0, 2), (1, 3)])
 fail = route_pairs(c4, crossing, {0, 1, 2, 3}, ell=2, strategy="matching_oracle")
 print(f"\nC_4 crossing pairs: routed={isinstance(fail, RoutedPaths)} ({fail.reason})")
-
-# a skeleton pays the routing cost once, then serves many batches
-sk = build_skeleton(g, V, ell_route=3, template_p=0.4, rng_seed=7)
-print(f"\nskeleton: m={sk.subgraph.m} of host {g.m}, "
-      f"serves batches at length <= {sk.ell_serve}, "
-      f"template edges dropped: {sk.dropped_template_edges}")
-
-rng = random.Random(3)
-served = 0
-for trial in range(20):
-    outside = rng.sample(range(16, 32), 6)
-    pairs = list(zip(outside[::2], outside[1::2]))
-    got = sk.serve(PairBatch.from_pairs(pairs), rng_seed=trial)
-    served += isinstance(got, RoutedPaths)
-print(f"20 random 3-pair batches served: {served}/20")

@@ -13,6 +13,7 @@ input or arguments.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Optional, Sequence
@@ -118,18 +119,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     g = _read_graph(args.file)
     cfg = _build_config(args.preset, g.host_n, args.seed)
-    dec, report = decompose_logstar(g, cfg)
-    rep = validate_decomposition(g, dec)
-    _emit(decomposition_to_json(dec, g) + "\n", args.out)
-    if args.report:
-        doc = {
-            "iterations": list(report.iterations),
-            "n_cycles": len(dec.cycles),
-            "n_single_edges": len(dec.single_edges),
-            "pieces": dec.pieces,
-            "degree_trajectory": report.degree_trajectory(),
-        }
-        with open(args.report, "w") as fh:
+    # opened first, so an unwritable report path fails before any output
+    with open(args.report, "w") if args.report else contextlib.nullcontext() as fh:
+        dec, report = decompose_logstar(g, cfg)
+        rep = validate_decomposition(g, dec)
+        _emit(decomposition_to_json(dec, g) + "\n", args.out)
+        if fh is not None:
+            doc = {
+                "iterations": list(report.iterations),
+                "n_cycles": len(dec.cycles),
+                "n_single_edges": len(dec.single_edges),
+                "pieces": dec.pieces,
+                "degree_trajectory": report.degree_trajectory(),
+            }
             json.dump(doc, fh, sort_keys=True, indent=2)
             fh.write("\n")
     if not rep.ok:

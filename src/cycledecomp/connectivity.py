@@ -1,22 +1,20 @@
-"""Edge-disjoint routing through designated vertex sets, and sparse skeletons.
+"""Edge-disjoint routing through designated vertex sets.
 
 Batches of vertex pairs are connected by edge-disjoint paths whose internal
-vertices lie in a through-set V.  A skeleton is a sparse subgraph built by
-routing the edges of a random template as such paths; later batches are
-served by routing in the template and substituting each template edge with
-its replacement path.
+vertices lie in a through-set V and whose length is at most ell.  The
+greedy router takes shortest paths in a seeded order and retries with fresh
+orders; the matching oracle backtracks over every candidate path and so
+also proves that no routing exists, on small inputs only.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .expansion import CapacityError
 from .graph import Graph, Path
-from .pathscycles import _excise_walk
 
 
 @dataclass(frozen=True)
@@ -305,187 +303,4 @@ def route_pairs(
         retries,
         "greedy",
         "dead end after retries",
-    )
-
-
-# -- template and skeleton --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TemplateResult:
-    graph: Graph
-    through_set: frozenset[int]
-
-
-def _unrank_pair(idx: int, n: int) -> tuple[int, int]:
-    # idx-th pair (u, v), u < v, lexicographic; row u starts at u(n-1) - u(u-1)/2
-    lo, hi = 0, n - 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid * (n - 1) - mid * (mid - 1) // 2 <= idx:
-            lo = mid
-        else:
-            hi = mid - 1
-    u = lo
-    start = u * (n - 1) - u * (u - 1) // 2
-    return u, u + 1 + (idx - start)
-
-
-def _sample_gnp_pairs(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
-    total = n * (n - 1) // 2
-    if p >= 1:
-        return [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if p <= 0 or total == 0:
-        return []
-    out: list[tuple[int, int]] = []
-    logq = math.log1p(-p)
-    idx = -1
-    while True:
-        r = rng.random()
-        idx += 1 + int(math.log(max(1.0 - r, 1e-300)) / logq)
-        if idx >= total:
-            break
-        out.append(_unrank_pair(idx, n))
-    return out
-
-
-def make_template(n: int, p_template: float, rng_seed: int) -> TemplateResult:
-    """Seeded G(n, p) whose designated through-set is the first ceil(n/6) ids.
-
-    The paper caps the template's degree at 2^8 log^5 n, which is above
-    n - 1 for every n up to ``MAX_VERTICES``, so no draw is ever rejected.
-    """
-    if n < 2:
-        raise ValueError("template needs n >= 2")
-    pairs = _sample_gnp_pairs(n, p_template, random.Random(rng_seed))
-    return TemplateResult(Graph.from_edges(n, pairs), frozenset(range(math.ceil(n / 6))))
-
-
-@dataclass
-class Skeleton:
-    """Sparse subgraph with a declared through-V path-length contract."""
-
-    subgraph: Graph
-    template: Graph
-    through_set: frozenset[int]
-    ell_route: int
-    ell_template: int
-    replacements: dict[tuple[int, int], Path] = field(repr=False, default_factory=dict)
-    dropped_template_edges: int = 0
-
-    @property
-    def ell_serve(self) -> int:
-        return self.ell_template * self.ell_route
-
-    def serve(
-        self, batch: PairBatch, *, rng_seed: int = 0, retries: int = 8
-    ) -> Union[RoutedPaths, RouteFailure]:
-        """Route a batch: template paths, edge substitution, shortcutting."""
-        routed = route_pairs(
-            self.template, batch, self.through_set, self.ell_template,
-            rng_seed=rng_seed, retries=retries,
-        )
-        if isinstance(routed, RouteFailure):
-            return routed
-        host_paths: list[Path] = []
-        for tpath in routed.paths:
-            walk_vs = [tpath.vertices[0]]
-            walk_es: list[int] = []
-            for a, b in zip(tpath.vertices, tpath.vertices[1:]):
-                rep = self.replacements[(min(a, b), max(a, b))]
-                if rep.vertices[0] == a:
-                    walk_vs.extend(rep.vertices[1:])
-                    walk_es.extend(rep.edge_ids)
-                else:
-                    walk_vs.extend(reversed(rep.vertices[:-1]))
-                    walk_es.extend(reversed(rep.edge_ids))
-            leftover, _ = _excise_walk(walk_vs, walk_es)
-            if leftover is None:
-                raise RuntimeError(f"served walk for {tpath.ends} closed on itself")
-            host_paths.append(leftover)
-        return RoutedPaths(tuple(host_paths), self.through_set, self.ell_serve)
-
-
-@dataclass(frozen=True)
-class SkeletonFailure:
-    routing: RouteFailure
-    template_edges: int
-    reason: str = "template edge routing failed"
-
-
-def build_skeleton(
-    g: Graph,
-    V: Iterable[int],
-    *,
-    ell_route: int,
-    template_p: float,
-    rng_seed: int = 0,
-    retries: int = 8,
-) -> Union[Skeleton, SkeletonFailure]:
-    """Route a random template's edges into g as edge-disjoint through-V paths.
-
-    The skeleton is the union of the replacement paths; its routing contract
-    is re-testable by serving random batches.  Template edges that cannot
-    be routed are shed and the skeleton is built on the routable remainder;
-    only an empty remainder fails, as a first-class result carrying the
-    stuck pairs.
-    """
-    verts = g.vertex_list()
-    n = len(verts)
-    if n < 2:
-        raise ValueError("skeleton needs at least 2 vertices")
-    tmpl = make_template(n, template_p, rng_seed)
-    tmpl_pairs = [tmpl.graph.endpoints(eid) for eid in tmpl.graph.edge_id_list()]
-    mapped = [(verts[u], verts[v]) for u, v in tmpl_pairs]
-    Vset = frozenset(V)
-    deg = tmpl.graph.degrees()
-    t_template = max(deg.values()) if deg else 1
-    batch = PairBatch.from_pairs(mapped, t=max(1, t_template))
-    adj = g.adjacency()
-    to: dict[int, dict[int, int]] = {}
-    through: dict[int, list[tuple[int, int]]] = {}
-    dropped = 0
-    pass_idx = 0
-    congestion_passes = 0
-    while True:
-        routed = route_pairs(
-            g, batch, Vset, ell_route, rng_seed=rng_seed + pass_idx, retries=retries
-        )
-        if isinstance(routed, RoutedPaths):
-            break
-        # shed only pairs with no solo through-V path; the rest is congestion
-        stuck = set(routed.stuck)
-        shed = {
-            pr for pr in stuck
-            if _shortest_through_path(
-                adj, to, through, set(), Vset, pr[0], pr[1], ell_route
-            ) is None
-        }
-        if not shed:
-            congestion_passes += 1
-            if congestion_passes <= retries:
-                pass_idx += 1
-                continue
-            shed = stuck
-        keep = [pr for pr in batch.pairs if pr not in shed]
-        dropped += len(batch.pairs) - len(keep)
-        if not keep:
-            return SkeletonFailure(routed, len(mapped))
-        batch = PairBatch.from_pairs(keep, t=max(1, t_template))
-        pass_idx += 1
-    template = Graph.from_edges(g.host_n, list(batch.pairs)).subview(vertices=g.vertices)
-    replacements = {
-        (min(u, v), max(u, v)): path for (u, v), path in zip(batch.pairs, routed.paths)
-    }
-    edge_union: set[int] = set()
-    for path in routed.paths:
-        edge_union.update(path.edge_ids)
-    return Skeleton(
-        subgraph=g.subview(edge_ids=edge_union),
-        template=template,
-        through_set=Vset,
-        ell_route=ell_route,
-        ell_template=max(4, math.ceil(math.log2(max(n, 2)) ** 2 / 4)),
-        replacements=replacements,
-        dropped_template_edges=dropped,
     )

@@ -58,6 +58,13 @@ def almost_decompose_into_expanders(
     components are emitted as certified parts at once, without asking a
     certifier.  Their edge ids come from one pass over the edge table.
 
+    When ``p.every_set_violates`` holds for a part's maximum degree (a
+    removal budget per vertex of at least that degree: the ``paper``
+    parameters at every n), only single vertices are expanders, so the part
+    is emitted at once as one edgeless, certified part per vertex, in vertex
+    order, and all its edges are removed.  The budget test comes first, so
+    zero-budget parameters never count degrees for it.
+
     Asserted on return: exact edge partition, Σ|parts| <= 2n, recursion
     depth <= n, and removed = ∅ whenever s = 0.
     """
@@ -74,6 +81,16 @@ def almost_decompose_into_expanders(
         if depth > n_top:
             raise TheoremViolation("almost-decomposition recursion exceeded n levels")
         if cur.n == 0:
+            continue
+        if p.budget(1) > 0 and p.every_set_violates(max(cur.degrees().values())):
+            # only single vertices are expanders: every edge goes
+            parts.extend(
+                Graph(cur.host_n, cur.edge_table, frozenset((v,)), frozenset())
+                for v in cur.vertex_list()
+            )
+            certified.extend([True] * cur.n)
+            removed |= cur.edge_ids
+            max_depth = max(max_depth, depth + (cur.n > 1))
             continue
         comps = cur.components()
         split = [cur]

@@ -80,6 +80,17 @@ class ExpanderParams:
         max_size = (2 * n) // 3
         return self.budget(max_size) == 0 and self.threshold(max_size, n) <= 1
 
+    def every_set_violates(self, max_degree: int) -> bool:
+        """True when every U with 1 <= |U| <= 2n/3 is a violation.
+
+        That is the case when budget(1) is at least the graph's maximum
+        degree: U has at most |U| * max_degree outside edges, budget(|U|) can
+        delete all of them, and no survivor is left under a threshold of at
+        least 1.  The only expanders are then single vertices, so the split
+        ends in edgeless singletons with every edge removed.
+        """
+        return self.budget(1) >= max_degree
+
 
 @dataclass(frozen=True)
 class ExpanderVerdict:

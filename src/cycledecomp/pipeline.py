@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 # unused names stay bound: perfbench/tracing.py patches them here by name
-from .connectivity import build_skeleton
 from .decomposer import almost_decompose_into_expanders, split_expander_edges
 from .expansion import ExpanderParams
 from .graph import Cycle, Decomposition, Graph
@@ -25,6 +24,9 @@ from .pathscycles import (
     peel_long_cycles,
     well_spread_path_cycle_decompose,
 )
+
+# bound for the same tracer alone: no skeleton is built, so nothing calls it
+build_skeleton = None
 
 
 # Fixed budgets of the drivers, the same under every preset.
@@ -65,11 +67,12 @@ class PipelineConfig:
         """Literal parameters: epsilon 2^-5, s = log2(n)^273, denominator 1.
 
         s saturates at the largest float past n of about 11,290.  As
-        budget(1) = floor(s) >= n - 1 for every n <= MAX_VERTICES and the
-        threshold at |U| = 1 is 1, every vertex with an edge is a violation,
-        the split removes every edge, and ``decompose_expander`` never sees
-        one: each density round peels long cycles at ceil(d), and the split
-        turns the rest into leftover.
+        budget(1) = floor(s) >= n - 1 for every n <= MAX_VERTICES,
+        ``ExpanderParams.every_set_violates`` holds on every part: the split
+        emits singletons and removes every edge without asking a certifier,
+        and ``decompose_expander`` never sees an edge.  Each density round
+        peels long cycles at ceil(d), and the split turns the rest into
+        leftover.
         """
         logn = max(1.0, math.log2(max(n, 2)))
         try:
@@ -124,7 +127,8 @@ def decompose_expander(g: Graph, cfg: PipelineConfig) -> Stage:
     residue of average degree at most ``DEGREE_FLOOR`` is peeled again at
     length 3, which leaves a forest; a denser residue comes back whole, for
     the next round to peel long.  Every residue edge is handed back as a
-    single.  The stats hold the counters in ``PART_COUNTERS``.
+    single.  The stats are exactly the counters in ``PART_COUNTERS``.
+    ``cfg`` is unused; perfbench/tracing.py wraps the call with it.
     """
     support = frozenset(v for v, d in g.degrees().items() if d > 0)
     work = g if len(support) == g.n else g.subview(vertices=support)
@@ -134,12 +138,7 @@ def decompose_expander(g: Graph, cfg: PipelineConfig) -> Stage:
     # at min_len 3 the first peel already left a forest
     if rest.m and min_len > 3 and rest.avg_degree() <= DEGREE_FLOOR:
         short, rest = peel_long_cycles(rest, 3)
-    stats = {
-        "strategy": "expander",
-        "peel_min_len": min_len,
-        "peeled_cycles": len(peeled),
-        "short_cycles": len(short),
-    }
+    stats = {"peeled_cycles": len(peeled), "short_cycles": len(short)}
     return Stage(peeled + short, rest.edge_id_list(), stats)
 
 

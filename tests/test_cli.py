@@ -159,10 +159,14 @@ class TestOutputPathIsADirectory:
     TRIANGLE = "3 3\n0 1\n1 2\n0 2\n"
 
     def test_report_to_a_directory_exit2_one_line(self, capsys, tmp_path):
+        # the report path fails before any output: none on stdout, no --out file
         argv = ["decompose", "--quiet", "--report", str(tmp_path)]
-        code, _, err = run(capsys, argv, stdin=self.TRIANGLE)
-        assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
+        out_file = tmp_path / "dec.json"
+        for extra in ([], ["--out", str(out_file)]):
+            code, out, err = run(capsys, argv + extra, stdin=self.TRIANGLE)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("argv", [["gen", "gnp", "8", "0.5"], ["decompose", "--quiet"]])
     def test_out_to_a_directory_exit2_one_line(self, capsys, tmp_path, argv):

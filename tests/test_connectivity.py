@@ -1,8 +1,6 @@
-"""Routing, templates, and skeletons."""
+"""Edge-disjoint routing through a vertex set."""
 
-import math
 import random
-import statistics
 from collections import Counter
 
 import pytest
@@ -15,13 +13,8 @@ from cycledecomp.connectivity import (
     PairBatch,
     RoutedPaths,
     RouteFailure,
-    Skeleton,
-    SkeletonFailure,
-    build_skeleton,
-    make_template,
     route_pairs,
     _shortest_through_path,
-    _unrank_pair,
 )
 from cycledecomp.expansion import CapacityError
 from cycledecomp.graph import Graph
@@ -177,10 +170,6 @@ class TestRoutePairs:
             for pairs in ([], [(0, 1), (2, 3)]):
                 with pytest.raises(ValueError, match="retries must be at least 1"):
                     route_pairs(g, PairBatch.from_pairs(pairs), range(10), 3, retries=retries)
-            # with nothing reported stuck, nothing would be shed and the
-            # builder would re-route the same batch forever
-            with pytest.raises(ValueError, match="retries must be at least 1"):
-                build_skeleton(g, range(10), ell_route=3, template_p=0.3, retries=retries)
 
     @pytest.mark.parametrize("strategy", ["greedy", "matching_oracle"])
     def test_through_id_outside_graph_rejected(self, strategy):
@@ -290,162 +279,6 @@ class TestRouterMatchesReference:
             else:
                 seen["success after two or more attempts"] += 1
         assert min(seen.values()) >= 100, seen
-
-    def test_build_skeleton(self, monkeypatch):
-        rng = random.Random(12)
-        hosts = []
-        for _ in range(50):
-            g = gnp(rng.randint(8, 32), rng.uniform(0.2, 0.8), rng.randrange(10**6))
-            if rng.random() < 0.3:  # vertex ids with gaps
-                g = g.subview(vertices=[w for w in g.vertices if rng.random() < 0.8])
-            V = frozenset(w for w in g.vertices if rng.random() < rng.uniform(0.3, 1.0))
-            kwargs = dict(ell_route=rng.randint(2, 4), template_p=rng.uniform(0.1, 0.5),
-                          rng_seed=rng.randrange(10**6), retries=rng.randint(1, 8))
-            hosts.append((g, V, kwargs))
-        got = [build_skeleton(g, V, **kwargs) for g, V, kwargs in hosts]
-        monkeypatch.setattr(connectivity, "route_pairs", reference_route_pairs)
-        want = [build_skeleton(g, V, **kwargs) for g, V, kwargs in hosts]
-        seen: Counter = Counter()
-        for sk, ref in zip(got, want):
-            assert type(sk) is type(ref)
-            if isinstance(sk, SkeletonFailure):
-                assert sk == ref
-                seen["failure"] += 1
-                continue
-            assert sk.subgraph.edge_ids == ref.subgraph.edge_ids
-            assert sk.replacements == ref.replacements
-            assert sk.dropped_template_edges == ref.dropped_template_edges
-            seen["skeleton"] += 1
-            seen["skeleton with shed template edges"] += sk.dropped_template_edges > 0
-        assert seen["skeleton"] >= 5 and seen["skeleton with shed template edges"] >= 5, seen
-
-
-class TestMakeTemplate:
-    def test_determinism(self):
-        t1 = make_template(32, 0.3, 11)
-        t2 = make_template(32, 0.3, 11)
-        assert t1.graph.edge_table == t2.graph.edge_table
-
-    def test_seed_changes_edges(self):
-        t1 = make_template(32, 0.3, 11)
-        t3 = make_template(32, 0.3, 12)
-        assert t1.graph.edge_table != t3.graph.edge_table
-
-    def test_through_set_convention(self):
-        t = make_template(32, 0.3, 11)
-        assert t.through_set == frozenset(range(6))
-        assert make_template(7, 0.5, 0).through_set == frozenset(range(2))
-
-    def test_edge_count_within_3_sigma(self):
-        n, p = 40, 0.25
-        total = n * (n - 1) // 2
-        mu = total * p
-        sigma = math.sqrt(total * p * (1 - p))
-        counts = [make_template(n, p, s).graph.m for s in range(20)]
-        assert all(abs(m - mu) <= 3 * sigma for m in counts)
-        assert abs(statistics.mean(counts) - mu) <= sigma
-
-    def test_extreme_probabilities(self):
-        assert make_template(5, 1.0, 0).graph.m == 10
-        assert make_template(5, 0.0, 0).graph.m == 0
-
-    def test_unrank_matches_lexicographic(self):
-        for n in (2, 3, 7, 13):
-            pairs = [_unrank_pair(i, n) for i in range(n * (n - 1) // 2)]
-            assert pairs == [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-    def test_n_too_small(self):
-        with pytest.raises(ValueError):
-            make_template(1, 0.5, 0)
-
-
-class TestSkeleton:
-    def test_k32_build_and_serve_50_batches(self):
-        g = complete_graph(32)
-        V = frozenset(range(16))
-        sk = build_skeleton(g, V, ell_route=4, template_p=0.4, rng_seed=7)
-        assert isinstance(sk, Skeleton)
-        assert sk.subgraph.m == 207
-        assert sk.subgraph.edge_ids <= g.edge_ids
-        assert sk.subgraph.m <= 512 * 32
-        rng = random.Random(99)
-        verts = g.vertex_list()
-        for trial in range(50):
-            pool = verts[:]
-            rng.shuffle(pool)
-            batch = PairBatch.from_pairs(
-                [(pool[2 * j], pool[2 * j + 1]) for j in range(4)], t=2
-            )
-            served = sk.serve(batch, rng_seed=trial)
-            assert isinstance(served, RoutedPaths)
-            assert served.validate(g, batch) == []
-            assert all(len(p.edge_ids) <= sk.ell_serve for p in served.paths)
-
-    def test_sparse_host_nontrivial_replacements(self):
-        h = gnp(32, 0.45, 5)
-        sk = build_skeleton(h, h.vertices, ell_route=4, template_p=0.15, rng_seed=3)
-        assert isinstance(sk, Skeleton)
-        assert h.m == 221
-        assert sk.subgraph.m == 103
-        assert sk.template.m == 62
-        lens = [len(p.edge_ids) for p in sk.replacements.values()]
-        assert sum(1 for L in lens if L > 1) == 40
-        assert max(lens) <= 4
-        rng = random.Random(42)
-        verts = h.vertex_list()
-        for trial in range(20):
-            pool = verts[:]
-            rng.shuffle(pool)
-            batch = PairBatch.from_pairs([(pool[0], pool[1]), (pool[2], pool[3])], t=2)
-            served = sk.serve(batch, rng_seed=trial)
-            assert isinstance(served, RoutedPaths)
-            assert served.validate(h, batch) == []
-
-    def test_replacement_single_edge_outside_through_set(self):
-        # adjacent endpoints outside V may route as the bare edge
-        g = complete_graph(32)
-        V = frozenset(range(16))
-        sk = build_skeleton(g, V, ell_route=4, template_p=0.4, rng_seed=7)
-        assert isinstance(sk, Skeleton)
-        outside = [
-            (u, v) for (u, v) in sk.replacements if u not in V and v not in V
-        ]
-        assert outside
-        for key in outside:
-            assert len(sk.replacements[key].edge_ids) >= 1
-
-    def test_build_failure_is_first_class(self):
-        # unroutable template edges are shed; only shedding all of them fails
-        h = gnp(32, 0.3, 5)
-        res = build_skeleton(h, h.vertices, ell_route=4, template_p=0.3, rng_seed=3)
-        assert isinstance(res, Skeleton) and res.dropped_template_edges == 76
-        h = Graph.from_edges(12, [])
-        res = build_skeleton(h, h.vertices, ell_route=4, template_p=0.5, rng_seed=3)
-        assert isinstance(res, SkeletonFailure)
-        assert res.routing.stuck
-        assert res.template_edges > 0
-
-    def test_skeleton_edges_form_subview(self):
-        g = complete_graph(32)
-        sk = build_skeleton(g, frozenset(range(16)), ell_route=4, template_p=0.4, rng_seed=7)
-        assert isinstance(sk, Skeleton)
-        sub = g.subview(edge_ids=sk.subgraph.edge_ids)
-        assert sub.edge_ids == sk.subgraph.edge_ids
-
-    def test_serve_respects_template_failure(self):
-        g = complete_graph(32)
-        sk = build_skeleton(g, frozenset(range(16)), ell_route=4, template_p=0.4, rng_seed=7)
-        assert isinstance(sk, Skeleton)
-        # a batch whose multiplicity saturates one vertex beyond its template degree
-        deg = sk.template.degrees()
-        v = min(deg, key=lambda w: (deg[w], w))
-        others = [w for w in sk.template.vertex_list() if w != v][: deg[v] + 1]
-        batch = PairBatch.from_pairs([(v, w) for w in others], t=deg[v] + 1)
-        served = sk.serve(batch)
-        if isinstance(served, RouteFailure):
-            assert served.stuck
-        else:
-            assert served.validate(g, batch) == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,9 +17,9 @@ from cycledecomp.decomposer import (
     split_target_params,
 )
 from cycledecomp.expansion import ExpanderParams, certify_expander
-from cycledecomp.graph import Graph
+from cycledecomp.graph import Graph, validate_decomposition
 from cycledecomp.pathscycles import _LiveView, peel_long_cycles
-from cycledecomp.pipeline import PipelineConfig
+from cycledecomp.pipeline import PipelineConfig, decompose_logstar
 
 from helpers import (
     complete_graph,
@@ -193,25 +193,35 @@ def several_components() -> Graph:
     return Graph.from_edges(31, edges)
 
 
+def unordered_signature(r: AlmostDecomposeResult):
+    parts = sorted(
+        (pt.vertex_list(), sorted(pt.edge_ids), cert) for pt, cert in zip(r.parts, r.certified)
+    )
+    return parts, r.removed
+
+
 class TestSplitMatchesReference:
     """The split that emits components at once in the connectivity-only
-    regime against the split that pushes them back and asks both certifiers
-    (``helpers.reference_almost_decompose_into_expanders``): the same parts
-    in the same order, the same removed edges, certified flags and depth."""
-
-    @staticmethod
-    def params_for(g: Graph) -> list[ExpanderParams]:
-        return [
-            PipelineConfig.engineering().params,
-            PipelineConfig.paper(g.n).params,
-            ExpanderParams(1.0, 0.0, "const", 1.0),  # not connectivity-only
-        ]
+    regime, and singletons at once when every set violates, against the
+    split that pushes them back and asks both certifiers
+    (``helpers.reference_almost_decompose_into_expanders``).  Outside the
+    every-set-violates regime: the same parts in the same order, the same
+    removed edges, certified flags and depth.  Under the ``paper``
+    parameters, inside it: the same parts, removed edges and certified
+    flags, in any order."""
 
     def check(self, g: Graph) -> None:
-        for p in self.params_for(g):
+        for p in (
+            PipelineConfig.engineering().params,
+            ExpanderParams(1.0, 0.0, "const", 1.0),  # not connectivity-only
+        ):
             got = almost_decompose_into_expanders(g, p, cap=10, seed=3)
             want = reference_almost_decompose_into_expanders(g, p, cap=10, seed=3)
             assert split_signature(got) == split_signature(want), (g, p)
+        p = PipelineConfig.paper(g.n).params
+        got = almost_decompose_into_expanders(g, p, cap=10, seed=3)
+        want = reference_almost_decompose_into_expanders(g, p, cap=10, seed=3)
+        assert unordered_signature(got) == unordered_signature(want), g
 
     def test_plain_graphs(self):
         rng = random.Random(20261019)
@@ -242,8 +252,18 @@ class TestSplitMatchesReference:
         g = several_components()
         r = almost_decompose_into_expanders(g, PipelineConfig.engineering().params)
         assert len(r.parts) == 4 and calls == []
-        almost_decompose_into_expanders(g, PipelineConfig.paper(g.n).params)
+        r = almost_decompose_into_expanders(g, PipelineConfig.paper(g.n).params)
+        assert len(r.parts) == g.n and len(r.removed) == g.m and calls == []
+        almost_decompose_into_expanders(g, ExpanderParams(1.0, 0.0, "const", 1.0))
         assert calls
+
+    def test_paper_pipeline_asks_no_certifier(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(decomposer, "certify_expander", lambda *a, **k: calls.append(a))
+        g = gnp(512, 0.5, 0)
+        dec, report = decompose_logstar(g, PipelineConfig.paper(g.n))
+        assert validate_decomposition(g, dec).ok
+        assert report.iterations and calls == []
 
 
 class TestSplitExpanderEdges:

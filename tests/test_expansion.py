@@ -196,6 +196,23 @@ def test_connectivity_only_predicate():
     assert not ExpanderParams(1.0, 0.0, "const").connectivity_only(20)
 
 
+def test_every_set_violates_predicate():
+    assert ExpanderParams(2**-5, 3.0).every_set_violates(3)
+    assert ExpanderParams(2**-5, 3.9).every_set_violates(3)
+    assert not ExpanderParams(2**-5, 2.9).every_set_violates(3)
+    paper = ExpanderParams(2**-5, sys.float_info.max, "const")
+    assert paper.every_set_violates(10**6)
+    # checked against the exhaustive adversary on small graphs
+    rng = random.Random(5)
+    for g in (path_graph(4), cycle_graph(5), complete_graph(4), random_gnp(rng, 6, 0.4)):
+        deg = max(g.degrees().values())
+        p = ExpanderParams(1.0, float(deg), "const")
+        assert p.every_set_violates(deg)
+        for size in range(1, (2 * g.n) // 3 + 1):
+            for U in itertools.combinations(g.vertex_list(), size):
+                assert brute_min_survivors(g, set(U), p.budget(size)) < p.threshold(size, g.n)
+
+
 def test_component_shortcut_matches_enumeration():
     """The component count gives the enumeration's verdict, witness and count."""
     p = ExpanderParams(2**-5, 0.0)
