@@ -15,6 +15,7 @@ import math
 import os
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -234,11 +235,16 @@ def bench_scaling(
     so a fixed grid and seeds reproduce the same table (runtime column
     aside).  The first bound or validity violation raises BenchFailure with
     the instance saved beside the output file.  Raises ValueError, before
-    any instance runs, for an unknown family, a size below 1, a worker
-    count below 1 or a gallaiK family at a size below 2k + 2.
+    any instance runs, for a repeated family, size or seed, an unknown
+    family, a size below 1, a worker count below 1 or a gallaiK family at a
+    size below 2k + 2.
     """
     if cfg is None:
         cfg = PipelineConfig.engineering()
+    for what, values in (("family", families), ("size", sizes), ("seed", seeds)):
+        repeated = [v for v, k in Counter(values).items() if k > 1]
+        if repeated:
+            raise ValueError(f"{what} {repeated[0]} given more than once")
     if min(sizes, default=1) < 1:
         raise ValueError(f"sizes must be at least 1, got {min(sizes)}")
     if workers < 1:

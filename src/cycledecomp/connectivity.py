@@ -90,7 +90,8 @@ class RouteFailure:
 
 
 def _shortest_through_path(
-    adj: dict[int, list[tuple[int, int]]],
+    nbrs: dict[int, list[int]],
+    eids: dict[int, list[int]],
     to: dict[int, dict[int, int]],
     through: dict[int, list[tuple[int, int]]],
     used: set[int],
@@ -106,14 +107,15 @@ def _shortest_through_path(
     first vertex, in discovery order, that has an unused edge to v.  Each
     through-set vertex is tested against v's neighbours as it is
     discovered, so the search stops at the first hit and never expands the
-    last level.  ``to`` caches each target's {neighbour: edge id} map for
-    the searches that share ``adj``; ``through`` caches each expanded
-    vertex's adjacency filtered to V, in adjacency order, for the searches
-    that share ``adj`` and V.
+    last level.  nbrs and eids are the graph's ``arrays()``.  ``to`` caches
+    each target's {neighbour: edge id} map for the searches that share the
+    arrays; ``through`` caches each expanded vertex's (neighbour, edge id)
+    pairs filtered to V, in neighbour order, for the searches that share
+    the arrays and V.
     """
     to_v = to.get(v)
     if to_v is None:
-        to_v = to[v] = dict(adj[v])
+        to_v = to[v] = dict(zip(nbrs[v], eids[v]))
     last = to_v.get(u)
     if last is not None and last not in used:
         return [u, v], [last]
@@ -126,7 +128,7 @@ def _shortest_through_path(
         for a in frontier:
             inner = through.get(a)
             if inner is None:
-                inner = through[a] = [(b, eid) for b, eid in adj[a] if b in V]
+                inner = through[a] = [(b, eid) for b, eid in zip(nbrs[a], eids[a]) if b in V]
             for b, eid in inner:
                 if b in parent or eid in used:
                     continue
@@ -151,7 +153,8 @@ def _shortest_through_path(
 
 
 def _enumerate_through_paths(
-    adj: dict[int, list[tuple[int, int]]],
+    nbrs: dict[int, list[int]],
+    eids: dict[int, list[int]],
     V: frozenset[int],
     u: int,
     v: int,
@@ -165,7 +168,7 @@ def _enumerate_through_paths(
     on = {u}
 
     def rec(a: int) -> None:
-        for b, eid in adj[a]:
+        for b, eid in zip(nbrs[a], eids[a]):
             if b in on:
                 continue
             if b == v:
@@ -204,9 +207,9 @@ def _route_matching_oracle(
         raise CapacityError(
             f"matching oracle capped at n<={ORACLE_VERTEX_CAP}, ell<={ORACLE_ELL_CAP}"
         )
-    adj = g.adjacency()
+    nbrs, eids = g.arrays()
     cands = [
-        _enumerate_through_paths(adj, V, u, v, ell, ORACLE_CANDIDATE_CAP)
+        _enumerate_through_paths(nbrs, eids, V, u, v, ell, ORACLE_CANDIDATE_CAP)
         for u, v in batch.pairs
     ]
     if any(not c for c in cands):
@@ -271,7 +274,7 @@ def route_pairs(
     if strategy != "greedy":
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    adj = g.adjacency()
+    nbrs, eids = g.arrays()
     to: dict[int, dict[int, int]] = {}
     through: dict[int, list[tuple[int, int]]] = {}
     rng = random.Random(rng_seed)
@@ -287,7 +290,7 @@ def route_pairs(
         stuck: list[int] = []
         for idx in order:
             u, v = batch.pairs[idx]
-            res = _shortest_through_path(adj, to, through, used, Vset, u, v, ell)
+            res = _shortest_through_path(nbrs, eids, to, through, used, Vset, u, v, ell)
             if res is None:
                 stuck.append(idx)
                 if not final:

@@ -38,7 +38,7 @@ class ExpanderParams:
 
     ``denominator`` selects the threshold denominator as a function of the
     live vertex count: "log2sq" gives max(1, log2(n)^2); "const" gives the
-    fixed ``denominator_const``.
+    fixed ``denominator_const``, which must be finite and positive.
     """
 
     epsilon: float
@@ -53,13 +53,15 @@ class ExpanderParams:
             raise ValueError("s must be finite and nonnegative")
         if self.denominator not in ("log2sq", "const"):
             raise ValueError("denominator must be 'log2sq' or 'const'")
+        if not 0 < self.denominator_const < math.inf:
+            raise ValueError("denominator_const must be finite and positive")
 
     def denominator_value(self, n: int) -> float:
         if self.denominator == "log2sq":
             if n < 2:
                 return 1.0
             return max(1.0, math.log2(n) ** 2)
-        return max(self.denominator_const, 1e-12)
+        return self.denominator_const
 
     def threshold(self, u_size: int, n: int) -> int:
         """Integer survivor threshold: ceil(epsilon*|U|/denominator(n))."""
@@ -72,13 +74,18 @@ class ExpanderParams:
     def connectivity_only(self, n: int) -> bool:
         """True when (epsilon, s)-expansion on n vertices is just connectivity.
 
-        That is the case when the removal budget is 0 and the survivor
-        threshold is at most 1 at |U| = floor(2n/3); both only grow with |U|,
-        so they then hold for every size.  A violation is then exactly a
-        nonempty union of components of at most 2n/3 vertices.
+        That is the case when the removal budget is 0 at |U| = floor(2n/3)
+        and the survivor threshold is 1 at every size: at least 1 at |U| = 1
+        and at most 1 at |U| = floor(2n/3), as both only grow with |U|.  A
+        violation is then exactly a nonempty union of components of at most
+        2n/3 vertices.  A threshold that underflows to 0 lets no set violate.
         """
         max_size = (2 * n) // 3
-        return self.budget(max_size) == 0 and self.threshold(max_size, n) <= 1
+        return (
+            self.budget(max_size) == 0
+            and self.threshold(1, n) >= 1
+            and self.threshold(max_size, n) <= 1
+        )
 
     def every_set_violates(self, max_degree: int) -> bool:
         """True when every U with 1 <= |U| <= 2n/3 is a violation.
@@ -142,10 +149,10 @@ def worst_case_frontier(
         raise ValueError("U must be nonempty")
     if not Uset <= g.vertices:
         raise ValueError("U must consist of live vertices")
-    adj = g.adjacency()
+    nbrs, eids = g.arrays()
     into_u: dict[int, list[int]] = {}
     for u in Uset:
-        for w, eid in adj[u]:
+        for w, eid in zip(nbrs[u], eids[u]):
             if w not in Uset:
                 into_u.setdefault(w, []).append(eid)
     order = sorted(into_u.items(), key=lambda kv: (len(kv[1]), kv[0]))
@@ -161,11 +168,11 @@ def worst_case_frontier(
     return F, survivors
 
 
-def _min_survivors(Uset: set[int], budget: int, adj) -> int:
+def _min_survivors(Uset: set[int], budget: int, nbrs: dict[int, list[int]]) -> int:
     """Survivor count after optimal deletion; inner loop of certification."""
     costs: dict[int, int] = {}
     for u in Uset:
-        for w, _ in adj[u]:
+        for w in nbrs[u]:
             if w not in Uset:
                 costs[w] = costs.get(w, 0) + 1
     return _survivors_from_counts(costs, budget)
@@ -220,7 +227,7 @@ def _certify_exhaustive(g: Graph, p: ExpanderParams, cap: int) -> ExpanderVerdic
     if n > cap:
         raise CapacityError(f"exhaustive certification capped at n={cap}, got {n}")
     verts = g.vertex_list()
-    adj = g.adjacency()
+    nbrs = g.arrays()[0]
     max_size = (2 * n) // 3
     checked = 0
     for size in range(1, max_size + 1):
@@ -229,7 +236,7 @@ def _certify_exhaustive(g: Graph, p: ExpanderParams, cap: int) -> ExpanderVerdic
         for combo in itertools.combinations(verts, size):
             checked += 1
             Uset = set(combo)
-            if _min_survivors(Uset, budget, adj) < thresh:
+            if _min_survivors(Uset, budget, nbrs) < thresh:
                 F, _ = worst_case_frontier(g, Uset, budget)
                 return ExpanderVerdict(
                     is_expander=False,
@@ -312,7 +319,7 @@ def _certify_heuristic(g: Graph, p: ExpanderParams, seed: int) -> ExpanderVerdic
     checked = 0
     if n < 2:
         return ExpanderVerdict(True, False, "heuristic", p, subsets_checked=0)
-    adj = g.adjacency()
+    nbrs = g.arrays()[0]
     max_size = (2 * n) // 3
 
     def violates(Uset: set[int]) -> bool:
@@ -321,7 +328,7 @@ def _certify_heuristic(g: Graph, p: ExpanderParams, seed: int) -> ExpanderVerdic
         if not (1 <= size <= max_size):
             return False
         checked += 1
-        return _min_survivors(Uset, p.budget(size), adj) < p.threshold(size, n)
+        return _min_survivors(Uset, p.budget(size), nbrs) < p.threshold(size, n)
 
     def verdict_for(Uset: set[int]) -> ExpanderVerdict:
         F, _ = worst_case_frontier(g, Uset, p.budget(len(Uset)))
@@ -364,7 +371,7 @@ def _certify_heuristic(g: Graph, p: ExpanderParams, seed: int) -> ExpanderVerdic
             order.extend(sorted(frontier))
             nxt = []
             for a in sorted(frontier):
-                for b, _ in adj[a]:
+                for b in nbrs[a]:
                     if b not in seen:
                         seen.add(b)
                         nxt.append(b)
@@ -375,7 +382,7 @@ def _certify_heuristic(g: Graph, p: ExpanderParams, seed: int) -> ExpanderVerdic
         for v in order:
             prefix.add(v)
             cnt.pop(v, None)
-            for w, _ in adj[v]:
+            for w in nbrs[v]:
                 if w not in prefix:
                     cnt[w] = cnt.get(w, 0) + 1
             size = len(prefix)
@@ -400,7 +407,7 @@ def _certify_heuristic(g: Graph, p: ExpanderParams, seed: int) -> ExpanderVerdic
         if violates(Uset):
             return verdict_for(Uset)
         bnd: dict[int, int] = {}
-        for w, _ in adj[root]:
+        for w in nbrs[root]:
             bnd[w] = bnd.get(w, 0) + 1
         for _ in range(step_cap - 1):
             if not bnd:
@@ -409,15 +416,13 @@ def _certify_heuristic(g: Graph, p: ExpanderParams, seed: int) -> ExpanderVerdic
             cands = sorted(bnd.items(), key=lambda kv: (-kv[1], kv[0]))[:24]
             best, best_fresh = None, None
             for v, _ in cands:
-                fresh = sum(
-                    1 for w, _ in adj[v] if w not in Uset and w not in bnd
-                )
+                fresh = sum(1 for w in nbrs[v] if w not in Uset and w not in bnd)
                 if best_fresh is None or fresh < best_fresh:
                     best, best_fresh = v, fresh
             v = best
             Uset.add(v)
             del bnd[v]
-            for w, _ in adj[v]:
+            for w in nbrs[v]:
                 if w not in Uset:
                     bnd[w] = bnd.get(w, 0) + 1
             if len(Uset) > max_size:
@@ -483,7 +488,7 @@ def extract_well_expanding_core(g: Graph, U: Iterable[int], tau: float) -> set[i
         raise ValueError("U must be nonempty")
     if not Uset <= g.vertices:
         raise ValueError("U must consist of live vertices")
-    adj = g.adjacency()
+    adj = g.arrays()[0]
     core: set[int] = set()
     nbrs: set[int] = set()
     while True:
@@ -491,13 +496,13 @@ def extract_well_expanding_core(g: Graph, U: Iterable[int], tau: float) -> set[i
         added = False
         for v in sorted(Uset - core):
             gain = len(nbrs) - (1 if v in nbrs else 0)
-            for w, _ in adj[v]:
+            for w in adj[v]:
                 if w not in nbrs and w not in core and w != v:
                     gain += 1
             if gain >= need:
                 core.add(v)
                 nbrs.discard(v)
-                for w, _ in adj[v]:
+                for w in adj[v]:
                     if w not in core:
                         nbrs.add(w)
                 added = True

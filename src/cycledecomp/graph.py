@@ -13,7 +13,7 @@ import json
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 # largest vertex count a graph may have: a host graph holds every vertex id
@@ -50,7 +50,7 @@ class Graph:
         self.edge_table = edge_table
         self.vertices = vertices
         self.edge_ids = edge_ids
-        self._adj: Optional[dict[int, list[tuple[int, int]]]] = None
+        self._adj: Optional[Arrays] = None
         self._eid_of: Optional[dict[tuple[int, int], int]] = None
         self._fp: Optional[str] = None
 
@@ -109,24 +109,18 @@ class Graph:
     def edge_id_list(self) -> list[int]:
         return sorted(self.edge_ids)
 
-    def adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        """Live adjacency: vertex -> sorted list of (neighbor, edge id)."""
+    def arrays(self) -> Arrays:
+        """Live adjacency: per vertex, the neighbours in ascending order and
+        the edge ids beside them, built on first use.  Callers only read
+        them; the peel cuts down a copy."""
         if self._adj is None:
-            adj: dict[int, list[tuple[int, int]]] = {v: [] for v in self.vertices}
-            tab = self.edge_table
-            for eid in self.edge_ids:
-                u, v = tab[eid]
-                adj[u].append((v, eid))
-                adj[v].append((u, eid))
-            for lst in adj.values():
-                lst.sort()
-            self._adj = adj
+            self._adj = _neighbour_lists(self)
         return self._adj
 
     def degrees(self) -> dict[int, int]:
-        """Live degrees keyed as ``adjacency()``, read from it only if already built."""
+        """Live degrees keyed as ``arrays()``, read from them only if already built."""
         if self._adj is not None:
-            return {v: len(lst) for v, lst in self._adj.items()}
+            return {v: len(nb) for v, nb in self._adj[0].items()}
         deg = dict.fromkeys(self.vertices, 0)
         tab = self.edge_table
         for e in self.edge_ids:
@@ -188,25 +182,7 @@ class Graph:
 
     def components(self) -> list[list[int]]:
         """Connected components of live vertices, each sorted, in sorted order."""
-        adj = self.adjacency()
-        seen: set[int] = set()
-        comps: list[list[int]] = []
-        for root in self.vertex_list():
-            if root in seen:
-                continue
-            comp = [root]
-            seen.add(root)
-            stack = [root]
-            while stack:
-                a = stack.pop()
-                for b, _ in adj[a]:
-                    if b not in seen:
-                        seen.add(b)
-                        comp.append(b)
-                        stack.append(b)
-            comp.sort()
-            comps.append(comp)
-        return comps
+        return [sorted(comp) for _, comp in _component_sets(self)]
 
     def fingerprint(self) -> str:
         """Stable hex digest of (host size, live vertices, live edges)."""
@@ -226,6 +202,53 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+# per-vertex neighbour lists and edge-id lists, as ``Graph.arrays`` gives them
+Arrays = tuple[dict[int, list[int]], dict[int, list[int]]]
+
+
+def _neighbour_lists(g: Graph) -> Arrays:
+    """Fresh per-vertex neighbour and edge-id lists of g's live edges, in neighbour order.
+
+    The edge table is walked in edge-id order, so a table in pair order
+    gives every list already sorted; only the lists that come out of order
+    are sorted, both by neighbour.
+    """
+    nbrs: dict[int, list[int]] = {v: [] for v in g.vertices}
+    eids: dict[int, list[int]] = {v: [] for v in g.vertices}
+    tab = g.edge_table
+    for e in sorted(g.edge_ids):
+        u, v = tab[e]
+        nbrs[u].append(v)
+        eids[u].append(e)
+        nbrs[v].append(u)
+        eids[v].append(e)
+    for v, nb in nbrs.items():
+        if nb != sorted(nb):
+            order = sorted(range(len(nb)), key=nb.__getitem__)
+            eb = eids[v]
+            nbrs[v] = [nb[k] for k in order]
+            eids[v] = [eb[k] for k in order]
+    return nbrs, eids
+
+
+def _component_sets(g: Graph) -> Iterator[tuple[int, set[int]]]:
+    """g's components as (smallest vertex, vertex set), by smallest vertex."""
+    nbrs = g.arrays()[0]
+    seen: set[int] = set()
+    for r in g.vertex_list():
+        if r in seen:
+            continue
+        comp = {r}
+        stack = [r]
+        while stack:
+            for b in nbrs[stack.pop()]:
+                if b not in comp:
+                    comp.add(b)
+                    stack.append(b)
+        seen |= comp
+        yield r, comp
 
 
 # -- paths, cycles, decompositions ------------------------------------------
@@ -422,10 +445,10 @@ def _check_sets(g: Graph, U: Iterable[int], F: Iterable[int]) -> tuple[set[int],
 def neighborhood(g: Graph, U: Iterable[int], F: Iterable[int] = ()) -> set[int]:
     """External neighborhood of U in g minus the edge set F."""
     Uset, Fset = _check_sets(g, U, F)
-    adj = g.adjacency()
+    nbrs, eids = g.arrays()
     out: set[int] = set()
     for u in Uset:
-        for w, eid in adj[u]:
+        for w, eid in zip(nbrs[u], eids[u]):
             if w not in Uset and eid not in Fset:
                 out.add(w)
     return out
@@ -436,10 +459,10 @@ def robust_neighborhood(g: Graph, U: Iterable[int], F: Iterable[int], d: int) ->
     if d < 1:
         raise ValueError("d must be a positive count")
     Uset, Fset = _check_sets(g, U, F)
-    adj = g.adjacency()
+    nbrs, eids = g.arrays()
     count: dict[int, int] = {}
     for u in Uset:
-        for w, eid in adj[u]:
+        for w, eid in zip(nbrs[u], eids[u]):
             if w not in Uset and eid not in Fset:
                 count[w] = count.get(w, 0) + 1
     return {w for w, c in count.items() if c >= d}

@@ -12,9 +12,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
-from .graph import Cycle, Graph, Path
+from .graph import Arrays, Cycle, Graph, Path, _component_sets, _neighbour_lists
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,10 @@ def _component_walks(
     returned walk is open (one per pair); otherwise all degrees must already
     be even and the single closed circuit is returned.
     """
-    adjg = g.adjacency()
+    nbrs, eids = g.arrays()
     edges: list[tuple[int, int, Optional[int]]] = []
     for u in comp:
-        for v, eid in adjg[u]:
+        for v, eid in zip(nbrs[u], eids[u]):
             if u < v:
                 edges.append((u, v, eid))
     if not edges:
@@ -208,82 +208,19 @@ def well_spread_path_cycle_decompose(g: Graph, mode: str = "euler") -> WellSprea
     return WellSpreadResult(tuple(paths), tuple(kept), tuple(kept))
 
 
-def _arrays(g: Graph) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    """Per-vertex neighbour and edge-id lists of g's live edges, in neighbour order.
+def _view(g: Graph, alive: set[int], arrays: Arrays) -> Graph:
+    """g restricted to the edges in alive, carrying arrays as its own.
 
-    The edge table is walked in edge-id order, so a table in pair order
-    gives every list already sorted; only the lists that come out of order
-    are sorted, both by neighbour.
+    arrays hold exactly the live edges.  The peel deletes from them in
+    place, so a view taken during a peel describes its edges only until
+    the next cycle is dropped.
     """
-    nbrs: dict[int, list[int]] = {v: [] for v in g.vertices}
-    eids: dict[int, list[int]] = {v: [] for v in g.vertices}
-    tab = g.edge_table
-    for e in sorted(g.edge_ids):
-        u, v = tab[e]
-        nbrs[u].append(v)
-        eids[u].append(e)
-        nbrs[v].append(u)
-        eids[v].append(e)
-    for v, nb in nbrs.items():
-        if nb != sorted(nb):
-            order = sorted(range(len(nb)), key=nb.__getitem__)
-            eb = eids[v]
-            nbrs[v] = [nb[k] for k in order]
-            eids[v] = [eb[k] for k in order]
-    return nbrs, eids
+    view = Graph(g.host_n, g.edge_table, g.vertices, frozenset(alive))
+    view._adj = arrays
+    return view
 
 
-class _LiveView(Graph):
-    """g restricted to the edges in alive, carrying the peel's integer arrays.
-
-    nbrs and eids hold exactly the live edges, as ``_arrays`` would build
-    them.  The peel deletes from them in place, so a view taken during a
-    peel describes its edges only until the next cycle is dropped.
-    ``components()`` reads the arrays; the tuple ``adjacency()`` is built
-    from them on its first call.
-    """
-
-    __slots__ = ("nbrs", "eids")
-
-    def __init__(
-        self,
-        g: Graph,
-        alive: set[int],
-        nbrs: dict[int, list[int]],
-        eids: dict[int, list[int]],
-    ):
-        super().__init__(g.host_n, g.edge_table, g.vertices, frozenset(alive))
-        self.nbrs = nbrs
-        self.eids = eids
-
-    def adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        if self._adj is None:
-            eids = self.eids
-            self._adj = {v: list(zip(nb, eids[v])) for v, nb in self.nbrs.items()}
-        return self._adj
-
-    def components(self) -> list[list[int]]:
-        return [sorted(comp) for _, comp in _component_sets(self, self.nbrs)]
-
-
-def _component_sets(g: Graph, nbrs: dict[int, list[int]]) -> Iterator[tuple[int, set[int]]]:
-    """g's components as (smallest vertex, vertex set), by smallest vertex."""
-    seen: set[int] = set()
-    for r in g.vertex_list():
-        if r in seen:
-            continue
-        comp = {r}
-        stack = [r]
-        while stack:
-            for b in nbrs[stack.pop()]:
-                if b not in comp:
-                    comp.add(b)
-                    stack.append(b)
-        seen |= comp
-        yield r, comp
-
-
-def _largest_component(g: Graph, nbrs: dict[int, list[int]]) -> tuple[int, set[int]]:
+def _largest_component(g: Graph) -> tuple[int, set[int]]:
     """Smallest vertex and vertex set of g's largest component.
 
     Among components of equal size the one with the smallest vertex wins,
@@ -292,7 +229,7 @@ def _largest_component(g: Graph, nbrs: dict[int, list[int]]) -> tuple[int, set[i
     """
     root, best = -1, set()
     unseen = g.n
-    for r, comp in _component_sets(g, nbrs):
+    for r, comp in _component_sets(g):
         unseen -= len(comp)
         if len(comp) > len(best):
             root, best = r, comp
@@ -301,15 +238,14 @@ def _largest_component(g: Graph, nbrs: dict[int, list[int]]) -> tuple[int, set[i
     return root, best
 
 
-def _longest_back_edge_cycle(
-    g: Graph, nbrs: dict[int, list[int]], eids: dict[int, list[int]]
-) -> Optional[Cycle]:
+def _longest_back_edge_cycle(g: Graph) -> Optional[Cycle]:
     """Longest cycle closable by a single DFS back edge, over all components.
 
     The DFS stack holds one vertex per depth, so any in-stack neighbor other
     than the parent is a proper ancestor and closes a simple cycle of length
     >= 3.  Returns None exactly when g is acyclic.
     """
+    nbrs, eids = g.arrays()
     seen: set[int] = set()
     best: Optional[Cycle] = None
     for root in g.vertex_list():
@@ -369,17 +305,12 @@ def find_long_cycle_dfs(g: Graph, *, y_fraction: float = 1 / 3) -> Optional[Cycl
     containing all of Y.  When X and Z are separated (Y is a separator, which
     well-expanding inputs rule out but sparse ones do not) the search falls
     back to the longest single-back-edge cycle, so None is returned only for
-    acyclic inputs.  Reads the per-vertex neighbour and edge-id arrays: a
-    view the peel hands over carries its own, any other graph gets them
-    built from its edge table.
+    acyclic inputs.  Reads g's ``arrays()``.
     """
     if g.n == 0 or g.m == 0:
         return None
-    if isinstance(g, _LiveView):
-        nbrs, eids = g.nbrs, g.eids
-    else:
-        nbrs, eids = _arrays(g)
-    root, unexplored = _largest_component(g, nbrs)
+    nbrs, eids = g.arrays()
+    root, unexplored = _largest_component(g)
     if len(unexplored) < 3:
         return None
 
@@ -412,7 +343,7 @@ def find_long_cycle_dfs(g: Graph, *, y_fraction: float = 1 / 3) -> Optional[Cycl
             path_e.append(eids[v][i])
             ptr[w] = 0
     if snapshot is None or len(snapshot) < 3:
-        return _longest_back_edge_cycle(g, nbrs, eids)
+        return _longest_back_edge_cycle(g)
 
     p = len(snapshot)
     y_len = max(1, min(int(y_fraction * p), p - 2))
@@ -437,7 +368,7 @@ def find_long_cycle_dfs(g: Graph, *, y_fraction: float = 1 / 3) -> Optional[Cycl
                 break
             queue.append(w)
     if hit is None:
-        return _longest_back_edge_cycle(g, nbrs, eids)
+        return _longest_back_edge_cycle(g)
 
     q_vs = [hit]
     q_es: list[int] = []
@@ -576,25 +507,26 @@ def peel_long_cycles(g: Graph, min_len: int) -> tuple[list[Cycle], Graph]:
     finds anything.  Maximality is relative to these searches (a second peel
     of the residual returns no cycles).  The finder and the sweeps read two
     per-vertex integer arrays, neighbours in ascending order and the edge
-    ids beside them, built once from the edge table (or copied from a
-    residual this function returned), and every cycle's edges are deleted
-    from them as it is taken.  The residual is a view over the final
-    arrays; its tuple ``adjacency()`` is built on the first call.
+    ids beside them, copied from g's ``arrays()`` when g carries them and
+    built from the edge table otherwise, and every cycle's edges are
+    deleted from them as it is taken.  The residual carries the final
+    arrays as its own.
     """
     if min_len < 3:
         raise ValueError("min_len must be at least 3")
     if g.n < min_len:  # no room for a cycle that long
         return [], g
-    if isinstance(g, _LiveView):
-        nbrs = {v: nb[:] for v, nb in g.nbrs.items()}
-        eids = {v: eb[:] for v, eb in g.eids.items()}
-    else:
-        nbrs, eids = _arrays(g)
+    if g._adj is None:
+        nbrs, eids = _neighbour_lists(g)
+    else:  # the arrays cached on g are never cut down
+        nbrs = {v: nb[:] for v, nb in g._adj[0].items()}
+        eids = {v: eb[:] for v, eb in g._adj[1].items()}
+    arrays = (nbrs, eids)
     alive = set(g.edge_ids)
     cycles: list[Cycle] = []
     swept = False
     while True:
-        cyc = find_long_cycle_dfs(_LiveView(g, alive, nbrs, eids))
+        cyc = find_long_cycle_dfs(_view(g, alive, arrays))
         progress = cyc is not None and len(cyc.edge_ids) >= min_len
         if progress:
             cycles.append(cyc)
@@ -607,7 +539,7 @@ def peel_long_cycles(g: Graph, min_len: int) -> tuple[list[Cycle], Graph]:
         if not progress:
             break
         swept = True
-    return cycles, _LiveView(g, alive, nbrs, eids)
+    return cycles, _view(g, alive, arrays)
 
 
 def eulerian_cycle_decompose(g: Graph) -> list[Cycle]:

@@ -99,6 +99,50 @@ def edges_of(g: Graph) -> set[tuple[int, int]]:
     return {g.edge_table[eid] for eid in g.edge_ids}
 
 
+# -- adjacency from the definition ----------------------------------------------
+# Built from the edge table and the live edge ids alone, so the oracles below
+# share no code with the graph layer's cached arrays.
+
+
+def reference_adjacency(g: Graph) -> dict[int, list[tuple[int, int]]]:
+    """Live vertex -> its (neighbour, edge id) pairs, sorted."""
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
+    for eid in g.edge_ids:
+        u, v = g.edge_table[eid]
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    for lst in adj.values():
+        lst.sort()
+    return adj
+
+
+def reference_components(g: Graph) -> list[list[int]]:
+    """Connected components of live vertices, each sorted, in sorted order."""
+    adj = reference_adjacency(g)
+    seen: set[int] = set()
+    comps: list[list[int]] = []
+    for root in sorted(g.vertices):
+        if root in seen:
+            continue
+        comp = [root]
+        seen.add(root)
+        stack = [root]
+        while stack:
+            for b, _ in adj[stack.pop()]:
+                if b not in seen:
+                    seen.add(b)
+                    comp.append(b)
+                    stack.append(b)
+        comps.append(sorted(comp))
+    return comps
+
+
+def zipped_arrays(g: Graph) -> dict[int, list[tuple[int, int]]]:
+    """g's cached ``arrays()`` in the form of ``reference_adjacency``."""
+    nbrs, eids = g.arrays()
+    return {v: list(zip(nb, eids[v])) for v, nb in nbrs.items()}
+
+
 def brute_min_survivors(g: Graph, U, budget: int) -> int:
     """Exhaustive adversary: try every F with |F| <= budget, minimize |N(U)|."""
     from cycledecomp.graph import neighborhood
@@ -130,6 +174,7 @@ def reference_certify(g: Graph, p):
     spend the budget on cheapest neighbors.  Returns (is_expander, witness_U,
     subsets visited up to and including the witness)."""
     verts = g.vertex_list()
+    adj = reference_adjacency(g)
     n = g.n
     checked = 0
     for size in range(1, (2 * n) // 3 + 1):
@@ -140,7 +185,7 @@ def reference_certify(g: Graph, p):
             Uset = set(U)
             costs = {}
             for u in Uset:
-                for w, _ in g.adjacency()[u]:
+                for w, _ in adj[u]:
                     if w not in Uset:
                         costs[w] = costs.get(w, 0) + 1
             survivors = len(costs)
@@ -223,7 +268,7 @@ def reference_route_pairs(
     if strategy != "greedy":
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    adj = g.adjacency()
+    adj = reference_adjacency(g)
     rng = random.Random(rng_seed)
     k = len(batch.pairs)
     last_stuck: list[int] = []
@@ -330,10 +375,10 @@ def reference_find_long_cycle_dfs(g: Graph, *, y_fraction: float = 1 / 3) -> Opt
     """
     if g.n == 0 or g.m == 0:
         return None
-    comp = max(g.components(), key=len)
+    comp = max(reference_components(g), key=len)
     if len(comp) < 3:
         return None
-    adj = g.adjacency()
+    adj = reference_adjacency(g)
     root = comp[0]
 
     unexplored = set(comp)
@@ -498,7 +543,7 @@ def reference_peel_long_cycles(g: Graph, min_len: int) -> tuple[list[Cycle], Gra
     if min_len < 3:
         raise ValueError("min_len must be at least 3")
     alive = set(g.edge_ids)
-    adj = g.adjacency()
+    adj = reference_adjacency(g)
     cycles: list[Cycle] = []
     while True:
         progress = False
@@ -822,9 +867,9 @@ def reference_almost_decompose_into_expanders(
             raise TheoremViolation("almost-decomposition recursion exceeded n levels")
         if cur.n == 0:
             continue
-        comps = cur.components()
+        comps = reference_components(cur)
         if len(comps) > 1:
-            adj = cur.adjacency()  # one pass, not an edge scan per component
+            adj = reference_adjacency(cur)  # one pass, not an edge scan per component
             for comp in sorted(comps, reverse=True):
                 eids = frozenset(eid for v in comp for _, eid in adj[v])
                 part = Graph(cur.host_n, cur.edge_table, frozenset(comp), eids)

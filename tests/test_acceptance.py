@@ -51,6 +51,7 @@ from helpers import (
     path_graph,
     random_connected,
     random_gnp,
+    reference_adjacency,
     star_graph,
 )
 
@@ -117,7 +118,7 @@ def _min_survivors_enumerated(g, Uset, pool, max_budget):
     Pure enumeration over edge subsets; each outside neighbor carries a bitmask
     of its edges into U and dies exactly when its mask is covered by F.
     """
-    adj = g.adjacency()
+    adj = reference_adjacency(g)
     bit = {eid: 1 << i for i, eid in enumerate(sorted(pool))}
     masks: dict[int, int] = {}
     for u in Uset:
@@ -148,7 +149,7 @@ def test_criterion_02_frontier_matches_bruteforce():
         n = rng.randint(3, 7)
         g = random_connected(rng, n, extra_p=rng.choice((0.2, 0.4, 0.7)))
         verts = g.vertex_list()
-        adj = g.adjacency()
+        adj = reference_adjacency(g)
         if n <= 5:
             # small enough to enumerate F over the entire edge set: the raw
             # definitional adversary, no restriction at all
@@ -204,7 +205,7 @@ def _ref_certify_knapsack(g, p):
     Solving it by DP shares no reasoning with the library's sorted-greedy
     shortcut, so agreement is evidence rather than tautology.
     """
-    adj = g.adjacency()
+    adj = reference_adjacency(g)
     verts = g.vertex_list()
     n = g.n
     for size in range(1, 2 * n // 3 + 1):
@@ -314,7 +315,7 @@ def test_criterion_04_dichotomy_and_core():
             else:
                 if len(out.robust_set) < p.epsilon * size / p.denominator_value(g.n):
                     problems.append(f"sample {samples}: case-b set below its own bar")
-                adj = g.adjacency()
+                adj = reference_adjacency(g)
                 fset = set(F)
                 uset = set(U)
                 for w in out.robust_set:

@@ -154,6 +154,16 @@ class TestBenchScaling:
         with pytest.raises(ValueError, match=match):
             bench_scaling(**{"families": ("gnp8n",), "seeds": (0,), **kw})
 
+    @pytest.mark.parametrize("kw, what", [
+        (dict(families=("gnp8n", "gnp8n")), "family gnp8n"),
+        (dict(sizes=(16, 24, 16)), "size 16"),
+        (dict(seeds=(0, 1, 0)), "seed 0"),
+    ])
+    def test_repeated_family_size_or_seed_rejected_upfront(self, kw, what, monkeypatch):
+        monkeypatch.setattr(bench, "_bench_one", lambda *a: pytest.fail("an instance ran"))
+        with pytest.raises(ValueError, match=f"{what} given more than once"):
+            bench_scaling(**{"families": ("gnp8n",), "sizes": (16,), "seeds": (0,), **kw})
+
     def test_small_grid_rows_and_bounds(self, tmp_path):
         out = tmp_path / "r.csv"
         text = bench_scaling(

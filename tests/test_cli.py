@@ -548,6 +548,17 @@ class TestBenchCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be at least 1" in err
 
+    @pytest.mark.parametrize("args", [
+        ["--families", "gnp8n,gnp8n", "--sizes", "16", "--seeds", "0"],
+        ["--families", "gnp8n", "--sizes", "16,16", "--seeds", "0"],
+        ["--families", "gnp8n", "--sizes", "16", "--seeds", "0,1,0"],
+    ])
+    def test_repeated_grid_entry_exits_2_with_one_line(self, capsys, args):
+        code, out, err = run(capsys, ["bench", *args])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "given more than once" in err
+
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(
             capsys, ["bench", "--families", "gnp8n", "--sizes", "12", "--seeds", "1"]

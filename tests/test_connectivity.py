@@ -23,6 +23,7 @@ from helpers import (
     complete_graph,
     cycle_graph,
     path_graph,
+    reference_adjacency,
     reference_route_pairs,
     reference_shortest_through_path,
 )
@@ -63,19 +64,20 @@ class TestShortestThroughPath:
             verts = g.vertex_list()
             if len(verts) < 2:
                 continue
-            adj = g.adjacency()
+            adj = reference_adjacency(g)
+            nbrs, eids = g.arrays()
             to = {}  # shared by the searches on this graph, as in route_pairs
-            eids = g.edge_id_list()
+            live = g.edge_id_list()
             for _ in range(5):
                 V = frozenset(w for w in verts if rng.random() < rng.random())
                 through = {}  # shared by the searches through this V, as in route_pairs
                 for _ in range(4):
-                    used = {e for e in eids if rng.random() < rng.random() ** 2}
+                    used = {e for e in live if rng.random() < rng.random() ** 2}
                     u, v = rng.sample(verts, 2)
                     ell = rng.randint(1, 6)
                     warm = bool(through)
                     want = reference_shortest_through_path(adj, used, V, u, v, ell)
-                    got = _shortest_through_path(adj, to, through, used, V, u, v, ell)
+                    got = _shortest_through_path(nbrs, eids, to, through, used, V, u, v, ell)
                     assert got == want, (g.fingerprint(), sorted(used), sorted(V), u, v, ell)
                     seen["cases"] += 1
                     seen["search on a filled through-set cache"] += warm
@@ -246,7 +248,7 @@ class TestRouterMatchesReference:
             verts = g.vertex_list()
             if len(verts) < 2:
                 continue
-            adj = g.adjacency()
+            adj = reference_adjacency(g)
             if contended:
                 hub = rng.choice(verts)
                 ends = rng.sample([w for w in verts if w != hub], max(1, len(adj[hub])))

@@ -18,7 +18,7 @@ from cycledecomp.decomposer import (
 )
 from cycledecomp.expansion import ExpanderParams, certify_expander
 from cycledecomp.graph import Graph, validate_decomposition
-from cycledecomp.pathscycles import _LiveView, peel_long_cycles
+from cycledecomp.pathscycles import peel_long_cycles
 from cycledecomp.pipeline import PipelineConfig, decompose_logstar
 
 from helpers import (
@@ -236,7 +236,7 @@ class TestSplitMatchesReference:
         for _ in range(60):
             g = scattered_subview(rng)
             _, residual = peel_long_cycles(g, rng.randint(3, 6))
-            live += isinstance(residual, _LiveView)
+            live += residual._adj is not None  # carries the peel's arrays
             self.check(residual)
         assert live >= 40
 

@@ -57,6 +57,14 @@ def test_params_reject_non_finite_s():
             ExpanderParams(epsilon=0.5, s=s)
 
 
+def test_params_reject_a_denominator_const_not_finite_and_positive():
+    # a guard, not an assert: it must hold under python -O too
+    for c in (math.nan, math.inf, -math.inf, 0.0, -5.0):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            ExpanderParams(epsilon=0.5, s=0.0, denominator="const", denominator_const=c)
+    assert ExpanderParams(0.5, 0.0, "const", 1e-300).denominator_value(5) == 1e-300
+
+
 def test_budget_saturates_instead_of_overflowing():
     p = ExpanderParams(epsilon=0.5, s=sys.float_info.max)
     top = math.floor(sys.float_info.max)
@@ -236,6 +244,33 @@ def test_component_shortcut_matches_enumeration():
         assert v.violation == (None if ok else (frozenset(witness), frozenset()))
         verdicts.append(ok)
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+def test_threshold_that_underflows_to_zero_is_not_connectivity():
+    """With thresholds that underflow to 0 at small |U| the component count
+    is no certificate: both certifiers agree with the enumeration, and every
+    witness reverifies."""
+    underflow_everywhere = ExpanderParams(1e-300, 0.0, "const", 1e308)
+    # 0 at |U| <= 2, 1 above: an isolated vertex is no violation, a triangle is
+    underflow_below_3 = ExpanderParams(1e-300, 0.0, "const", 1e24)
+    assert underflow_everywhere.threshold(10**6, 10**6) == 0
+    assert [underflow_below_3.threshold(k, 9) for k in (1, 2, 3, 6)] == [0, 0, 1, 1]
+    rng = random.Random(33)
+    cases = [Graph.from_edges(6, [(0, 1), (2, 3)]), path_graph(2)]
+    cases.append(Graph.from_edges(8, [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6), (6, 7), (5, 7)]))
+    cases += [random_gnp(rng, rng.randint(1, 10), rng.choice((0.1, 0.25, 0.5))) for _ in range(60)]
+    verdicts = []
+    for p in (underflow_everywhere, underflow_below_3):
+        for g in cases:
+            assert not p.connectivity_only(g.n)
+            ok, witness, checked = reference_certify(g, p)
+            v = certify_expander(g, p, mode="exhaustive")
+            assert (v.is_expander, v.subsets_checked) == (ok, checked), (p, g.vertex_list())
+            assert v.violation is None or (v.violation[0] == witness and v.reverify(g))
+            h = certify_expander(g, p, mode="heuristic")
+            assert h.is_expander or (not ok and h.reverify(g))
+            verdicts.append(ok)
+    assert verdicts.count(True) >= 60 and verdicts.count(False) >= 20
 
 
 def test_subset_counts_match_binomial_sums():

@@ -23,16 +23,19 @@ from cycledecomp.graph import (
     validate_decomposition,
     validate_decomposition_json,
 )
+from cycledecomp.pathscycles import peel_long_cycles
 
 from helpers import (
     complete_graph,
     cycle_graph,
     path_graph,
     random_gnp,
+    reference_adjacency,
     reference_from_edges,
     reference_parse_edge_list,
     scattered_subview,
     star_graph,
+    zipped_arrays,
 )
 
 
@@ -79,9 +82,40 @@ def test_degrees_equal_the_adjacency_count_without_building_it():
         fresh = Graph(g.host_n, g.edge_table, g.vertices, g.edge_ids)
         counted = fresh.degrees()
         assert fresh._adj is None
-        want = [(v, len(lst)) for v, lst in g.adjacency().items()]
+        want = [(v, len(nb)) for v, nb in g.arrays()[0].items()]
         assert list(counted.items()) == want
-        assert list(g.degrees().items()) == want  # read from the built adjacency
+        assert list(g.degrees().items()) == want  # read from the built arrays
+
+
+def test_arrays_equal_an_adjacency_built_from_the_definition():
+    """The cached arrays of from_edges hosts (pairs in either endpoint
+    order), parsed graphs whose lines are not in pair order, subviews and
+    peel residuals equal ``reference_adjacency``.  A peel leaves arrays
+    cached on its input as they were, and caches none on an input that
+    had none."""
+    rng = random.Random(1020)
+    unordered = 0
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        rng.shuffle(pairs)
+        host = Graph.from_edges(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs])
+        parsed = parse_edge_list(f"{n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs))
+        unordered += pairs != sorted(pairs)
+        sub = parsed.subview(vertices=[v for v in range(n) if rng.random() < 0.8])
+        sub = sub.subview(edge_ids=[e for e in sub.edge_ids if rng.random() < 0.8])
+        for g in (host, parsed, sub, scattered_subview(rng)):
+            bare = Graph(g.host_n, g.edge_table, g.vertices, g.edge_ids)
+            min_len = rng.randint(3, 5)
+            _, residual = peel_long_cycles(bare, min_len)
+            assert bare._adj is None
+            assert zipped_arrays(residual) == reference_adjacency(residual)
+            cached = zipped_arrays(g)
+            assert cached == reference_adjacency(g)
+            _, residual = peel_long_cycles(g, min_len)
+            assert zipped_arrays(g) == cached
+            assert zipped_arrays(residual) == reference_adjacency(residual)
+    assert unordered >= 150
 
 
 def test_fingerprint_distinguishes_views():

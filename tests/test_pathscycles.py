@@ -20,10 +20,13 @@ from helpers import (
     cycle_graph,
     path_graph,
     random_gnp,
+    reference_adjacency,
+    reference_components,
     reference_find_long_cycle_dfs,
     reference_peel_long_cycles,
     scattered_subview,
     star_graph,
+    zipped_arrays,
 )
 
 
@@ -256,7 +259,8 @@ class TestPeelMatchesReference:
     """The peel on one compacted live adjacency against the peel that skips
     consumed edges through a set and rebuilds a subview per finder round
     (``helpers.reference_peel_long_cycles``): same cycles in the same order,
-    same residual, and a residual adjacency equal to a freshly built one."""
+    same residual, and residual arrays equal to an adjacency built from the
+    definition."""
 
     def check(self, g: Graph, min_len: int) -> int:
         got, residual = peel_signature(g, peel_long_cycles, min_len)
@@ -264,8 +268,7 @@ class TestPeelMatchesReference:
         assert got == want, (g, min_len)
         assert residual.edge_ids == ref_residual.edge_ids
         assert residual.vertices == g.vertices
-        fresh = Graph(g.host_n, g.edge_table, g.vertices, residual.edge_ids)
-        assert residual.adjacency() == fresh.adjacency()
+        assert zipped_arrays(residual) == reference_adjacency(residual)
         return len(got)
 
     def test_gnp_at_every_min_len(self):
@@ -308,8 +311,8 @@ def shuffled_host(rng: random.Random) -> Graph:
 class TestPeelOnShuffledEdgeTables:
     """Hosts whose edge table is not in pair order, and gappy subviews of
     them, against the reference peel and finder: same cycles in the same
-    order, same residual, a residual adjacency equal to a freshly built one,
-    and a residual that a second peel leaves as it was."""
+    order, same residual, residual arrays equal to an adjacency built from
+    the definition, and a residual that a second peel leaves as it was."""
 
     def check(self, g: Graph, min_len: int) -> None:
         assert find_long_cycle_dfs(g) == reference_find_long_cycle_dfs(g)
@@ -318,16 +321,15 @@ class TestPeelOnShuffledEdgeTables:
         assert got == want, (g, min_len)
         assert residual.edge_ids == ref_residual.edge_ids
         fresh = Graph(g.host_n, g.edge_table, g.vertices, residual.edge_ids)
-        # peel the residual before its adjacency is first built, so a
-        # second peel that wrote into the first one's arrays would show
+        # peel the residual before its arrays are checked, so a second
+        # peel that wrote into the arrays the first one left would show
         assert find_long_cycle_dfs(residual) == reference_find_long_cycle_dfs(fresh)
         again, residual2 = peel_signature(residual, peel_long_cycles, 3)
         want2, ref_residual2 = peel_signature(fresh, reference_peel_long_cycles, 3)
         assert again == want2
         assert residual2.edge_ids == ref_residual2.edge_ids
-        assert residual.adjacency() == fresh.adjacency()
-        fresh2 = Graph(g.host_n, g.edge_table, g.vertices, residual2.edge_ids)
-        assert residual2.adjacency() == fresh2.adjacency()
+        assert zipped_arrays(residual) == reference_adjacency(fresh)
+        assert zipped_arrays(residual2) == reference_adjacency(residual2)
 
     def test_shuffled_hosts(self):
         rng = random.Random(1018)
@@ -350,10 +352,10 @@ class TestPeelOnShuffledEdgeTables:
                 self.check(g, min_len)
 
 
-class TestLiveViewReaders:
-    """A live view's components and degrees come from its arrays and the
-    edge table, never from a tuple adjacency, and equal what a plain graph
-    on the same vertex and edge sets answers."""
+class TestViewsCarryingArrays:
+    """A view that carries the peel's arrays, and a peel residual, answer
+    components and degrees from those arrays as the definition does on the
+    same vertex and edge sets."""
 
     def test_components_and_degrees_equal_a_plain_graph(self):
         rng = random.Random(1019)
@@ -362,15 +364,15 @@ class TestLiveViewReaders:
             g = scattered_subview(rng)
             alive = {e for e in g.edge_ids if rng.random() < 0.7}
             plain = Graph(g.host_n, g.edge_table, g.vertices, frozenset(alive))
-            live = pathscycles._LiveView(g, alive, *pathscycles._arrays(plain))
+            view = pathscycles._view(g, alive, plain.arrays())
             _, residual = peel_long_cycles(g, 3)
-            assert isinstance(residual, pathscycles._LiveView)
+            assert residual._adj is not None
             fresh = Graph(g.host_n, g.edge_table, g.vertices, residual.edge_ids)
-            for view, ref in ((live, plain), (residual, fresh)):
-                assert view.components() == ref.components()
-                assert list(view.degrees().items()) == list(ref.degrees().items())
-                assert view._adj is None
-            isolated += any(len(c) == 1 for c in plain.components())
+            for carrier, ref in ((view, plain), (residual, fresh)):
+                assert carrier.components() == reference_components(ref)
+                adj = reference_adjacency(ref)
+                assert carrier.degrees() == {v: len(lst) for v, lst in adj.items()}
+            isolated += any(len(c) == 1 for c in reference_components(plain))
         assert isolated >= 200
 
 
