@@ -15,12 +15,13 @@ import math
 import os
 import random
 import time
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .graph import Graph, format_edge_list, validate_decomposition
+from .graph import Graph, _neighbour_lists, format_edge_list, validate_decomposition
 from .pipeline import PipelineConfig, decompose_logstar
 
 DEFAULT_SIZES = (128, 256, 512, 1024, 2048)
@@ -87,31 +88,28 @@ def gen_eulerian(n: int, p: float, seed: int) -> Graph:
     Odd-degree vertices are cancelled in pairs by deleting a shortest path
     between them; interior vertices lose degree 2, so only the two endpoint
     parities flip.  Every component always holds an even number of odd
-    vertices, so a partner is always reachable.
+    vertices, so a partner is always reachable.  The smallest odd vertex is
+    paired first, with a larger one, so a pointer to it only moves forward.
+    The deletions cut down fresh copies of the graph's sorted neighbour lists.
     """
-    g = gen_gnp(n, p, seed)
-    adj: dict[int, set[int]] = {v: set() for v in range(n)}
-    tab = g.edge_table
-    for eid in g.edge_id_list():
-        u, v = tab[eid]
-        adj[u].add(v)
-        adj[v].add(u)
+    nbrs = _neighbour_lists(gen_gnp(n, p, seed))[0]
+    x = 0
     while True:
-        odd = [v for v in range(n) if len(adj[v]) % 2]
-        if not odd:
+        while x < n and len(nbrs[x]) % 2 == 0:
+            x += 1
+        if x == n:
             break
-        x = odd[0]
         parent: dict[int, Optional[int]] = {x: None}
         frontier = [x]
         target = -1
         while frontier and target < 0:
             nxt: list[int] = []
             for a in frontier:
-                for b in sorted(adj[a]):
+                for b in nbrs[a]:
                     if b in parent:
                         continue
                     parent[b] = a
-                    if len(adj[b]) % 2:
+                    if len(nbrs[b]) % 2:
                         target = b
                         break
                     nxt.append(b)
@@ -123,11 +121,10 @@ def gen_eulerian(n: int, p: float, seed: int) -> Graph:
         cur = target
         while parent[cur] is not None:
             prv = parent[cur]
-            adj[cur].discard(prv)
-            adj[prv].discard(cur)
+            del nbrs[cur][bisect_left(nbrs[cur], prv)]
+            del nbrs[prv][bisect_left(nbrs[prv], cur)]
             cur = prv
-    pairs = sorted((u, v) for u in range(n) for v in adj[u] if u < v)
-    return Graph.from_edges(n, pairs)
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in nbrs[u] if u < v])
 
 
 def gen_regular(n: int, d: int, seed: int) -> Graph:

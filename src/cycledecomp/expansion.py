@@ -195,7 +195,8 @@ def certify_expander(
     ascending, then lexicographic), solves the inner minimization exactly,
     and is a certificate either way; it refuses n > ``cap`` with
     ``CapacityError``, except when ``p.connectivity_only(n)`` lets a
-    component count give the same answer at any size.  Heuristic mode
+    component count give the same answer at any size, or a survivor
+    threshold of at most 0 lets no set violate.  Heuristic mode
     searches candidate U via connected components, low-degree greedy growth,
     BFS prefix cuts, and random seeds; a true verdict only means "no
     violation found".
@@ -224,11 +225,17 @@ def _certify_exhaustive(g: Graph, p: ExpanderParams, cap: int) -> ExpanderVerdic
     n = g.n
     if p.connectivity_only(n):
         return _certify_by_components(g, p)
+    max_size = (2 * n) // 3
+    if p.threshold(max_size, n) <= 0:
+        # the threshold only grows with |U|, so no set leaves fewer survivors
+        return ExpanderVerdict(
+            is_expander=True, certified=True, mode="exhaustive", params=p,
+            subsets_checked=_subset_count(n, max_size),
+        )
     if n > cap:
         raise CapacityError(f"exhaustive certification capped at n={cap}, got {n}")
     verts = g.vertex_list()
     nbrs = g.arrays()[0]
-    max_size = (2 * n) // 3
     checked = 0
     for size in range(1, max_size + 1):
         budget = p.budget(size)

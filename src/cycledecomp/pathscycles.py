@@ -9,10 +9,10 @@ consumers rely on.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .graph import Arrays, Cycle, Graph, Path, _component_sets, _neighbour_lists
 
@@ -26,47 +26,51 @@ class WellSpreadResult:
     infeasible: tuple[Cycle, ...] = field(default=())
 
     def endpoint_multiplicity(self) -> dict[int, int]:
-        mult: dict[int, int] = {}
-        for p in self.paths:
-            for v in (p.vertices[0], p.vertices[-1]):
-                mult[v] = mult.get(v, 0) + 1
-        return mult
+        return _endpoint_multiplicity(self.paths)
+
+
+def _endpoint_multiplicity(paths: Iterable[Path]) -> dict[int, int]:
+    """The number of path ends at each vertex."""
+    mult: dict[int, int] = {}
+    for p in paths:
+        for v in (p.vertices[0], p.vertices[-1]):
+            mult[v] = mult.get(v, 0) + 1
+    return mult
 
 
 def _euler_circuit(
-    start: int,
-    adj: dict[int, list[tuple[int, int]]],
-    used: list[bool],
-    ptr: dict[int, int],
+    start: int, nbrs: dict[int, list[int]], eids: dict[int, list[int]]
 ) -> tuple[list[int], list[int]]:
     """Hierholzer circuit over a connected even-degree multigraph.
 
-    adj maps vertex -> [(edge_index, other)].  Returns the circuit as a
-    vertex sequence v0..vk (v0 == vk) and edge-index sequence e1..ek where
-    e_i joins v_{i-1} and v_i.
+    nbrs and eids hold, per vertex, the neighbours and the edge ids beside
+    them; an edge id names one edge, so a used edge is skipped from both
+    ends.  Returns the circuit as a vertex sequence v0..vk (v0 == vk) and
+    edge-id sequence e1..ek where e_i joins v_{i-1} and v_i.
     """
+    used: set[int] = set()
+    ptr = dict.fromkeys(nbrs, 0)
     vstack = [start]
     estack: list[int] = []
     vout: list[int] = []
     eout: list[int] = []
     while vstack:
         v = vstack[-1]
-        lst = adj[v]
+        eb = eids[v]
         i = ptr[v]
-        while i < len(lst) and used[lst[i][0]]:
+        while i < len(eb) and eb[i] in used:
             i += 1
         ptr[v] = i
-        if i == len(lst):
+        if i == len(eb):
             vout.append(v)
             vstack.pop()
             if estack:
                 eout.append(estack.pop())
         else:
-            ei, w = lst[i]
-            used[ei] = True
+            used.add(eb[i])
             ptr[v] = i + 1
-            vstack.append(w)
-            estack.append(ei)
+            vstack.append(nbrs[v][i])
+            estack.append(eb[i])
     vout.reverse()
     eout.reverse()
     return vout, eout
@@ -109,60 +113,52 @@ def _component_walks(
 ) -> list[tuple[list[int], list[int]]]:
     """Euler-circuit walks of one component, virtual pairing edges removed.
 
-    Returns a list of (vertex_seq, edge_id_seq) walks.  With pair_odd the
-    odd-degree vertices are paired ascending through virtual edges and each
-    returned walk is open (one per pair); otherwise all degrees must already
-    be even and the single closed circuit is returned.
+    comp is the component's vertex list in ascending order.  Returns a list
+    of (vertex_seq, edge_id_seq) walks.  With pair_odd the odd-degree
+    vertices are paired ascending through virtual edges and each returned
+    walk is open (one per pair); otherwise all degrees must already be even
+    and the single closed circuit is returned.  The circuit reads the
+    component's slice of g's ``arrays()``; each odd vertex gets a copy of
+    its lists holding one virtual entry, with edge id -1 - k for the k-th
+    pair, placed after any real entry for the same neighbour.
     """
-    nbrs, eids = g.arrays()
-    edges: list[tuple[int, int, Optional[int]]] = []
-    for u in comp:
-        for v, eid in zip(nbrs[u], eids[u]):
-            if u < v:
-                edges.append((u, v, eid))
-    if not edges:
+    all_nbrs, all_eids = g.arrays()
+    nbrs = {v: all_nbrs[v] for v in comp}
+    eids = {v: all_eids[v] for v in comp}
+    if not nbrs[comp[0]]:
         return []
-    deg = g.degrees()
-    odd = sorted(v for v in comp if deg[v] % 2 == 1)
+    odd = [v for v in comp if len(nbrs[v]) % 2]
     if odd and not pair_odd:
         raise ValueError(f"odd-degree vertices present: {odd[:5]}")
-    for i in range(0, len(odd), 2):
-        edges.append((odd[i], odd[i + 1], None))
-
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in comp}
-    for idx, (u, v, _) in enumerate(edges):
-        adj[u].append((idx, v))
-        adj[v].append((idx, u))
-    for v in comp:
-        adj[v].sort(key=lambda t: (t[1], t[0]))
-    used = [False] * len(edges)
-    ptr = {v: 0 for v in comp}
-    vseq, eseq = _euler_circuit(comp[0], adj, used, ptr)
-    if not all(used) or len(eseq) != len(edges):
+    for k in range(len(odd) // 2):
+        a, b = odd[2 * k], odd[2 * k + 1]
+        for x, y in ((a, b), (b, a)):
+            i = bisect_right(nbrs[x], y)
+            nbrs[x] = nbrs[x][:i] + [y] + nbrs[x][i:]
+            eids[x] = eids[x][:i] + [-1 - k] + eids[x][i:]
+    vseq, eseq = _euler_circuit(comp[0], nbrs, eids)
+    if 2 * len(eseq) != sum(map(len, eids.values())):
         raise RuntimeError(f"Euler circuit from {comp[0]} missed edges of its component")
+    if not odd:
+        return [(vseq, eseq)]
 
-    virt = [i for i, idx in enumerate(eseq) if edges[idx][2] is None]
-    if not virt:
-        return [(vseq, [edges[idx][2] for idx in eseq])]
-
-    k = len(eseq)
-    first = virt[0]
-    order = list(range(first + 1, k)) + list(range(0, first + 1))
+    # rotate the closed circuit to start just after its first virtual edge,
+    # so it ends with one, then cut it at every virtual edge
+    first = next(i for i, e in enumerate(eseq) if e < 0)
+    vs = vseq[first + 1 : -1] + vseq[: first + 2]
+    es = eseq[first + 1 :] + eseq[: first + 1]
     walks: list[tuple[list[int], list[int]]] = []
-    cur_vs = [vseq[first + 1]]
+    cur_vs = [vs[0]]
     cur_es: list[int] = []
-    for posn in order:
-        idx = eseq[posn]
-        if cur_vs[-1] != vseq[posn]:
-            raise RuntimeError(f"walk split lost its place at circuit position {posn}")
-        if edges[idx][2] is None:
+    for e, w in zip(es, vs[1:]):
+        if e < 0:
             if cur_es:
                 walks.append((cur_vs, cur_es))
-            cur_vs = [vseq[posn + 1]]
+            cur_vs = [w]
             cur_es = []
         else:
-            cur_es.append(edges[idx][2])
-            cur_vs.append(vseq[posn + 1])
+            cur_es.append(e)
+            cur_vs.append(w)
     return walks
 
 
@@ -188,10 +184,7 @@ def well_spread_path_cycle_decompose(g: Graph, mode: str = "euler") -> WellSprea
     if mode == "euler":
         return WellSpreadResult(tuple(paths), tuple(cycles))
 
-    mult: dict[int, int] = {}
-    for p in paths:
-        for v in (p.vertices[0], p.vertices[-1]):
-            mult[v] = mult.get(v, 0) + 1
+    mult = _endpoint_multiplicity(paths)
     kept: list[Cycle] = []
     for cyc in cycles:
         free = [i for i, v in enumerate(cyc.vertices) if mult.get(v, 0) == 0]
@@ -241,60 +234,53 @@ def _largest_component(g: Graph) -> tuple[int, set[int]]:
 def _longest_back_edge_cycle(g: Graph) -> Optional[Cycle]:
     """Longest cycle closable by a single DFS back edge, over all components.
 
-    The DFS stack holds one vertex per depth, so any in-stack neighbor other
-    than the parent is a proper ancestor and closes a simple cycle of length
-    >= 3.  Returns None exactly when g is acyclic.
+    The DFS stack holds one vertex per depth, so any neighbour on the stack
+    closes a simple cycle through the stack edges below it; the edge to the
+    parent closes a 2-cycle, which is too short to count.  The first cycle
+    of the greatest length wins.  Returns None exactly when g is acyclic.
+    Reads g's ``arrays()`` with the depth table of ``_back_edge_pass``.
     """
     nbrs, eids = g.arrays()
-    seen: set[int] = set()
+    depth = _per_vertex(g, -1)
+    ptr = _per_vertex(g, 0)
     best: Optional[Cycle] = None
+    longest = 2
     for root in g.vertex_list():
-        if root in seen:
+        if depth[root] != -1:
             continue
-        depth = {root: 0}
-        pe: dict[int, tuple[int, int]] = {}  # child -> (parent, edge id)
-        stack = [root]
-        instack = {root}
-        ptr = {root: 0}
-        while stack:
-            v = stack[-1]
-            nb, eb = nbrs[v], eids[v]
+        stack_v = [root]
+        stack_e: list[Optional[int]] = [None]
+        depth[root] = 0
+        while stack_v:
+            v = stack_v[-1]
+            nb = nbrs[v]
+            end = len(nb)
             i = ptr[v]
-            advanced = False
-            while i < len(nb):
-                w, eid = nb[i], eb[i]
-                i += 1
-                if w not in depth:
-                    depth[w] = depth[v] + 1
-                    pe[w] = (v, eid)
-                    ptr[v] = i
-                    stack.append(w)
-                    instack.add(w)
-                    ptr[w] = 0
-                    advanced = True
+            while i < end:
+                w = nb[i]
+                j = depth[w]
+                if j == -1:
+                    ptr[v] = i + 1
+                    depth[w] = len(stack_v)
+                    stack_v.append(w)
+                    stack_e.append(eids[v][i])
                     break
-                if w in instack and (v not in pe or pe[v][1] != eid):
-                    length = depth[v] - depth[w] + 1
-                    if length >= 3 and (best is None or length > best.length):
-                        ups = []
-                        x = v
-                        while x != w:
-                            ups.append(x)
-                            x = pe[x][0]
-                        down = ups[::-1]
-                        best = Cycle(
-                            tuple([w] + down),
-                            tuple([pe[x][1] for x in down] + [eid]),
-                        )
-            if not advanced:
-                ptr[v] = i
-                stack.pop()
-                instack.discard(v)
-        seen.update(depth)
+                if j >= 0 and len(stack_v) - j > longest:
+                    longest = len(stack_v) - j
+                    best = Cycle(tuple(stack_v[j:]), tuple(stack_e[j + 1 :]) + (eids[v][i],))
+                i += 1
+            else:
+                stack_v.pop()
+                stack_e.pop()
+                depth[v] = -2
     return best
 
 
-def find_long_cycle_dfs(g: Graph, *, y_fraction: float = 1 / 3) -> Optional[Cycle]:
+# the share of the snapshot path P that its middle segment Y takes
+Y_FRACTION = 1 / 3
+
+
+def find_long_cycle_dfs(g: Graph) -> Optional[Cycle]:
     """Long-cycle extraction via the unexplored/path/removed DFS process.
 
     Runs DFS on the largest component tracking the unexplored set U and the
@@ -346,7 +332,7 @@ def find_long_cycle_dfs(g: Graph, *, y_fraction: float = 1 / 3) -> Optional[Cycl
         return _longest_back_edge_cycle(g)
 
     p = len(snapshot)
-    y_len = max(1, min(int(y_fraction * p), p - 2))
+    y_len = max(1, min(int(Y_FRACTION * p), p - 2))
     x_len = (p - y_len + 1) // 2
     X = snapshot[:x_len]
     Y = snapshot[x_len : x_len + y_len]

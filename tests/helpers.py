@@ -298,6 +298,111 @@ def reference_route_pairs(
     )
 
 
+# -- reference Euler walks -----------------------------------------------------
+# The walk as it stood before it read the component's slice of the cached
+# arrays: an edge table with None marking virtual pairing edges, and a
+# tuple adjacency sorted by (neighbour, table index).  Built from the
+# definition, as the oracle of the differential test.
+
+
+def _reference_euler_circuit(
+    start: int,
+    adj: dict[int, list[tuple[int, int]]],
+    used: list[bool],
+    ptr: dict[int, int],
+) -> tuple[list[int], list[int]]:
+    """Hierholzer circuit over a connected even-degree multigraph.
+
+    adj maps vertex -> [(edge_index, other)].  Returns the circuit as a
+    vertex sequence v0..vk (v0 == vk) and edge-index sequence e1..ek where
+    e_i joins v_{i-1} and v_i.
+    """
+    vstack = [start]
+    estack: list[int] = []
+    vout: list[int] = []
+    eout: list[int] = []
+    while vstack:
+        v = vstack[-1]
+        lst = adj[v]
+        i = ptr[v]
+        while i < len(lst) and used[lst[i][0]]:
+            i += 1
+        ptr[v] = i
+        if i == len(lst):
+            vout.append(v)
+            vstack.pop()
+            if estack:
+                eout.append(estack.pop())
+        else:
+            ei, w = lst[i]
+            used[ei] = True
+            ptr[v] = i + 1
+            vstack.append(w)
+            estack.append(ei)
+    vout.reverse()
+    eout.reverse()
+    return vout, eout
+
+
+def reference_component_walks(
+    g: Graph, comp: list[int], pair_odd: bool
+) -> list[tuple[list[int], list[int]]]:
+    """Euler-circuit walks of one component, virtual pairing edges removed.
+
+    Returns a list of (vertex_seq, edge_id_seq) walks.  With pair_odd the
+    odd-degree vertices are paired ascending through virtual edges and each
+    returned walk is open (one per pair); otherwise all degrees must already
+    be even and the single closed circuit is returned.
+    """
+    ref = reference_adjacency(g)
+    edges: list[tuple[int, int, Optional[int]]] = []
+    for u in comp:
+        for v, eid in ref[u]:
+            if u < v:
+                edges.append((u, v, eid))
+    if not edges:
+        return []
+    odd = sorted(v for v in comp if len(ref[v]) % 2 == 1)
+    if odd and not pair_odd:
+        raise ValueError(f"odd-degree vertices present: {odd[:5]}")
+    for i in range(0, len(odd), 2):
+        edges.append((odd[i], odd[i + 1], None))
+
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in comp}
+    for idx, (u, v, _) in enumerate(edges):
+        adj[u].append((idx, v))
+        adj[v].append((idx, u))
+    for v in comp:
+        adj[v].sort(key=lambda t: (t[1], t[0]))
+    used = [False] * len(edges)
+    ptr = {v: 0 for v in comp}
+    vseq, eseq = _reference_euler_circuit(comp[0], adj, used, ptr)
+    assert all(used) and len(eseq) == len(edges)
+
+    virt = [i for i, idx in enumerate(eseq) if edges[idx][2] is None]
+    if not virt:
+        return [(vseq, [edges[idx][2] for idx in eseq])]
+
+    k = len(eseq)
+    first = virt[0]
+    order = list(range(first + 1, k)) + list(range(0, first + 1))
+    walks: list[tuple[list[int], list[int]]] = []
+    cur_vs = [vseq[first + 1]]
+    cur_es: list[int] = []
+    for posn in order:
+        idx = eseq[posn]
+        assert cur_vs[-1] == vseq[posn]
+        if edges[idx][2] is None:
+            if cur_es:
+                walks.append((cur_vs, cur_es))
+            cur_vs = [vseq[posn + 1]]
+            cur_es = []
+        else:
+            cur_es.append(edges[idx][2])
+            cur_vs.append(vseq[posn + 1])
+    return walks
+
+
 # -- reference long-cycle peel ------------------------------------------------
 # The peel as it stood before it kept a compacted live adjacency: every sweep
 # skips consumed edges through the ``alive`` set, and every finder round runs
@@ -360,7 +465,7 @@ def _reference_longest_back_edge_cycle(g: Graph, adj) -> Optional[Cycle]:
     return best
 
 
-def reference_find_long_cycle_dfs(g: Graph, *, y_fraction: float = 1 / 3) -> Optional[Cycle]:
+def reference_find_long_cycle_dfs(g: Graph) -> Optional[Cycle]:
     """Long-cycle extraction via the unexplored/path/removed DFS process.
 
     Runs DFS on the largest component tracking the unexplored set U and the
@@ -414,7 +519,7 @@ def reference_find_long_cycle_dfs(g: Graph, *, y_fraction: float = 1 / 3) -> Opt
         return _reference_longest_back_edge_cycle(g, adj)
 
     p = len(snapshot)
-    y_len = max(1, min(int(y_fraction * p), p - 2))
+    y_len = max(1, min(int(1 / 3 * p), p - 2))
     x_len = (p - y_len + 1) // 2
     X = snapshot[:x_len]
     Y = snapshot[x_len : x_len + y_len]

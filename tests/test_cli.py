@@ -289,6 +289,20 @@ class TestCertify:
         assert doc["mode"] == "exhaustive" and doc["witness"] is None
         assert doc["subsets_checked"] == sum(math.comb(30, k) for k in range(1, 21))
 
+    def test_zero_threshold_answers_without_enumerating(self, capsys):
+        # epsilon 1e-300 over a denominator of 1e308 underflows every survivor
+        # threshold to 0, so no set violates: the count is the enumeration's
+        # (988,115 subsets at n = 20), and n = 21 passes the cap of 20
+        zero = ["certify", "--epsilon", "1e-300", "--s", "0",
+                "--denominator", "const", "--denominator-const", "1e308"]
+        _, edges, _ = run(capsys, ["gen", "gnp", "20", "0.2", "--seed", "0"])
+        assert run(capsys, zero, stdin=edges) == (0, (
+            '{"certified":true,"is_expander":true,"mode":"exhaustive",'
+            '"subsets_checked":988115,"witness":null}\n'), "")
+        _, edges, _ = run(capsys, ["gen", "gnp", "21", "0.2", "--seed", "0"])
+        code, out, err = run(capsys, zero, stdin=edges)
+        assert code == 0, err
+        assert json.loads(out)["subsets_checked"] == sum(math.comb(21, k) for k in range(1, 15))
 
     @pytest.mark.parametrize("s", ["inf", "nan"])
     def test_non_finite_s_exit2_one_line(self, capsys, s):

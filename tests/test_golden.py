@@ -1,17 +1,23 @@
-"""Golden output: the sha256 of the decomposition JSON on fixed instances.
+"""Golden output: the sha256 of the decomposition JSON, and of the standard
+output of the single-shot CLI stages, on fixed instances.
 
 Any change to these digests is a change to the program's output and must be
 made on purpose, with the new pieces/n per family stated alongside it.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
+import random
+import sys
 
 import pytest
 
 from cycledecomp.bench import gen_eulerian, gen_gallai_bipartite, gen_gnp
+from cycledecomp.cli import main
 from cycledecomp.graph import (
     Cycle,
     Graph,
@@ -231,3 +237,75 @@ def test_validators_match_reference(name, preset):
     for what, bad in [("output", dec)] + list(decomposition_mutations(dec, g)):
         assert validate_decomposition(g, bad) == reference_validate_decomposition(g, bad), what
     assert len(cases) >= 16
+
+
+# -- CLI outputs of the single-shot stages ------------------------------------
+
+
+def shuffled_lines(text: str, seed: int) -> str:
+    """The same edge list with its edge lines in a seeded random order, so
+    edge ids no longer follow pair order."""
+    header, *lines = text.splitlines()
+    random.Random(seed).shuffle(lines)
+    return "\n".join([header] + lines) + "\n"
+
+
+def complete_text(k: int) -> str:
+    return format_edge_list(Graph.from_edges(k, list(itertools.combinations(range(k), 2))))
+
+
+CLI_INPUTS = {
+    # all degrees odd: every virtual pairing edge runs beside a real one
+    "k10": lambda: complete_text(10),
+    "k10_shuffled": lambda: shuffled_lines(complete_text(10), 3),
+    "k11": lambda: complete_text(11),
+    "gnp40": lambda: format_edge_list(gen_gnp(40, 0.2, 3)),
+    # sparse: the long-cycle search falls back to the longest back-edge cycle
+    "gnp60_sparse": lambda: format_edge_list(gen_gnp(60, 0.02, 7)),
+    "gnp30_shuffled": lambda: shuffled_lines(format_edge_list(gen_gnp(30, 0.3, 5)), 7),
+    "eulerian60": lambda: format_edge_list(gen_eulerian(60, 0.15, 2)),
+    "eulerian48_shuffled": lambda: shuffled_lines(format_edge_list(gen_eulerian(48, 0.2, 4)), 1),
+}
+
+# (argv, input name or None) -> (exit code, sha256 of standard output)
+CLI_GOLDEN = {
+    ("paths --mode euler", "k10"): (0, "29f97ad35e03425de4642e4d850cb9aadce96a042adb77a23e510495f2dbe0b1"),
+    ("paths --mode euler", "k10_shuffled"): (0, "29f97ad35e03425de4642e4d850cb9aadce96a042adb77a23e510495f2dbe0b1"),
+    ("paths --mode euler", "gnp40"): (0, "eca0aaea8c1f216a4f29a1c52bdd65005b95921aa7050c587f8430db0196560c"),
+    ("paths --mode euler", "gnp60_sparse"): (0, "cfa72e5febbbba550bcb04d0055184e404f5c3b328c321804ff8862f1951dca3"),
+    ("paths --mode euler", "gnp30_shuffled"): (0, "1cc51e1c70855ec2268c6e4c24621de22d1fdb82169053fe38781bcec84fb1e7"),
+    ("paths --mode paths_only", "k10"): (0, "29f97ad35e03425de4642e4d850cb9aadce96a042adb77a23e510495f2dbe0b1"),
+    ("paths --mode paths_only", "k10_shuffled"): (0, "29f97ad35e03425de4642e4d850cb9aadce96a042adb77a23e510495f2dbe0b1"),
+    ("paths --mode paths_only", "gnp40"): (0, "24403ef1c2c19ba8336cf37e0bc9ac431646c108ed93a46033c61590218ef532"),
+    ("paths --mode paths_only", "gnp60_sparse"): (0, "b368afc8ddde7154c076b299d2d39e5874bafa0d4bb9fd6fecae8be371a6443f"),
+    ("paths --mode paths_only", "gnp30_shuffled"): (0, "84b3e229da461324d50e1bc29c95e408e10030ad838d35cf83cfb2d358252bc0"),
+    ("euler", "k11"): (0, "6b72a228de371f5377e3528922dc73cb651ac565e754ec2f1de1891d4bac609e"),
+    ("euler", "eulerian60"): (0, "bb91193bf9ff3817d033956fd4fb4cce9e06860cc132c9f3b7d825b7c9fe6f6a"),
+    ("euler", "eulerian48_shuffled"): (0, "e146f01d5308caf15d3912bb5accc839d5611b42cf4bfef689bebe184c0d5e40"),
+    ("longcycle", "k10"): (0, "33b4b8a7c468dbdd22c5f18f3e2374af479aed74d141c878726c81eeb37f4767"),
+    ("longcycle", "gnp40"): (0, "7842b377804ad738931a80556dbb75d15c9890d18c75583efe15f7e787abb56d"),
+    ("longcycle", "gnp60_sparse"): (0, "9112bb2a76aeba798b62a11439df55116f035be70c4d48dbc91f5903b9fa07a2"),
+    ("longcycle", "gnp30_shuffled"): (0, "8a30e985a6d148ad96688d6af2d1bd6fc7b8c349577d3a33f6d2d8ce0e67d249"),
+    ("longcycle", "eulerian60"): (0, "7b3302b6384294c522afdd9893c46d56ada6e3a796c38fe4fdb1cea500627507"),
+    ("gen eulerian 64 0.1 --seed 0", None): (0, "a59c2ecc5303b28175e1302117375fc525c55527b246e1d3b91a82ffaf32cf81"),
+    ("gen eulerian 128 0.0625 --seed 3", None): (0, "574dbe366f710c4bb17dca729b123cd95ec267d26811cf2f442ff24fe9922254"),
+    ("gen eulerian 40 0.5 --seed 1", None): (0, "672728e78dd463ff062e57dcf91cb6c6d651579b3336fe2f561320b2b72b2606"),
+    ("gen eulerian 200 0.01 --seed 2", None): (0, "7130b2a94e875fb5e60505edf97e2d03a1840cb23caf907dbbf5aad490ea4304"),
+}
+
+
+def cli_outcome(argv: list[str], stdin: str) -> tuple[int, str]:
+    out = io.StringIO()
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        sys.stdin = sys.__stdin__
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,name", sorted(CLI_GOLDEN))
+def test_cli_output_is_byte_identical(argv, name):
+    stdin = "" if name is None else CLI_INPUTS[name]()
+    assert cli_outcome(argv.split(), stdin) == CLI_GOLDEN[(argv, name)]

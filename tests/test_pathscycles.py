@@ -1,6 +1,7 @@
 """Tests for path/cycle decomposition, long-cycle search, and peeling."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,9 @@ from helpers import (
     cycle_graph,
     path_graph,
     random_gnp,
+    _reference_longest_back_edge_cycle,
     reference_adjacency,
+    reference_component_walks,
     reference_components,
     reference_find_long_cycle_dfs,
     reference_peel_long_cycles,
@@ -140,12 +143,6 @@ class TestFindLongCycle:
         if c is not None:
             c.check(g)
             assert len(set(c.vertices)) == len(c.vertices) >= 3
-
-    def test_y_fraction_knob(self):
-        g = cycle_graph(12)
-        for frac in (0.1, 1 / 3, 0.5):
-            c = find_long_cycle_dfs(g, y_fraction=frac)
-            assert c is not None and len(c.edge_ids) == 12
 
 
 class TestPeelLongCycles:
@@ -374,6 +371,89 @@ class TestViewsCarryingArrays:
                 assert carrier.degrees() == {v: len(lst) for v, lst in adj.items()}
             isolated += any(len(c) == 1 for c in reference_components(plain))
         assert isolated >= 200
+
+
+@st.composite
+def edge_tables(draw) -> Graph:
+    """A graph whose edge table lists its pairs in drawn order, endpoints
+    either way round, sometimes as a subview that drops vertices."""
+    n = draw(st.integers(1, 14))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]),
+        unique_by=lambda t: (min(t), max(t)), max_size=40))
+    g = Graph.from_edges(n, pairs)
+    if draw(st.booleans()):
+        g = g.subview(vertices=draw(st.sets(st.integers(0, n - 1))))
+    return g
+
+
+def even_part(g: Graph) -> Graph:
+    """g with edges at odd vertices dropped, lowest id first, until every
+    degree is even."""
+    while True:
+        deg = g.degrees()
+        drop = next((e for e in g.edge_id_list()
+                     if any(deg[v] % 2 for v in g.edge_table[e])), None)
+        if drop is None:
+            return g
+        g = g.without_edges([drop])
+
+
+class TestEulerWalksMatchReference:
+    """The walk on the component's slice of ``arrays()``, with virtual
+    entries spliced into copies of the odd vertices' lists, against the
+    walk on an edge table and a sorted tuple adjacency
+    (``helpers.reference_component_walks``): the same walks, vertex for
+    vertex and edge for edge."""
+
+    @given(g=edge_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_paired_walks(self, g):
+        for comp in g.components():
+            assert (pathscycles._component_walks(g, comp, pair_odd=True)
+                    == reference_component_walks(g, comp, pair_odd=True))
+
+    @given(g=edge_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_closed_walks_and_odd_rejection(self, g):
+        even = even_part(g)
+        for comp in even.components():
+            assert (pathscycles._component_walks(even, comp, pair_odd=False)
+                    == reference_component_walks(even, comp, pair_odd=False))
+        deg = g.degrees()
+        for comp in g.components():
+            if any(deg[v] % 2 for v in comp):
+                with pytest.raises(ValueError, match="odd-degree"):
+                    pathscycles._component_walks(g, comp, pair_odd=False)
+
+    @given(g=edge_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_back_edge_fallback(self, g):
+        assert (pathscycles._longest_back_edge_cycle(g)
+                == _reference_longest_back_edge_cycle(g, reference_adjacency(g)))
+
+
+class TestManyComponents:
+    """Each component costs time in its own size: 10,000 disjoint triangles
+    take well under a second, where a pass over the whole graph per
+    component took over half a minute."""
+
+    @pytest.fixture(scope="class")
+    def triangles(self) -> Graph:
+        return Graph.from_edges(30000, [(3 * t + a, 3 * t + b) for t in range(10000)
+                                        for a, b in ((0, 1), (1, 2), (0, 2))])
+
+    def test_eulerian_cycle_decompose(self, triangles):
+        start = time.perf_counter()
+        cycles = eulerian_cycle_decompose(triangles)
+        assert time.perf_counter() - start < 5
+        assert [c.vertices for c in cycles[:2]] == [(0, 1, 2), (3, 4, 5)] and len(cycles) == 10000
+
+    def test_well_spread_path_cycle_decompose(self, triangles):
+        start = time.perf_counter()
+        res = well_spread_path_cycle_decompose(triangles)
+        assert time.perf_counter() - start < 5
+        assert len(res.cycles) == 10000 and res.paths == ()
 
 
 class TestEulerianDecompose:
