@@ -1,10 +1,11 @@
 """The full engine: decompose any graph into cycles plus few single edges.
 
 decompose_logstar iterates a density-halving step until the residual is
-sparse, then sweeps up: each iteration peels long cycles, splits the rest
-into certified expander parts, and peels each part at its own average
-degree; a part whose residue is sparse is peeled again at length 3, and
-what is left goes on to the next round.  The run report shows the density
+sparse, then sweeps up: each iteration peels long cycles, takes each
+component of the rest as an expander part, and peels each part at its own
+average degree; a part whose residue is sparse is peeled again at length 3,
+and what is left goes on to the next round.  The paper preset is the bare
+loop: each iteration peels long cycles and passes the rest on whole.  The run report shows the density
 trajectory; the stats dict records the preset, the seed, how many density
 rounds ran and whether the Eulerian finisher closed the residual.  Piece
 counts stay linear in n, which is the whole point.
@@ -46,10 +47,11 @@ dec2, _ = decompose_logstar(even, cfg)
 print(f"\nall-even input n=64 m={even.m}: {len(dec2.cycles)} cycles, "
       f"{len(dec2.single_edges)} singles")
 
-# the paper preset's removal budget covers every degree, so its expander
-# split removes every edge: each density round is a peel at ceil(d), and
-# the rest is leftover for the next round; same validity contract
-paper_cfg = PipelineConfig.paper(g.n, seed=0)
+# the paper preset's removal budget s = log2(n)^273 covers every degree, so
+# its expander split would remove every edge: each density round is a peel
+# at ceil(d), and the rest is leftover for the next round; same validity
+# contract
+paper_cfg = PipelineConfig.paper(seed=0)
 dec3, _ = decompose_logstar(g, paper_cfg)
 assert validate_decomposition(g, dec3).ok
 print(f"paper preset on the same input: {dec3.pieces} pieces "

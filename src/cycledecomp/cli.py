@@ -47,7 +47,7 @@ from .pathscycles import (
     find_long_cycle_dfs,
     well_spread_path_cycle_decompose,
 )
-from .pipeline import PipelineConfig, decompose_logstar
+from .pipeline import PRESETS, PipelineConfig, decompose_logstar
 
 
 def _read_text(path: Optional[str]) -> str:
@@ -76,12 +76,6 @@ def _emit_json(doc: dict, out: Optional[str]) -> None:
 def _info(args: argparse.Namespace, msg: str) -> None:
     if not getattr(args, "quiet", False):
         print(msg, file=sys.stderr)
-
-
-def _build_config(preset: str, n_hint: int, seed: int = 0) -> PipelineConfig:
-    if preset == "paper":
-        return PipelineConfig.paper(max(n_hint, 2), seed=seed)
-    return PipelineConfig.engineering(seed=seed)
 
 
 def _params_from_args(args: argparse.Namespace) -> ExpanderParams:
@@ -118,7 +112,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     g = _read_graph(args.file)
-    cfg = _build_config(args.preset, g.host_n, args.seed)
+    cfg = PipelineConfig(args.preset, args.seed)
     # opened first, so an unwritable report path fails before any output
     with open(args.report, "w") if args.report else contextlib.nullcontext() as fh:
         dec, report = decompose_logstar(g, cfg)
@@ -198,12 +192,15 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_expanders(args: argparse.Namespace) -> int:
+    if args.check is not None and not args.split:
+        print("expanders: --check applies only with --split", file=sys.stderr)
+        return 2
     g = _read_graph(args.file)
     p = _params_from_args(args)
     tab = g.edge_table
     if args.split:
         try:
-            res = split_expander_edges(g, p, args.split, args.seed, check=args.check)
+            res = split_expander_edges(g, p, args.split, args.seed, check=args.check or "none")
         except SplitFailure as exc:
             print(f"expanders: split failed: {exc}", file=sys.stderr)
             return 1
@@ -332,12 +329,11 @@ def _cmd_euler(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _build_config(args.preset, max(args.sizes) if args.sizes else 2)
     try:
         text = bench_scaling(
             families=args.families,
             sizes=args.sizes,
-            cfg=cfg,
+            cfg=PipelineConfig(args.preset),
             seeds=args.seeds,
             out=args.out,
             workers=args.workers,
@@ -375,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     preset_args = argparse.ArgumentParser(add_help=False)
     preset_args.add_argument(
-        "--preset", choices=("engineering", "paper"), default="engineering",
+        "--preset", choices=PRESETS, default="engineering",
         help="pipeline preset (default engineering)",
     )
 
@@ -426,7 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("file", nargs="?", help="edge-list file (default stdin)")
     p.add_argument("--split", type=int, default=0, help="split edges into k classes instead")
-    p.add_argument("--check", choices=("none", "heuristic", "exhaustive"), default="none")
+    p.add_argument(
+        "--check", choices=("none", "heuristic", "exhaustive"),
+        help="how --split verifies its classes (default none)",
+    )
     p.add_argument("--cap", type=int, default=20, help="exhaustive certification cap")
     p.set_defaults(func=_cmd_expanders)
 

@@ -53,17 +53,20 @@ def almost_decompose_into_expanders(
     connectivity alone proves them expanders.
 
     When ``p.connectivity_only(n)`` holds for every component's order n
-    (zero removal budget, unit thresholds: the ``engineering`` parameters up
-    to n of about 8000), being an expander means being connected, so the
+    (zero removal budget, unit thresholds: epsilon 2^-5 with s = 0 up to n
+    of about 8000), being an expander means being connected, so the
     components are emitted as certified parts at once, without asking a
     certifier.  Their edge ids come from one pass over the edge table.
 
     When ``p.every_set_violates`` holds for a part's maximum degree (a
-    removal budget per vertex of at least that degree: the ``paper``
-    parameters at every n), only single vertices are expanders, so the part
-    is emitted at once as one edgeless, certified part per vertex, in vertex
-    order, and all its edges are removed.  The budget test comes first, so
-    zero-budget parameters never count degrees for it.
+    removal budget per vertex of at least that degree: the paper's
+    s = log2(n)^273 at every n), only single vertices are expanders, so the
+    part is emitted at once as one edgeless, certified part per vertex, in
+    vertex order, and all its edges are removed.  The budget test comes
+    first, so zero-budget parameters never count degrees for it.
+
+    In these two regimes the split is trivial, so the pipeline's density
+    round does not call it; ``cycledecomp expanders`` does.
 
     Asserted on return: exact edge partition, Σ|parts| <= 2n, recursion
     depth <= n, and removed = ∅ whenever s = 0.

@@ -94,7 +94,10 @@ class ExpanderParams:
         degree: U has at most |U| * max_degree outside edges, budget(|U|) can
         delete all of them, and no survivor is left under a threshold of at
         least 1.  The only expanders are then single vertices, so the split
-        ends in edgeless singletons with every edge removed.
+        ends in edgeless singletons with every edge removed.  The paper's
+        s = log2(n)^273 (saturating past n of about 11,290) makes budget(1)
+        at least n - 1 at every n, which is why a ``paper`` density round
+        passes its whole peel residue on instead of splitting it.
         """
         return self.budget(1) >= max_degree
 

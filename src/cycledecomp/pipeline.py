@@ -1,23 +1,25 @@
-"""End-to-end drivers: expander decomposition into cycles plus edges, one
+"""End-to-end drivers: one expander part into cycles plus edges, one
 density-reduction round, and the iterated log-star loop.
 
 Each stage hands back a :class:`Stage` of cycles, single edge ids and
 counters; only ``decompose_logstar`` builds a :class:`Decomposition`.
 Validity is inviolable and counts are best-effort: an edge that no stage
 puts in a cycle comes out as a single.
+
+A round peels long cycles at the average degree; ``engineering`` then
+peels each residue component as an expander part, and ``paper`` passes the
+residue on whole, as its expander split (s = log2(n)^273) removed it all.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 # unused names stay bound: perfbench/tracing.py patches them here by name
 from .decomposer import almost_decompose_into_expanders, split_expander_edges
-from .expansion import ExpanderParams
 from .graph import Cycle, Decomposition, Graph
 from .pathscycles import (
     eulerian_cycle_decompose,
@@ -29,9 +31,9 @@ from .pathscycles import (
 build_skeleton = None
 
 
-# Fixed budgets of the drivers, the same under every preset.
-EXHAUSTIVE_CAP = 20  # largest part the expander split certifies exhaustively
 DEGREE_FLOOR = 4.0  # average degree that ends the rounds and gates the length-3 peel
+
+PRESETS = ("engineering", "paper")
 
 
 def log_star(n: int) -> int:
@@ -48,42 +50,26 @@ def log_star(n: int) -> int:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """A preset and a seed: the whole configuration of the drivers."""
+    """A preset and a seed: the whole configuration of the drivers.
 
-    params: ExpanderParams
+    No stage reads the seed; it is kept because the decomposition's
+    ``stats["seed"]`` records it, and that is part of the output's bytes.
+    """
+
+    preset: str
     rng_seed: int = 0
-    preset: str = "engineering"
+
+    def __post_init__(self):
+        if self.preset not in PRESETS:
+            raise ValueError(f"unknown preset {self.preset!r}, expected one of {PRESETS}")
 
     @classmethod
     def engineering(cls, seed: int = 0) -> "PipelineConfig":
-        return cls(
-            params=ExpanderParams(2 ** -5, 0.0, "log2sq"),
-            rng_seed=seed,
-            preset="engineering",
-        )
+        return cls("engineering", seed)
 
     @classmethod
-    def paper(cls, n: int, seed: int = 0) -> "PipelineConfig":
-        """Literal parameters: epsilon 2^-5, s = log2(n)^273, denominator 1.
-
-        s saturates at the largest float past n of about 11,290.  As
-        budget(1) = floor(s) >= n - 1 for every n <= MAX_VERTICES,
-        ``ExpanderParams.every_set_violates`` holds on every part: the split
-        emits singletons and removes every edge without asking a certifier,
-        and ``decompose_expander`` never sees an edge.  Each density round
-        peels long cycles at ceil(d), and the split turns the rest into
-        leftover.
-        """
-        logn = max(1.0, math.log2(max(n, 2)))
-        try:
-            s = logn ** 273
-        except OverflowError:
-            s = sys.float_info.max
-        return cls(
-            params=ExpanderParams(2 ** -5, s, "const", 1.0),
-            rng_seed=seed,
-            preset="paper",
-        )
+    def paper(cls, seed: int = 0) -> "PipelineConfig":
+        return cls("paper", seed)
 
 
 class Stage(NamedTuple):
@@ -107,10 +93,6 @@ class RunReport:
         return out
 
 
-def _derive_seed(seed: int, salt: int) -> int:
-    return seed * 1_000_003 + salt
-
-
 def _finish_or_singles(g: Graph) -> tuple[list[Cycle], list[int]]:
     """Eulerian finisher when every degree is even, singles otherwise."""
     if g.m == 0:
@@ -128,12 +110,11 @@ def decompose_expander(g: Graph, cfg: PipelineConfig) -> Stage:
     length 3, which leaves a forest; a denser residue comes back whole, for
     the next round to peel long.  Every residue edge is handed back as a
     single.  The stats are exactly the counters in ``PART_COUNTERS``.
-    ``cfg`` is unused; perfbench/tracing.py wraps the call with it.
+    g has no isolated vertex, so its average degree is the part's.  ``cfg``
+    is unused; perfbench/tracing.py wraps the call with it.
     """
-    support = frozenset(v for v, d in g.degrees().items() if d > 0)
-    work = g if len(support) == g.n else g.subview(vertices=support)
-    min_len = max(3, math.ceil(work.avg_degree()))
-    peeled, rest = peel_long_cycles(work, min_len)
+    min_len = max(3, math.ceil(g.avg_degree()))
+    peeled, rest = peel_long_cycles(g, min_len)
     short: list[Cycle] = []
     # at min_len 3 the first peel already left a forest
     if rest.m and min_len > 3 and rest.avg_degree() <= DEGREE_FLOOR:
@@ -147,39 +128,40 @@ PART_COUNTERS = ("peeled_cycles", "short_cycles")
 
 
 def density_step(g: Graph, cfg: PipelineConfig) -> tuple[list[Cycle], Graph, dict]:
-    """One density-reduction round: peel, split into expanders, decompose each.
+    """One density-reduction round: peel long cycles, then peel each part.
 
-    Long cycles of length at least the average degree are peeled first.  The
-    residue is split into expander parts; the edges the split removes are
-    left over, and every part runs through ``decompose_expander``.  Returns
-    the edge-disjoint cycles found, the leftover view (input minus all cycle
-    edges), and a report with the in/out average degrees, the edge ledger
-    and the split's and parts' counters.
+    Long cycles of length at least the average degree are peeled first.
+    Under ``engineering`` every component of the residue is a part, and each
+    part with an edge runs through ``decompose_expander``; under ``paper``
+    the residue is passed on whole, and its vertices and edges are reported
+    as ``parts`` and ``removed_edges``, as the expander split counted them.
+    Returns the edge-disjoint cycles found, the leftover view (input minus
+    all cycle edges), and a report with the in/out average degrees, the edge
+    ledger and the parts' counters.
     """
     t0 = time.perf_counter()
     d_in = g.avg_degree()
     min_len = max(3, math.ceil(d_in))
     peeled, residual = peel_long_cycles(g, min_len)
     cycles = list(peeled)
-    singles: list[int] = []
+    leftover = residual
     report = {"d_in": d_in, "min_len": min_len, "edges_in": g.m, "parts": 0, "removed_edges": 0}
     report.update(dict.fromkeys(PART_COUNTERS, 0))
-    if residual.m:
-        res = almost_decompose_into_expanders(
-            residual, cfg.params, cap=EXHAUSTIVE_CAP, seed=cfg.rng_seed
-        )
-        singles.extend(res.removed)
-        report["parts"] = len(res.parts)
-        report["removed_edges"] = len(res.removed)
-        for part in res.parts:
-            if part.m == 0:
-                continue
-            got = decompose_expander(part, cfg)
-            cycles.extend(got.cycles)
-            singles.extend(got.singles)
-            for key in PART_COUNTERS:
-                report[key] += got.stats[key]
-    leftover = Graph(g.host_n, g.edge_table, residual.vertices, frozenset(singles))
+    if residual.m and cfg.preset == "paper":
+        report["parts"] = residual.n
+        report["removed_edges"] = residual.m
+    elif residual.m:
+        comps = residual.components()
+        report["parts"] = len(comps)
+        singles: list[int] = []
+        for comp in comps:
+            if len(comp) > 1:
+                got = decompose_expander(_component(residual, comp), cfg)
+                cycles.extend(got.cycles)
+                singles.extend(got.singles)
+                for key in PART_COUNTERS:
+                    report[key] += got.stats[key]
+        leftover = Graph(g.host_n, g.edge_table, residual.vertices, frozenset(singles))
     report.update(
         d_out=leftover.avg_degree(),
         cycles_peeled=len(peeled),
@@ -189,6 +171,17 @@ def density_step(g: Graph, cfg: PipelineConfig) -> tuple[list[Cycle], Graph, dic
         seconds=time.perf_counter() - t0,
     )
     return cycles, leftover, report
+
+
+def _component(g: Graph, comp: list[int]) -> Graph:
+    """g's component on the vertices comp, carrying its slice of g's arrays."""
+    if len(comp) == g.n:
+        return g
+    nbrs, eids = g.arrays()
+    edge_ids = frozenset(e for v in comp for e in eids[v])
+    part = Graph(g.host_n, g.edge_table, frozenset(comp), edge_ids)
+    part._adj = ({v: nbrs[v] for v in comp}, {v: eids[v] for v in comp})
+    return part
 
 
 def decompose_logstar(
@@ -206,8 +199,7 @@ def decompose_logstar(
     iterations: list[dict] = []
     it = 0
     while it < cap and cur.m > 0 and cur.avg_degree() > DEGREE_FLOOR:
-        sub = replace(cfg, rng_seed=_derive_seed(cfg.rng_seed, 7_001 + it))
-        got, cur, rep = density_step(cur, sub)
+        got, cur, rep = density_step(cur, cfg)
         if rep["d_out"] > rep["d_in"] + 1e-9:
             raise RuntimeError(f"average degree increased: {rep['d_in']} -> {rep['d_out']}")
         cycles.extend(got)

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
+import sys
+import time
 from collections import Counter, deque
 from typing import Iterable, Optional, Union
 
@@ -18,6 +21,7 @@ from cycledecomp.decomposer import (
     AlmostDecomposeResult,
     _assert_almost_decompose_guarantees,
     _find_violation,
+    almost_decompose_into_expanders,
 )
 from cycledecomp.expansion import ExpanderParams, TheoremViolation
 from cycledecomp.graph import (
@@ -30,6 +34,8 @@ from cycledecomp.graph import (
     ValidationReport,
     neighborhood,
 )
+from cycledecomp.pathscycles import peel_long_cycles
+from cycledecomp.pipeline import PART_COUNTERS, PipelineConfig, decompose_expander
 
 
 def path_graph(k: int) -> Graph:
@@ -1008,3 +1014,66 @@ def reference_almost_decompose_into_expanders(
     )
     _assert_almost_decompose_guarantees(g, p, result)
     return result
+
+
+# -- reference density round ------------------------------------------------------
+# ``pipeline.density_step`` as it stood while it ran the expander split on
+# the peel residue, with the ``ExpanderParams`` each preset then carried.
+# Kept (name prefixed) as the oracle of the differential test.
+
+# epsilon 2^-5, s = 0: expansion is connectivity up to n of about 8,069
+ENGINEERING_PARAMS = ExpanderParams(2 ** -5, 0.0, "log2sq")
+
+
+def paper_params(n: int) -> ExpanderParams:
+    """The paper's literal parameters on an n-vertex host: epsilon 2^-5,
+    s = log2(n)^273, saturating at the largest float past n of about 11,290,
+    and denominator 1."""
+    logn = max(1.0, math.log2(max(n, 2)))
+    try:
+        s = logn ** 273
+    except OverflowError:
+        s = sys.float_info.max
+    return ExpanderParams(2 ** -5, s, "const", 1.0)
+
+
+def reference_density_step(g: Graph, cfg: PipelineConfig) -> tuple[list[Cycle], Graph, dict]:
+    """One density-reduction round: peel, split into expanders, decompose each.
+
+    Long cycles of length at least the average degree are peeled first.  The
+    residue is split into expander parts with the preset's parameters; the
+    edges the split removes are left over, and every part with an edge runs
+    through ``decompose_expander``.
+    """
+    t0 = time.perf_counter()
+    params = paper_params(g.host_n) if cfg.preset == "paper" else ENGINEERING_PARAMS
+    d_in = g.avg_degree()
+    min_len = max(3, math.ceil(d_in))
+    peeled, residual = peel_long_cycles(g, min_len)
+    cycles = list(peeled)
+    singles: list[int] = []
+    report = {"d_in": d_in, "min_len": min_len, "edges_in": g.m, "parts": 0, "removed_edges": 0}
+    report.update(dict.fromkeys(PART_COUNTERS, 0))
+    if residual.m:
+        res = almost_decompose_into_expanders(residual, params, cap=20, seed=cfg.rng_seed)
+        singles.extend(res.removed)
+        report["parts"] = len(res.parts)
+        report["removed_edges"] = len(res.removed)
+        for part in res.parts:
+            if part.m == 0:
+                continue
+            got = decompose_expander(part, cfg)
+            cycles.extend(got.cycles)
+            singles.extend(got.singles)
+            for key in PART_COUNTERS:
+                report[key] += got.stats[key]
+    leftover = Graph(g.host_n, g.edge_table, residual.vertices, frozenset(singles))
+    report.update(
+        d_out=leftover.avg_degree(),
+        cycles_peeled=len(peeled),
+        cycles_general=len(cycles) - len(peeled),
+        cycle_edges=sum(len(c.edge_ids) for c in cycles),
+        edges_left=leftover.m,
+        seconds=time.perf_counter() - t0,
+    )
+    return cycles, leftover, report

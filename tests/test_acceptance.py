@@ -583,7 +583,7 @@ def test_criterion_10_determinism():
         for _ in range(2):
             h = parse_edge_list(text)  # fresh graph object per run
             if preset == "paper":
-                cfg = PipelineConfig.paper(h.n, seed)
+                cfg = PipelineConfig.paper(seed)
             else:
                 cfg = replace(PipelineConfig.engineering(), rng_seed=seed)
             dec, _ = decompose_logstar(h, cfg)

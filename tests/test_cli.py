@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycledecomp.cli import main
-from cycledecomp.graph import MAX_VERTICES, parse_edge_list
+from cycledecomp.graph import MAX_VERTICES, format_edge_list, parse_edge_list
 from cycledecomp.pipeline import PART_COUNTERS
 
 from helpers import complete_graph, cycle_graph
@@ -204,7 +204,7 @@ class TestConfigPrecedence:
         assert "--seed" in capsys.readouterr().err
 
     def test_paper_preset_past_float_range(self, capsys):
-        # log2(12000)^273 is no float; the preset's s saturates instead
+        # a host far larger than its edges: the round passes the residue on
         code, out, err = run(capsys, ["decompose", "--preset", "paper"], stdin="12000 1\n0 1\n")
         assert code == 0, err
         assert json.loads(out)["edges"] == [[0, 1]]
@@ -368,6 +368,21 @@ class TestExpanders:
         doc = json.loads(out)
         assert len(doc["classes"]) == 3
         assert sum(c["m"] for c in doc["classes"]) == 8
+        assert doc["checked"] == [None, None, None]  # --check defaults to none
+
+
+    @pytest.mark.parametrize("extra", [[], ["--split", "0"]])
+    def test_check_without_split_exit2_one_line(self, capsys, extra):
+        argv = ["expanders", "--epsilon", "0.5", "--s", "0", "--check", "exhaustive"]
+        code, out, err = run(capsys, argv + extra, stdin="3 3\n0 1\n1 2\n0 2\n")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "--split" in err
+
+    def test_check_with_split_verifies(self, capsys):
+        argv = ["expanders", "--epsilon", "1", "--s", "1", "--split", "2", "--check"]
+        k8 = format_edge_list(complete_graph(8))
+        code, out, _ = run(capsys, argv + ["exhaustive"], stdin=k8)
+        assert code == 0 and json.loads(out)["checked"] == [True, True]
 
 
 def run_quietly(argv: list[str], text: str) -> tuple[int, str]:

@@ -22,8 +22,10 @@ from cycledecomp.pathscycles import peel_long_cycles
 from cycledecomp.pipeline import PipelineConfig, decompose_logstar
 
 from helpers import (
+    ENGINEERING_PARAMS,
     complete_graph,
     cycle_graph,
+    paper_params,
     random_gnp,
     reference_almost_decompose_into_expanders,
     scattered_subview,
@@ -212,13 +214,13 @@ class TestSplitMatchesReference:
 
     def check(self, g: Graph) -> None:
         for p in (
-            PipelineConfig.engineering().params,
+            ENGINEERING_PARAMS,
             ExpanderParams(1.0, 0.0, "const", 1.0),  # not connectivity-only
         ):
             got = almost_decompose_into_expanders(g, p, cap=10, seed=3)
             want = reference_almost_decompose_into_expanders(g, p, cap=10, seed=3)
             assert split_signature(got) == split_signature(want), (g, p)
-        p = PipelineConfig.paper(g.n).params
+        p = paper_params(g.n)
         got = almost_decompose_into_expanders(g, p, cap=10, seed=3)
         want = reference_almost_decompose_into_expanders(g, p, cap=10, seed=3)
         assert unordered_signature(got) == unordered_signature(want), g
@@ -250,9 +252,9 @@ class TestSplitMatchesReference:
 
         monkeypatch.setattr(decomposer, "certify_expander", counting)
         g = several_components()
-        r = almost_decompose_into_expanders(g, PipelineConfig.engineering().params)
+        r = almost_decompose_into_expanders(g, ENGINEERING_PARAMS)
         assert len(r.parts) == 4 and calls == []
-        r = almost_decompose_into_expanders(g, PipelineConfig.paper(g.n).params)
+        r = almost_decompose_into_expanders(g, paper_params(g.n))
         assert len(r.parts) == g.n and len(r.removed) == g.m and calls == []
         almost_decompose_into_expanders(g, ExpanderParams(1.0, 0.0, "const", 1.0))
         assert calls
@@ -261,7 +263,7 @@ class TestSplitMatchesReference:
         calls = []
         monkeypatch.setattr(decomposer, "certify_expander", lambda *a, **k: calls.append(a))
         g = gnp(512, 0.5, 0)
-        dec, report = decompose_logstar(g, PipelineConfig.paper(g.n))
+        dec, report = decompose_logstar(g, PipelineConfig.paper())
         assert validate_decomposition(g, dec).ok
         assert report.iterations and calls == []
 

@@ -19,7 +19,7 @@ from cycledecomp.expansion import (
     _subset_count,
     _subsets_after,
 )
-from cycledecomp.graph import Graph, neighborhood
+from cycledecomp.graph import MAX_VERTICES, Graph, neighborhood
 
 from helpers import (
     brute_certify,
@@ -27,6 +27,7 @@ from helpers import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    paper_params,
     path_graph,
     random_gnp,
     reference_certify,
@@ -219,6 +220,14 @@ def test_every_set_violates_predicate():
         for size in range(1, (2 * g.n) // 3 + 1):
             for U in itertools.combinations(g.vertex_list(), size):
                 assert brute_min_survivors(g, set(U), p.budget(size)) < p.threshold(size, g.n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 11_400, 2 ** 20, MAX_VERTICES])
+def test_paper_budget_covers_every_degree(n):
+    # past n of about 11,290, log2(n)^273 is no float and s saturates
+    p = paper_params(n)
+    assert p.every_set_violates(n - 1)
+    assert p.threshold(1, n) == 1
 
 
 def test_component_shortcut_matches_enumeration():

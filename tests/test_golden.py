@@ -68,11 +68,7 @@ GOLDEN = {
 
 def decompose(name: str, preset: str):
     g = INSTANCES[name]()
-    if preset == "paper":
-        cfg = PipelineConfig.paper(g.n, seed=0)
-    else:
-        cfg = PipelineConfig.engineering(seed=0)
-    dec, _ = decompose_logstar(g, cfg)
+    dec, _ = decompose_logstar(g, PipelineConfig(preset, 0))
     return g, dec
 
 
@@ -93,6 +89,40 @@ def test_parsed_input_gives_the_same_bytes(name):
     g = parse_edge_list(format_edge_list(INSTANCES[name]()))
     dec, _ = decompose_logstar(g, PipelineConfig.engineering(seed=0))
     assert digest(g, dec) == GOLDEN[(name, "engineering")]
+
+
+# sha256 of the ``decompose --report`` document, with each round's
+# ``seconds`` taken out: the rounds' degrees, edge ledgers, parts and counters
+REPORT_GOLDEN = {
+    ("eulerian128_8n", "engineering"): "8a7bb23ba0d0b05e4938905b59588d0f0914fd9ab3678a83a890018f53dec3a6",
+    ("eulerian128_8n", "paper"): "6b5c79165a182f7484900507de6a80ebe47783d468b61d8783b17c9f6591abab",
+    ("gallai2_128", "engineering"): "85bf0b2bae06aa35b621254715563808d24dc0dabb3d92e7f8b1bc56c4646e2a",
+    ("gallai2_128", "paper"): "c8c497bb7eec4a27ca76bfa30710803026783001d94038262f1749d9eb2e6f63",
+    ("gnp128_8n", "engineering"): "aeea10bff3b67da8fc615248f8a96c591ed2ceef3494377156af45d36271537c",
+    ("gnp128_8n", "paper"): "722d7056c4ac782bbd9c08da21955d803127c056e45caef2e4a34292c972e73a",
+    ("gnp384_half", "engineering"): "3c50a022e93f561c8179813a5ac75568898f82df61d3ba7967ebaff419d7323a",
+    ("gnp96_half", "engineering"): "1e7b95cf130c432e5c9114c20c6436e41ed40bc380f78785b31d398b3890f44b",
+    ("gnp96_half", "paper"): "79f6136d52abfa187fe13ef3cd1feaec7c5e1f91c668bab2bbfbd7635b0848a6",
+    ("k128", "engineering"): "d7d25856d26be9d278b03c567519899502f316ae2b71a84f2621bce488a38cdf",
+    ("k144", "engineering"): "f2eee40cd33ffd27b38219c034dee12791dfdb671d55e1608ec66f221dc7280a",
+    ("k64", "engineering"): "cac73a3ab686a7af126fce2d87569c7624a045894730e7eaa4a35ca71af57ea7",
+    ("k64", "paper"): "e578806fb9c8ddda89553ea9d1898a77deb987edd0876e86e32aca50b6c73898",
+}
+
+
+def report_digest(name: str, preset: str, path) -> str:
+    argv = ["decompose", "--quiet", "--preset", preset, "--seed", "0", "--report", str(path)]
+    code, _ = cli_outcome(argv, format_edge_list(INSTANCES[name]()))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    for it in doc["iterations"]:
+        del it["seconds"]
+    return hashlib.sha256((json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,preset", sorted(GOLDEN))
+def test_run_report_is_byte_identical(name, preset, tmp_path):
+    assert report_digest(name, preset, tmp_path / "report.json") == REPORT_GOLDEN[(name, preset)]
 
 
 @pytest.mark.parametrize("name", sorted(name for name, preset in GOLDEN if preset == "paper"))

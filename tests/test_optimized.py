@@ -28,6 +28,8 @@ GUARD_TESTS = [
     "tests/test_cli.py::TestGen::test_gnp_vertex_count_checked_before_any_pair_is_drawn",
     "tests/test_cli.py::TestRoute::test_through_id_outside_graph_exit2_one_line",
     "tests/test_connectivity.py::TestRoutePairs::test_through_id_outside_graph_rejected",
+    "tests/test_pipeline.py::TestPipelineConfig::test_unknown_preset_rejected",
+    "tests/test_cli.py::TestExpanders::test_check_without_split_exit2_one_line",
 ]
 
 

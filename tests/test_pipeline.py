@@ -1,13 +1,14 @@
 """Tests for the decomposition drivers: expander, density round, log-star."""
 
+import itertools
 import random
 from dataclasses import fields
 
 import pytest
 
-from cycledecomp import pipeline
+from cycledecomp import decomposer, pipeline
+from cycledecomp.bench import gen_gallai_bipartite
 from cycledecomp.graph import (
-    MAX_VERTICES,
     Decomposition,
     Graph,
     decomposition_to_json,
@@ -21,8 +22,17 @@ from cycledecomp.pipeline import (
     density_step,
     log_star,
 )
+from cycledecomp.pathscycles import peel_long_cycles
 
-from helpers import complete_graph, cycle_graph, path_graph, random_gnp, star_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_gnp,
+    reference_density_step,
+    scattered_subview,
+    star_graph,
+)
 from test_golden import INSTANCES
 
 
@@ -36,6 +46,11 @@ def ten_triangles() -> Graph:
         b = 3 * k
         edges += [(b, b + 1), (b + 1, b + 2), (b, b + 2)]
     return Graph.from_edges(30, edges)
+
+
+def padded_complete(k: int, n: int) -> Graph:
+    """K_k on the first k of n vertices; the rest are isolated."""
+    return Graph.from_edges(n, list(itertools.combinations(range(k), 2)))
 
 
 def three_dense_blocks() -> Graph:
@@ -65,45 +80,109 @@ class TestLogStar:
 class TestPipelineConfig:
     def test_engineering_preset(self):
         cfg = PipelineConfig.engineering(seed=5)
-        assert cfg.preset == "engineering"
-        assert cfg.rng_seed == 5
-        assert cfg.params.epsilon == 2 ** -5
+        assert (cfg.preset, cfg.rng_seed) == ("engineering", 5)
+        assert PipelineConfig.paper(seed=5) == PipelineConfig("paper", 5)
 
     def test_config_is_a_preset_and_a_seed(self):
-        assert [f.name for f in fields(PipelineConfig)] == ["params", "rng_seed", "preset"]
+        assert [f.name for f in fields(PipelineConfig)] == ["preset", "rng_seed"]
 
-    @pytest.mark.parametrize("n", [2, 3, 11_400, 2 ** 20, MAX_VERTICES])
-    def test_paper_budget_covers_every_degree(self, n):
-        # past n of about 11,290, log2(n)^273 is no float and s saturates
-        cfg = PipelineConfig.paper(n)
-        assert cfg.preset == "paper"
-        assert cfg.params.budget(1) >= n - 1
-        assert cfg.params.threshold(1, n) == 1
+    def test_unknown_preset_rejected(self):
+        # a guard, not an assert: it must hold under python -O too
+        with pytest.raises(ValueError, match="unknown preset"):
+            PipelineConfig("fast")
+        with pytest.raises(ValueError, match="unknown preset"):
+            PipelineConfig("Paper", 1)
+
+
+def spy(monkeypatch, module, name: str) -> list:
+    """Record the graph of every call to module.name, which still runs."""
+    seen = []
+    real = getattr(module, name)
+
+    def recording(h, *args, **kwargs):
+        seen.append(h)
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return seen
 
 
 class TestPaperNeverReachesClosures:
     @pytest.mark.parametrize("name", sorted(INSTANCES) + ["disconnected"])
     def test_split_removes_every_edge(self, name, monkeypatch):
+        """Under ``paper`` every round passes its whole peel residue on, as
+        the split that removed every edge did, and no part is decomposed."""
         g = three_dense_blocks() if name == "disconnected" else INSTANCES[name]()
-        splits, entered = [], []
-        split, expander = pipeline.almost_decompose_into_expanders, pipeline.decompose_expander
+        entered = spy(monkeypatch, pipeline, "decompose_expander")
+        rounds = []
+        step = pipeline.density_step
 
-        def spy_split(h, *args, **kwargs):
-            res = split(h, *args, **kwargs)
-            splits.append((h.m, len(res.removed)))
-            return res
+        def spy_step(h, cfg):
+            got = step(h, cfg)
+            rounds.append((h, got))
+            return got
 
-        def spy_expander(h, cfg):
-            entered.append(h.m)
-            return expander(h, cfg)
-
-        monkeypatch.setattr(pipeline, "almost_decompose_into_expanders", spy_split)
-        monkeypatch.setattr(pipeline, "decompose_expander", spy_expander)
-        dec, _ = decompose_logstar(g, PipelineConfig.paper(g.n))
+        monkeypatch.setattr(pipeline, "density_step", spy_step)
+        dec, _ = decompose_logstar(g, PipelineConfig.paper())
         assert validate_decomposition(g, dec).ok
-        assert splits
-        assert all(removed == m for m, removed in splits)
-        assert not any(entered)
+        assert rounds and not entered
+        for h, (cycles, leftover, rep) in rounds:
+            _, residual = peel_long_cycles(h, rep["min_len"])
+            assert leftover.edge_ids == residual.edge_ids
+            assert (rep["parts"], rep["removed_edges"]) == (residual.n, residual.m)
+
+
+class TestNoSplitOnThePipelinePath:
+    @pytest.mark.parametrize("preset", ["engineering", "paper"])
+    @pytest.mark.parametrize("name", sorted(INSTANCES) + ["gallai1_10000"])
+    def test_neither_preset_splits_or_certifies(self, name, preset, monkeypatch):
+        g = gen_gallai_bipartite(1, 10_000) if name == "gallai1_10000" else INSTANCES[name]()
+        splits = spy(monkeypatch, pipeline, "almost_decompose_into_expanders")
+        certified = spy(monkeypatch, decomposer, "certify_expander")
+        entered = spy(monkeypatch, pipeline, "decompose_expander")
+        dec, rr = decompose_logstar(g, PipelineConfig(preset))
+        assert validate_decomposition(g, dec).ok and rr.iterations
+        assert splits == [] and certified == []
+        assert bool(entered) is (preset == "engineering")
+
+
+class TestRoundMatchesReference:
+    """The round against the one that ran the expander split on the peel
+    residue with each preset's old parameters
+    (``helpers.reference_density_step``): the same cycles, leftover edges
+    and report, but for its wall seconds."""
+
+    @staticmethod
+    def signature(got):
+        cycles, leftover, rep = got
+        rep = {k: v for k, v in rep.items() if k != "seconds"}
+        return [(c.vertices, c.edge_ids) for c in cycles], leftover.edge_id_list(), rep
+
+    def check(self, g: Graph) -> None:
+        for cfg in (CFG, PipelineConfig.paper()):
+            want = self.signature(reference_density_step(g, cfg))
+            assert self.signature(density_step(g, cfg)) == want, (g, cfg.preset)
+
+    def test_random_graphs(self):
+        rng = random.Random(20261019)
+        for _ in range(60):
+            self.check(scattered_subview(rng))
+        for seed in range(5):
+            self.check(gnp(50, 0.3, seed))
+
+    def test_disconnected_isolated_and_complete(self):
+        for g in (ten_triangles(), three_dense_blocks(), padded_complete(32, 40),
+                  Graph.from_edges(5, []), complete_graph(64)):
+            self.check(g)
+
+    def test_peel_residuals(self):
+        rng = random.Random(1019)
+        for _ in range(40):
+            _, residual = peel_long_cycles(scattered_subview(rng), rng.randint(3, 6))
+            self.check(residual)
+        _, residual = peel_long_cycles(three_dense_blocks(), 20)
+        assert len(residual.components()) > 1
+        self.check(residual)
 
 
 def as_decomposition(g: Graph, stage: pipeline.Stage) -> Decomposition:
@@ -168,15 +247,17 @@ class TestDecomposeExpander:
         for g in (Graph.from_edges(5, []), complete_graph(7), complete_graph(32)):
             assert set(PART_COUNTERS) == set(decompose_expander(g, CFG).stats)
 
-    def test_isolated_vertices_do_not_matter(self):
-        import itertools
-
-        base = complete_graph(32)
-        padded = Graph.from_edges(40, list(itertools.combinations(range(32), 2)))
-        a = decompose_expander(base, CFG)
-        b = decompose_expander(padded, CFG)
-        assert [c.edge_ids for c in a.cycles] == [c.edge_ids for c in b.cycles]
-        assert a.singles == b.singles
+    def test_isolated_vertices_do_not_matter(self, monkeypatch):
+        # the round hands decompose_expander components, never a vertex
+        # without an edge, so the part's average degree is its own
+        entered = spy(monkeypatch, pipeline, "decompose_expander")
+        for g in (padded_complete(32, 40), three_dense_blocks(), ten_triangles()):
+            density_step(g, CFG)
+        rng = random.Random(7)
+        for _ in range(30):
+            density_step(scattered_subview(rng), CFG)
+        assert entered
+        assert all(min(h.degrees().values()) > 0 for h in entered)
 
     def test_empty_graph(self):
         g = Graph.from_edges(5, [])
@@ -304,8 +385,7 @@ class TestRoundLedger:
 
         monkeypatch.setattr(pipeline, "_finish_or_singles", spy)
         g = INSTANCES[name]()
-        cfg = PipelineConfig.paper(g.n) if preset == "paper" else CFG
-        dec, rr = decompose_logstar(g, cfg)
+        dec, rr = decompose_logstar(g, PipelineConfig(preset))
         assert rr.iterations
         for it in rr.iterations:
             assert it["edges_in"] == it["cycle_edges"] + it["edges_left"]
