@@ -17,11 +17,10 @@ import random
 import time
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .graph import Graph, _neighbour_lists, format_edge_list, validate_decomposition
+from .graph import Graph, format_edge_list, validate_decomposition
 from .pipeline import PipelineConfig, decompose_logstar
 
 DEFAULT_SIZES = (128, 256, 512, 1024, 2048)
@@ -92,7 +91,7 @@ def gen_eulerian(n: int, p: float, seed: int) -> Graph:
     paired first, with a larger one, so a pointer to it only moves forward.
     The deletions cut down fresh copies of the graph's sorted neighbour lists.
     """
-    nbrs = _neighbour_lists(gen_gnp(n, p, seed))[0]
+    nbrs = gen_gnp(n, p, seed).arrays_copy()[0]
     x = 0
     while True:
         while x < n and len(nbrs[x]) % 2 == 0:
@@ -186,9 +185,8 @@ def _make_instance(family: str, n: int, seed: int) -> tuple[Graph, Optional[int]
 
 def _bench_one(family: str, n: int, seed: int, cfg: PipelineConfig) -> dict:
     g, bound = _make_instance(family, n, seed)
-    run_cfg = replace(cfg, rng_seed=seed)
     t0 = time.perf_counter()
-    dec, _ = decompose_logstar(g, run_cfg)
+    dec, _ = decompose_logstar(g, cfg)
     dt = time.perf_counter() - t0
     problems: list[str] = []
     rep = validate_decomposition(g, dec)
@@ -255,6 +253,8 @@ def bench_scaling(
             raise ValueError(f"unknown family {f!r}")
     tasks = sorted((f, n, s) for f in families for n in sizes for s in seeds)
     rows: list[dict] = []
+    # a pool starts all its workers at the first submit, so start no more than there are cells
+    workers = min(workers, len(tasks))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_bench_one, f, n, s, cfg) for f, n, s in tasks]

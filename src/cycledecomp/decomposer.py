@@ -56,7 +56,7 @@ def almost_decompose_into_expanders(
     (zero removal budget, unit thresholds: epsilon 2^-5 with s = 0 up to n
     of about 8000), being an expander means being connected, so the
     components are emitted as certified parts at once, without asking a
-    certifier.  Their edge ids come from one pass over the edge table.
+    certifier.
 
     When ``p.every_set_violates`` holds for a part's maximum degree (a
     removal budget per vertex of at least that degree: the paper's
@@ -64,9 +64,6 @@ def almost_decompose_into_expanders(
     part is emitted at once as one edgeless, certified part per vertex, in
     vertex order, and all its edges are removed.  The budget test comes
     first, so zero-budget parameters never count degrees for it.
-
-    In these two regimes the split is trivial, so the pipeline's density
-    round does not call it; ``cycledecomp expanders`` does.
 
     Asserted on return: exact edge partition, Σ|parts| <= 2n, recursion
     depth <= n, and removed = ∅ whenever s = 0.
@@ -96,17 +93,7 @@ def almost_decompose_into_expanders(
             max_depth = max(max_depth, depth + (cur.n > 1))
             continue
         comps = cur.components()
-        split = [cur]
-        if len(comps) > 1:
-            # each component's edge ids in one pass, through a vertex label
-            label = {v: i for i, comp in enumerate(comps) for v in comp}
-            eids: list[list[int]] = [[] for _ in comps]
-            for e in cur.edge_ids:
-                eids[label[cur.edge_table[e][0]]].append(e)
-            split = [
-                Graph(cur.host_n, cur.edge_table, frozenset(comp), frozenset(es))
-                for comp, es in zip(comps, eids)
-            ]
+        split = [cur.component(comp) for comp in comps]
         if all(p.connectivity_only(len(comp)) for comp in comps):
             # every component is an expander as it stands
             parts.extend(split)

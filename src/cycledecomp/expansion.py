@@ -96,8 +96,7 @@ class ExpanderParams:
         least 1.  The only expanders are then single vertices, so the split
         ends in edgeless singletons with every edge removed.  The paper's
         s = log2(n)^273 (saturating past n of about 11,290) makes budget(1)
-        at least n - 1 at every n, which is why a ``paper`` density round
-        passes its whole peel residue on instead of splitting it.
+        at least n - 1 at every n.
         """
         return self.budget(1) >= max_degree
 

@@ -45,12 +45,15 @@ class Graph:
         edge_table: tuple[tuple[int, int], ...],
         vertices: frozenset[int],
         edge_ids: frozenset[int],
+        arrays: Optional[Arrays] = None,
     ):
+        """arrays, when given, hold exactly the live edges as ``arrays()``
+        would build them, and become this graph's own."""
         self.host_n = host_n
         self.edge_table = edge_table
         self.vertices = vertices
         self.edge_ids = edge_ids
-        self._adj: Optional[Arrays] = None
+        self._adj = arrays
         self._eid_of: Optional[dict[tuple[int, int], int]] = None
         self._fp: Optional[str] = None
 
@@ -112,10 +115,18 @@ class Graph:
     def arrays(self) -> Arrays:
         """Live adjacency: per vertex, the neighbours in ascending order and
         the edge ids beside them, built on first use.  Callers only read
-        them; the peel cuts down a copy."""
+        them; one that cuts them down takes ``arrays_copy()``."""
         if self._adj is None:
             self._adj = _neighbour_lists(self)
         return self._adj
+
+    def arrays_copy(self) -> Arrays:
+        """Lists of ``arrays()`` that the caller may cut down: copies of the
+        cached ones, or fresh ones, which are not cached on this graph."""
+        if self._adj is None:
+            return _neighbour_lists(self)
+        nbrs, eids = self._adj
+        return {v: nb[:] for v, nb in nbrs.items()}, {v: eb[:] for v, eb in eids.items()}
 
     def degrees(self) -> dict[int, int]:
         """Live degrees keyed as ``arrays()``, read from them only if already built."""
@@ -183,6 +194,16 @@ class Graph:
     def components(self) -> list[list[int]]:
         """Connected components of live vertices, each sorted, in sorted order."""
         return [sorted(comp) for _, comp in _component_sets(self)]
+
+    def component(self, comp: list[int]) -> "Graph":
+        """This graph's component on the vertices comp, carrying its slice of
+        ``arrays()``; the graph itself when comp spans it."""
+        if len(comp) == self.n:
+            return self
+        nbrs, eids = self.arrays()
+        edge_ids = frozenset(e for v in comp for e in eids[v])
+        arrays = ({v: nbrs[v] for v in comp}, {v: eids[v] for v in comp})
+        return Graph(self.host_n, self.edge_table, frozenset(comp), edge_ids, arrays)
 
     def fingerprint(self) -> str:
         """Stable hex digest of (host size, live vertices, live edges)."""

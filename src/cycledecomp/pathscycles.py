@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .graph import Arrays, Cycle, Graph, Path, _component_sets, _neighbour_lists
+from .graph import Cycle, Graph, Path, _component_sets
 
 
 @dataclass(frozen=True)
@@ -199,18 +199,6 @@ def well_spread_path_cycle_decompose(g: Graph, mode: str = "euler") -> WellSprea
         for v in (vs[i], vs[j]):
             mult[v] = mult.get(v, 0) + 2
     return WellSpreadResult(tuple(paths), tuple(kept), tuple(kept))
-
-
-def _view(g: Graph, alive: set[int], arrays: Arrays) -> Graph:
-    """g restricted to the edges in alive, carrying arrays as its own.
-
-    arrays hold exactly the live edges.  The peel deletes from them in
-    place, so a view taken during a peel describes its edges only until
-    the next cycle is dropped.
-    """
-    view = Graph(g.host_n, g.edge_table, g.vertices, frozenset(alive))
-    view._adj = arrays
-    return view
 
 
 def _largest_component(g: Graph) -> tuple[int, set[int]]:
@@ -491,28 +479,23 @@ def peel_long_cycles(g: Graph, min_len: int) -> tuple[list[Cycle], Graph]:
     Each round tries the DFS long-cycle finder once, then runs back-edge
     sweeps until they stop producing; rounds repeat until neither search
     finds anything.  Maximality is relative to these searches (a second peel
-    of the residual returns no cycles).  The finder and the sweeps read two
-    per-vertex integer arrays, neighbours in ascending order and the edge
-    ids beside them, copied from g's ``arrays()`` when g carries them and
-    built from the edge table otherwise, and every cycle's edges are
-    deleted from them as it is taken.  The residual carries the final
-    arrays as its own.
+    of the residual returns no cycles).  The finder and the sweeps read
+    ``g.arrays_copy()``: per vertex, the neighbours in ascending order and
+    the edge ids beside them.  Every cycle's edges are deleted from them as
+    it is taken, and the residual carries the final arrays as its own.
     """
     if min_len < 3:
         raise ValueError("min_len must be at least 3")
     if g.n < min_len:  # no room for a cycle that long
         return [], g
-    if g._adj is None:
-        nbrs, eids = _neighbour_lists(g)
-    else:  # the arrays cached on g are never cut down
-        nbrs = {v: nb[:] for v, nb in g._adj[0].items()}
-        eids = {v: eb[:] for v, eb in g._adj[1].items()}
-    arrays = (nbrs, eids)
+    arrays = nbrs, eids = g.arrays_copy()
     alive = set(g.edge_ids)
     cycles: list[Cycle] = []
     swept = False
     while True:
-        cyc = find_long_cycle_dfs(_view(g, alive, arrays))
+        # the view describes its edges only until the next cycle is dropped
+        view = Graph(g.host_n, g.edge_table, g.vertices, frozenset(alive), arrays)
+        cyc = find_long_cycle_dfs(view)
         progress = cyc is not None and len(cyc.edge_ids) >= min_len
         if progress:
             cycles.append(cyc)
@@ -525,7 +508,7 @@ def peel_long_cycles(g: Graph, min_len: int) -> tuple[list[Cycle], Graph]:
         if not progress:
             break
         swept = True
-    return cycles, _view(g, alive, arrays)
+    return cycles, Graph(g.host_n, g.edge_table, g.vertices, frozenset(alive), arrays)
 
 
 def eulerian_cycle_decompose(g: Graph) -> list[Cycle]:

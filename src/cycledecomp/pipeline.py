@@ -8,7 +8,7 @@ puts in a cycle comes out as a single.
 
 A round peels long cycles at the average degree; ``engineering`` then
 peels each residue component as an expander part, and ``paper`` passes the
-residue on whole, as its expander split (s = log2(n)^273) removed it all.
+residue on whole to the next round.
 """
 
 from __future__ import annotations
@@ -18,16 +18,14 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-# unused names stay bound: perfbench/tracing.py patches them here by name
-from .decomposer import almost_decompose_into_expanders, split_expander_edges
 from .graph import Cycle, Decomposition, Graph
-from .pathscycles import (
-    eulerian_cycle_decompose,
-    peel_long_cycles,
-    well_spread_path_cycle_decompose,
-)
+from .pathscycles import eulerian_cycle_decompose, peel_long_cycles
 
-# bound for the same tracer alone: no skeleton is built, so nothing calls it
+# bound only because perfbench/tracing.py patches these names here; no stage
+# calls them
+almost_decompose_into_expanders = None
+split_expander_edges = None
+well_spread_path_cycle_decompose = None
 build_skeleton = None
 
 
@@ -156,7 +154,7 @@ def density_step(g: Graph, cfg: PipelineConfig) -> tuple[list[Cycle], Graph, dic
         singles: list[int] = []
         for comp in comps:
             if len(comp) > 1:
-                got = decompose_expander(_component(residual, comp), cfg)
+                got = decompose_expander(residual.component(comp), cfg)
                 cycles.extend(got.cycles)
                 singles.extend(got.singles)
                 for key in PART_COUNTERS:
@@ -171,17 +169,6 @@ def density_step(g: Graph, cfg: PipelineConfig) -> tuple[list[Cycle], Graph, dic
         seconds=time.perf_counter() - t0,
     )
     return cycles, leftover, report
-
-
-def _component(g: Graph, comp: list[int]) -> Graph:
-    """g's component on the vertices comp, carrying its slice of g's arrays."""
-    if len(comp) == g.n:
-        return g
-    nbrs, eids = g.arrays()
-    edge_ids = frozenset(e for v in comp for e in eids[v])
-    part = Graph(g.host_n, g.edge_table, frozenset(comp), edge_ids)
-    part._adj = ({v: nbrs[v] for v in comp}, {v: eids[v] for v in comp})
-    return part
 
 
 def decompose_logstar(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -147,6 +148,47 @@ def zipped_arrays(g: Graph) -> dict[int, list[tuple[int, int]]]:
     """g's cached ``arrays()`` in the form of ``reference_adjacency``."""
     nbrs, eids = g.arrays()
     return {v: list(zip(nb, eids[v])) for v, nb in nbrs.items()}
+
+
+def exact_min_pieces(g: Graph) -> int:
+    """Fewest pieces, cycles plus single edges, of any partition of g's edges.
+
+    The lowest uncovered edge is either a single or lies in one cycle of the
+    uncovered edges through it; each choice recurses on what is left, and
+    the answer for each set of uncovered edges is kept.  Exponential in m:
+    for graphs of up to about twenty edges.
+    """
+    ends = [g.edge_table[e] for e in g.edge_id_list()]
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
+    for i, (u, v) in enumerate(ends):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+
+    def cycles_through(i: int, left: int) -> list[int]:
+        """Edge masks of the cycles in left through edge i: paths from its
+        second end back to its first."""
+        u, v = ends[i]
+        out = []
+        stack = [(v, {v}, 1 << i)]
+        while stack:
+            x, seen, mask = stack.pop()
+            for y, j in adj[x]:
+                if left >> j & 1 and not mask >> j & 1:
+                    if y == u:
+                        out.append(mask | 1 << j)
+                    elif y not in seen:
+                        stack.append((y, seen | {y}, mask | 1 << j))
+        return out
+
+    @functools.lru_cache(maxsize=None)
+    def best(left: int) -> int:
+        if not left:
+            return 0
+        i = (left & -left).bit_length() - 1
+        options = [left & ~(1 << i)] + [left & ~c for c in cycles_through(i, left)]
+        return 1 + min(best(rest) for rest in options)
+
+    return best((1 << len(ends)) - 1)
 
 
 def brute_min_survivors(g: Graph, U, budget: int) -> int:

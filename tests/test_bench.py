@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import random
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -217,3 +218,31 @@ class TestBenchScaling:
         pooled = rows_of(bench_scaling(workers=2, **kw))
         drop = lambda rs: [{k: v for k, v in r.items() if k != "runtime"} for r in rs]
         assert drop(serial) == drop(pooled)
+
+    def test_pool_is_no_larger_than_the_grid(self, monkeypatch):
+        """A pool starts all its workers at the first submit, so it is asked
+        for no more workers than there are cells, and for none at one cell.
+        The stand-in pool runs each cell at once, in this process."""
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(bench.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        kw = dict(families=("gnp8n",), sizes=(16,), seeds=(0, 1))
+        assert bench_scaling(workers=10 ** 6, **kw).count("\n") == 3
+        assert asked == [2]
+        bench_scaling(workers=8, families=("gnp8n",), sizes=(16,), seeds=(0,))
+        assert asked == [2]

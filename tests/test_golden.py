@@ -295,6 +295,12 @@ CLI_INPUTS = {
     "gnp30_shuffled": lambda: shuffled_lines(format_edge_list(gen_gnp(30, 0.3, 5)), 7),
     "eulerian60": lambda: format_edge_list(gen_eulerian(60, 0.15, 2)),
     "eulerian48_shuffled": lambda: shuffled_lines(format_edge_list(gen_eulerian(48, 0.2, 4)), 1),
+    # the expander split: one component at s = 0 on the first, 27 on the second
+    "gnp24": lambda: format_edge_list(gen_gnp(24, 0.12, 1)),
+    "gnp400_sparse": lambda: format_edge_list(gen_gnp(400, 0.006, 3)),
+    # demo 08's certify inputs: a clique that passes, a 4-cycle that fails
+    "k8": lambda: format_edge_list(gen_gnp(8, 1.0, 0)),
+    "c4": lambda: "4 4\n0 1\n0 3\n1 2\n2 3\n",
 }
 
 # (argv, input name or None) -> (exit code, sha256 of standard output)
@@ -321,6 +327,14 @@ CLI_GOLDEN = {
     ("gen eulerian 128 0.0625 --seed 3", None): (0, "574dbe366f710c4bb17dca729b123cd95ec267d26811cf2f442ff24fe9922254"),
     ("gen eulerian 40 0.5 --seed 1", None): (0, "672728e78dd463ff062e57dcf91cb6c6d651579b3336fe2f561320b2b72b2606"),
     ("gen eulerian 200 0.01 --seed 2", None): (0, "7130b2a94e875fb5e60505edf97e2d03a1840cb23caf907dbbf5aad490ea4304"),
+    ("expanders --epsilon 0.03125 --s 0", "gnp24"): (0, "d551eb4f4d98e5d2bc87379d49a8f1e224eac4d7c21d27b3e610d4fb8ffe9f01"),
+    ("expanders --epsilon 0.03125 --s 0", "gnp400_sparse"): (0, "3bb2995bdbdf1707db3fa769048310837352f1bcbba062fcdd60b7e649b51724"),
+    ("expanders --epsilon 0.03125 --s 0.5", "gnp24"): (0, "bdc40acd1910e5308df4962c759a9de319e1e93320d45f4623e43efc6edfa39b"),
+    ("expanders --epsilon 0.03125 --s 0.5", "gnp400_sparse"): (0, "64dd00dd1d0beddf09f1e5b838d28f572b1984036bd27f0e927618cabb7e76eb"),
+    ("expanders --epsilon 0.03125 --s 1e300", "gnp24"): (0, "fc2ea00162d1869e3cb985e10546e3b61db0ea76690a5f877158ac9c981df624"),
+    ("expanders --epsilon 0.03125 --s 1e300", "gnp400_sparse"): (0, "b9a034ffa777c66b1d7c3dee889a4c2983ba0ecc9a029b1cd5c3c73c39dc7b50"),
+    ("certify --epsilon 1.0 --s 1.0", "k8"): (0, "7b6cdd3c0b7e48cc4c0eb56776b540c3cdd9524e6a7dac02d0e772874733240d"),
+    ("certify --epsilon 1.0 --s 1.0", "c4"): (0, "50051afd766690d51b53275f2780459796d2b418acd784736de1c636ad31340c"),
 }
 
 

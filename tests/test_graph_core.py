@@ -31,6 +31,7 @@ from helpers import (
     path_graph,
     random_gnp,
     reference_adjacency,
+    reference_components,
     reference_from_edges,
     reference_parse_edge_list,
     scattered_subview,
@@ -116,6 +117,44 @@ def test_arrays_equal_an_adjacency_built_from_the_definition():
             assert zipped_arrays(g) == cached
             assert zipped_arrays(residual) == reference_adjacency(residual)
     assert unordered >= 150
+
+
+def test_components_carry_the_arrays_of_the_subview_on_their_vertices():
+    """``Graph.component`` of each of ``components()`` is the subview on its
+    vertices, carrying that subview's arrays, on plain graphs and on peel
+    residuals; a component that spans the graph is the graph itself."""
+    rng = random.Random(1021)
+    split = 0
+    for _ in range(200):
+        g = scattered_subview(rng)
+        _, residual = peel_long_cycles(g, rng.randint(3, 5))
+        for h in (g, residual):
+            comps = h.components()
+            assert comps == reference_components(h)
+            for comp in comps:
+                part = h.component(comp)
+                ref = h.subview(vertices=comp)
+                assert (part.vertices, part.edge_ids) == (ref.vertices, ref.edge_ids)
+                assert zipped_arrays(part) == reference_adjacency(ref)
+            split += len(comps) > 1
+    assert split >= 300
+    for g in (complete_graph(5), cycle_graph(7), Graph.from_edges(1, [])):
+        assert g.component(g.vertex_list()) is g
+
+
+def test_arrays_copy_caches_nothing_and_leaves_the_arrays_as_they_were():
+    rng = random.Random(1022)
+    for _ in range(200):
+        g = scattered_subview(rng)
+        bare = Graph(g.host_n, g.edge_table, g.vertices, g.edge_ids)
+        nbrs, eids = bare.arrays_copy()
+        assert bare._adj is None
+        assert {v: list(zip(nb, eids[v])) for v, nb in nbrs.items()} == reference_adjacency(g)
+        cached = zipped_arrays(g)
+        nbrs, eids = g.arrays_copy()
+        for v in nbrs:
+            del nbrs[v][:1], eids[v][1:]
+        assert zipped_arrays(g) == cached == reference_adjacency(g)
 
 
 def test_fingerprint_distinguishes_views():

@@ -361,7 +361,7 @@ class TestViewsCarryingArrays:
             g = scattered_subview(rng)
             alive = {e for e in g.edge_ids if rng.random() < 0.7}
             plain = Graph(g.host_n, g.edge_table, g.vertices, frozenset(alive))
-            view = pathscycles._view(g, alive, plain.arrays())
+            view = Graph(g.host_n, g.edge_table, g.vertices, frozenset(alive), plain.arrays())
             _, residual = peel_long_cycles(g, 3)
             assert residual._adj is not None
             fresh = Graph(g.host_n, g.edge_table, g.vertices, residual.edge_ids)

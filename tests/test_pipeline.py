@@ -7,7 +7,7 @@ from dataclasses import fields
 import pytest
 
 from cycledecomp import decomposer, pipeline
-from cycledecomp.bench import gen_gallai_bipartite
+from cycledecomp.bench import gen_gallai_bipartite, gen_gnp
 from cycledecomp.graph import (
     Decomposition,
     Graph,
@@ -27,6 +27,7 @@ from cycledecomp.pathscycles import peel_long_cycles
 from helpers import (
     complete_graph,
     cycle_graph,
+    exact_min_pieces,
     path_graph,
     random_gnp,
     reference_density_step,
@@ -137,7 +138,7 @@ class TestNoSplitOnThePipelinePath:
     @pytest.mark.parametrize("name", sorted(INSTANCES) + ["gallai1_10000"])
     def test_neither_preset_splits_or_certifies(self, name, preset, monkeypatch):
         g = gen_gallai_bipartite(1, 10_000) if name == "gallai1_10000" else INSTANCES[name]()
-        splits = spy(monkeypatch, pipeline, "almost_decompose_into_expanders")
+        splits = spy(monkeypatch, decomposer, "almost_decompose_into_expanders")
         certified = spy(monkeypatch, decomposer, "certify_expander")
         entered = spy(monkeypatch, pipeline, "decompose_expander")
         dec, rr = decompose_logstar(g, PipelineConfig(preset))
@@ -457,3 +458,67 @@ class TestDecomposeLogstar:
         d, _ = decompose_logstar(g, PipelineConfig.engineering(seed=17))
         assert d.stats["preset"] == "engineering"
         assert d.stats["seed"] == 17
+
+
+# -- against the exact optimum -------------------------------------------------
+
+
+def brute_min_pieces(g: Graph) -> int:
+    """Fewest pieces over every family of edge-disjoint cycles of g, with
+    the edges no cycle covers as singles."""
+    cycles = []
+    verts = g.vertex_list()
+    for k in range(3, len(verts) + 1):
+        for vs in itertools.permutations(verts, k):
+            # each cycle once: smallest vertex first, one direction
+            if vs[0] != min(vs) or vs[1] > vs[-1]:
+                continue
+            pairs = list(zip(vs, vs[1:] + vs[:1]))
+            if all(g.has_edge(a, b) for a, b in pairs):
+                cycles.append(frozenset(g.edge_id(a, b) for a, b in pairs))
+    best = g.m
+
+    def extend(start: int, used: frozenset, count: int) -> None:
+        nonlocal best
+        best = min(best, count + g.m - len(used))
+        for i in range(start, len(cycles)):
+            if used.isdisjoint(cycles[i]):
+                extend(i + 1, used | cycles[i], count + 1)
+
+    extend(0, frozenset(), 0)
+    return best
+
+
+def test_exact_optimum_matches_a_search_over_cycle_families():
+    """On every labelled graph on 5 vertices."""
+    slots = list(itertools.combinations(range(5), 2))
+    for mask in range(1 << len(slots)):
+        g = Graph.from_edges(5, [e for i, e in enumerate(slots) if mask >> i & 1])
+        assert exact_min_pieces(g) == brute_min_pieces(g), mask
+
+
+def c5_plus_chord() -> Graph:
+    return Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])
+
+
+# name -> (instances, total optimum, each preset's total pieces when pinned)
+OPTIMUM_SETS = {
+    "gnp7_half": (lambda: [gen_gnp(7, 0.5, s) for s in range(40)], 163,
+                  {"engineering": 388, "paper": 388}),
+    "gnp8_half": (lambda: [gen_gnp(8, 0.5, s) for s in range(30)], 150,
+                  {"engineering": 333, "paper": 338}),
+    "gnp10_0.3": (lambda: [gen_gnp(10, 0.3, s) for s in range(30)], 180,
+                  {"engineering": 409, "paper": 409}),
+    "c5_plus_chord": (lambda: [c5_plus_chord()], 2, {"engineering": 6, "paper": 6}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMUM_SETS))
+def test_presets_between_the_optimum_and_their_pinned_totals(name):
+    """No preset beats the optimum, and none has got worse since pinning."""
+    make, optimum, pinned = OPTIMUM_SETS[name]
+    graphs = make()
+    assert sum(exact_min_pieces(g) for g in graphs) == optimum
+    for preset, most in pinned.items():
+        total = sum(decompose_logstar(g, PipelineConfig(preset))[0].pieces for g in graphs)
+        assert optimum <= total <= most, preset
