@@ -227,12 +227,17 @@ def _longest_back_edge_cycle(g: Graph) -> Optional[Cycle]:
     parent closes a 2-cycle, which is too short to count.  The first cycle
     of the greatest length wins.  Returns None exactly when g is acyclic.
     Reads g's ``arrays()`` with the depth table of ``_back_edge_pass``.
+    A cycle lies on the stack, among the unfinished vertices, and only a
+    strictly longer one replaces the best; so the search returns as soon as
+    no more than ``longest`` vertices are unfinished, with the same result
+    a full sweep would give.
     """
     nbrs, eids = g.arrays()
     depth = _per_vertex(g, -1)
     ptr = _per_vertex(g, 0)
     best: Optional[Cycle] = None
     longest = 2
+    left = g.n  # vertices not yet finished
     for root in g.vertex_list():
         if depth[root] != -1:
             continue
@@ -261,6 +266,9 @@ def _longest_back_edge_cycle(g: Graph) -> Optional[Cycle]:
                 stack_v.pop()
                 stack_e.pop()
                 depth[v] = -2
+                left -= 1
+                if left <= longest:
+                    return best
     return best
 
 
@@ -422,11 +430,17 @@ def _back_edge_pass(
     min_len >= 3, so it needs no test of its own.  Per-vertex scan pointers
     move forward (a deleted entry behind a pointer pulls it back one place),
     so a full pass is near-linear in the live edges; cycles missed because
-    their stack was truncated are picked up by later passes.
+    their stack was truncated are picked up by later passes.  A finished
+    vertex stays finished for the rest of the pass, and a cycle is only
+    taken from a stack of at least min_len unfinished vertices, so the pass
+    returns once fewer than min_len of g's vertices are unfinished: the
+    rest of it could neither take a cycle nor delete an edge, so the
+    cycles, alive and the arrays are those of the full sweep.
     """
     found = 0
     depth = _per_vertex(g, -1)
     ptr = _per_vertex(g, 0)
+    left = g.n  # vertices not yet finished
     for root in g.vertex_list():
         if depth[root] != -1:
             continue
@@ -470,6 +484,9 @@ def _back_edge_pass(
                 stack_e.pop()
                 depth[v] = -2
                 top -= 1
+                left -= 1
+                if left < min_len:
+                    return found
     return found
 
 

@@ -17,10 +17,12 @@ from cycledecomp.pathscycles import (
 )
 
 from helpers import (
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     path_graph,
     random_gnp,
+    _reference_back_edge_pass,
     _reference_longest_back_edge_cycle,
     reference_adjacency,
     reference_component_walks,
@@ -293,6 +295,47 @@ class TestPeelMatchesReference:
         assert several >= 100 and small_part >= 200
 
 
+class CountingLists(dict):
+    """A vertex -> list table that counts its lookups."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+class TestSweepExit:
+    """A back-edge sweep returns once fewer than min_len vertices are
+    unfinished, since a cycle is only taken from a stack of min_len
+    unfinished vertices.  The lookup counts pin where it stops; the
+    reference sweep, which finishes every vertex, pins what it leaves."""
+
+    @pytest.mark.parametrize("g,min_len,reads", [
+        # a sweep that finishes every vertex reads 69, 98, 117, 182, 272
+        (complete_graph(12), 11, 59),
+        (complete_graph(12), 9, 90),
+        (complete_graph(20), 19, 99),
+        (complete_graph(20), 17, 166),
+        (gnp(30, 0.9, 1), 25, 248),
+    ])
+    def test_sweep_stops_once_no_cycle_of_the_floor_fits(self, g, min_len, reads):
+        nbrs, eids = g.arrays_copy()
+        nbrs = CountingLists(nbrs)
+        alive = set(g.edge_ids)
+        cycles: list = []
+        found = pathscycles._back_edge_pass(g, nbrs, eids, alive, min_len, cycles)
+        assert nbrs.reads == reads
+        ref_alive = set(g.edge_ids)
+        ref_cycles: list = []
+        ref_found = _reference_back_edge_pass(
+            g, reference_adjacency(g), ref_alive, min_len, ref_cycles)
+        assert (found, cycles, alive) == (ref_found, ref_cycles, ref_alive)
+        assert found > 0
+        live = {v: list(zip(nb, eids[v])) for v, nb in nbrs.items()}
+        assert live == reference_adjacency(g.subview(edge_ids=ref_alive))
+
+
 def shuffled_host(rng: random.Random) -> Graph:
     """G(n, p) whose edge ids follow a random order of the pairs, so the
     edge table is not in pair order and the peel's per-vertex lists come
@@ -431,6 +474,27 @@ class TestEulerWalksMatchReference:
     def test_back_edge_fallback(self, g):
         assert (pathscycles._longest_back_edge_cycle(g)
                 == _reference_longest_back_edge_cycle(g, reference_adjacency(g)))
+
+    @pytest.mark.parametrize("g,length,reads", [
+        (complete_graph(5), 5, 5),
+        (complete_graph(14), 14, 14),
+        (Graph.from_edges(14, [(u, v) for u in range(14) for v in range(u + 1, 14)
+                               if not (u % 2 == 0 and v == u + 1)]), 13, 13),
+        (complete_bipartite(3, 4), 6, 6),
+        (complete_bipartite(7, 7), 14, 14),
+        (complete_bipartite(5, 9), 10, 16),
+    ])
+    def test_back_edge_fallback_stops_at_a_near_hamiltonian_cycle(self, g, length, reads):
+        # K_n, K_14 minus a perfect matching and K_{a,b}: the first descent
+        # closes a cycle as long as any the full search finds, so the search
+        # returns once at most that many vertices are unfinished (without
+        # the exit it reads the lists 2n - 1 times)
+        nbrs, eids = g.arrays_copy()
+        nbrs = CountingLists(nbrs)
+        counted = Graph(g.host_n, g.edge_table, g.vertices, g.edge_ids, (nbrs, eids))
+        cyc = pathscycles._longest_back_edge_cycle(counted)
+        assert cyc == _reference_longest_back_edge_cycle(g, reference_adjacency(g))
+        assert (cyc.length, nbrs.reads) == (length, reads)
 
 
 class TestManyComponents:
