@@ -8,7 +8,7 @@ offending instance written to disk for reproduction.
 
 from __future__ import annotations
 
-import concurrent.futures
+import contextlib
 import csv
 import io
 import math
@@ -183,7 +183,9 @@ def _make_instance(family: str, n: int, seed: int) -> tuple[Graph, Optional[int]
     raise ValueError(f"unknown family {family!r}")
 
 
-def _bench_one(family: str, n: int, seed: int, cfg: PipelineConfig) -> dict:
+def _bench_one(family: str, n: int, seed: int, cfg: PipelineConfig, base: str) -> dict:
+    """Decompose one grid cell and return its CSV row; on a violation, save
+    the instance in directory base and raise BenchFailure."""
     g, bound = _make_instance(family, n, seed)
     t0 = time.perf_counter()
     dec, _ = decompose_logstar(g, cfg)
@@ -199,6 +201,12 @@ def _bench_one(family: str, n: int, seed: int, cfg: PipelineConfig) -> dict:
         problems.append(f"pieces {pieces} below the proven floor {bound}")
     if family == "eulerian" and dec.single_edges:
         problems.append(f"{len(dec.single_edges)} single edges on an all-even input")
+    if problems:
+        path = os.path.join(base, f"bench_failure_{family}_{n}_{seed}.edges")
+        with open(path, "w") as fh:
+            fh.write(f"# family={family} n={n} seed={seed}\n")
+            fh.write(format_edge_list(g))
+        raise BenchFailure(f"{family} n={n} seed={seed}: " + "; ".join(problems), repro_path=path)
     return {
         "family": family,
         "n": n,
@@ -210,8 +218,6 @@ def _bench_one(family: str, n: int, seed: int, cfg: PipelineConfig) -> dict:
         "pieces_per_n": f"{pieces / n:.4f}",
         "gallai_bound": "" if bound is None else bound,
         "runtime": f"{dt:.3f}",
-        "_problems": problems,
-        "_graph": g if problems else None,
     }
 
 
@@ -222,17 +228,17 @@ def bench_scaling(
     seeds: Sequence[int] = DEFAULT_SEEDS,
     *,
     out: Optional[str] = None,
-    workers: int = 1,
 ) -> str:
     """Run the scaling grid and return the CSV text (also written to out).
 
-    Rows are merged in (family, n, seed) order regardless of worker count,
-    so a fixed grid and seeds reproduce the same table (runtime column
-    aside).  The first bound or validity violation raises BenchFailure with
-    the instance saved beside the output file.  Raises ValueError, before
+    The cells run one after another in (family, n, seed) order, so a fixed
+    grid and seeds reproduce the same table (runtime column aside), and each
+    cell's runtime is its own.  out is opened before the first cell, so an
+    unwritable path fails before any instance runs.  The first bound or
+    validity violation raises BenchFailure with the instance saved beside
+    the output file, which is then left empty.  Raises ValueError, before
     any instance runs, for a repeated family, size or seed, an unknown
-    family, a size below 1, a worker count below 1 or a gallaiK family at a
-    size below 2k + 2.
+    family, a size below 1 or a gallaiK family at a size below 2k + 2.
     """
     if cfg is None:
         cfg = PipelineConfig.engineering()
@@ -242,8 +248,6 @@ def bench_scaling(
             raise ValueError(f"{what} {repeated[0]} given more than once")
     if min(sizes, default=1) < 1:
         raise ValueError(f"sizes must be at least 1, got {min(sizes)}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     for f in families:
         if f.startswith("gallai") and f[len("gallai"):].isdigit():
             need = 2 * int(f[len("gallai"):]) + 2
@@ -251,42 +255,14 @@ def bench_scaling(
                 raise ValueError(f"{f} needs n >= {need}, got n={min(sizes)}")
         elif f not in ("gnp8n", "gnp05", "eulerian"):
             raise ValueError(f"unknown family {f!r}")
-    tasks = sorted((f, n, s) for f in families for n in sizes for s in seeds)
-    rows: list[dict] = []
-    # a pool starts all its workers at the first submit, so start no more than there are cells
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_bench_one, f, n, s, cfg) for f, n, s in tasks]
-            rows = [ft.result() for ft in futs]
-    else:
-        rows = [_bench_one(f, n, s, cfg) for f, n, s in tasks]
-    rows.sort(key=lambda r: (r["family"], r["n"], r["seed"]))
-
-    for row in rows:
-        if row["_problems"]:
-            g = row["_graph"]
-            base = os.path.dirname(out) if out else "."
-            path = os.path.join(
-                base or ".",
-                f"bench_failure_{row['family']}_{row['n']}_{row['seed']}.edges",
-            )
-            with open(path, "w") as fh:
-                fh.write(f"# family={row['family']} n={row['n']} seed={row['seed']}\n")
-                fh.write(format_edge_list(g))
-            raise BenchFailure(
-                f"{row['family']} n={row['n']} seed={row['seed']}: "
-                + "; ".join(row["_problems"]),
-                repro_path=path,
-            )
-
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row[k] for k in CSV_COLUMNS})
-    text = buf.getvalue()
-    if out:
-        with open(out, "w") as fh:
+    base = os.path.dirname(out or "") or "."
+    with open(out, "w") if out else contextlib.nullcontext() as fh:
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        for f, n, s in sorted((f, n, s) for f in families for n in sizes for s in seeds):
+            writer.writerow(_bench_one(f, n, s, cfg, base))
+        text = buf.getvalue()
+        if fh is not None:
             fh.write(text)
     return text

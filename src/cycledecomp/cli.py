@@ -200,7 +200,9 @@ def _cmd_expanders(args: argparse.Namespace) -> int:
     tab = g.edge_table
     if args.split:
         try:
-            res = split_expander_edges(g, p, args.split, args.seed, check=args.check or "none")
+            res = split_expander_edges(
+                g, p, args.split, args.seed, check=args.check or "none", cap=args.cap
+            )
         except SplitFailure as exc:
             print(f"expanders: split failed: {exc}", file=sys.stderr)
             return 1
@@ -336,7 +338,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             cfg=PipelineConfig(args.preset),
             seeds=args.seeds,
             out=args.out,
-            workers=args.workers,
         )
     except BenchFailure as exc:
         print(f"bench: {exc}", file=sys.stderr)
@@ -461,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", type=_str_list, default=list(DEFAULT_FAMILIES))
     p.add_argument("--sizes", type=_int_list, default=list(DEFAULT_SIZES))
     p.add_argument("--seeds", type=_int_list, default=list(DEFAULT_SEEDS))
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_bench)
 
     return ap

@@ -4,7 +4,7 @@ The well-spread decomposition pairs odd-degree vertices with virtual edges,
 takes an Euler circuit per component, and splits the resulting walks into one
 simple path each plus excised simple cycles.  Every vertex ends up an
 endvertex of at most two paths, which is the only property downstream
-consumers rely on.
+consumers rely on.  The Eulerian finisher is its case with no odd vertex.
 """
 
 from __future__ import annotations
@@ -108,19 +108,17 @@ def _excise_walk(
     return None, cycles
 
 
-def _component_walks(
-    g: Graph, comp: list[int], pair_odd: bool
-) -> list[tuple[list[int], list[int]]]:
+def _component_walks(g: Graph, comp: list[int]) -> list[tuple[list[int], list[int]]]:
     """Euler-circuit walks of one component, virtual pairing edges removed.
 
     comp is the component's vertex list in ascending order.  Returns a list
-    of (vertex_seq, edge_id_seq) walks.  With pair_odd the odd-degree
-    vertices are paired ascending through virtual edges and each returned
-    walk is open (one per pair); otherwise all degrees must already be even
-    and the single closed circuit is returned.  The circuit reads the
-    component's slice of g's ``arrays()``; each odd vertex gets a copy of
-    its lists holding one virtual entry, with edge id -1 - k for the k-th
-    pair, placed after any real entry for the same neighbour.
+    of (vertex_seq, edge_id_seq) walks.  The odd-degree vertices are paired
+    ascending through virtual edges and each returned walk is open (one per
+    pair); when every degree is even there is no pair, and the single closed
+    circuit is returned.  The circuit reads the component's slice of g's
+    ``arrays()``; each odd vertex gets a copy of its lists holding one
+    virtual entry, with edge id -1 - k for the k-th pair, placed after any
+    real entry for the same neighbour.
     """
     all_nbrs, all_eids = g.arrays()
     nbrs = {v: all_nbrs[v] for v in comp}
@@ -128,8 +126,6 @@ def _component_walks(
     if not nbrs[comp[0]]:
         return []
     odd = [v for v in comp if len(nbrs[v]) % 2]
-    if odd and not pair_odd:
-        raise ValueError(f"odd-degree vertices present: {odd[:5]}")
     for k in range(len(odd) // 2):
         a, b = odd[2 * k], odd[2 * k + 1]
         for x, y in ((a, b), (b, a)):
@@ -175,7 +171,7 @@ def well_spread_path_cycle_decompose(g: Graph, mode: str = "euler") -> WellSprea
     paths: list[Path] = []
     cycles: list[Cycle] = []
     for comp in g.components():
-        for vs, es in _component_walks(g, comp, pair_odd=True):
+        for vs, es in _component_walks(g, comp):
             leftover, excised = _excise_walk(vs, es)
             cycles.extend(excised)
             if leftover is not None:
@@ -531,15 +527,15 @@ def peel_long_cycles(g: Graph, min_len: int) -> tuple[list[Cycle], Graph]:
 def eulerian_cycle_decompose(g: Graph) -> list[Cycle]:
     """Partition an even-degree graph's edges into simple cycles.
 
-    Takes an Euler circuit per component and excises cycles at first vertex
-    repeats, so every edge lands in exactly one simple cycle.  Raises
-    ValueError when some vertex has odd degree.
+    The cycles of ``well_spread_path_cycle_decompose``, which with no odd
+    vertex to pair takes one closed Euler circuit per component and excises
+    cycles at first vertex repeats, so every edge lands in exactly one
+    simple cycle.  Raises ValueError when some vertex has odd degree.
     """
-    cycles: list[Cycle] = []
-    for comp in g.components():
-        for vs, es in _component_walks(g, comp, pair_odd=False):
-            leftover, excised = _excise_walk(vs, es)
-            if leftover is not None:
-                raise RuntimeError(f"closed walk left an open path at {leftover.ends}")
-            cycles.extend(excised)
-    return cycles
+    odd = sorted(v for v, d in g.degrees().items() if d % 2)
+    if odd:
+        raise ValueError(f"odd-degree vertices present: {odd[:5]}")
+    res = well_spread_path_cycle_decompose(g)
+    if res.paths:
+        raise RuntimeError(f"closed walk left an open path at {res.paths[0].ends}")
+    return list(res.cycles)

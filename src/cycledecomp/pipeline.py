@@ -129,13 +129,12 @@ def density_step(g: Graph, cfg: PipelineConfig) -> tuple[list[Cycle], Graph, dic
     """One density-reduction round: peel long cycles, then peel each part.
 
     Long cycles of length at least the average degree are peeled first.
-    Under ``engineering`` every component of the residue is a part, and each
-    part with an edge runs through ``decompose_expander``; under ``paper``
-    the residue is passed on whole, and its vertices and edges are reported
-    as ``parts`` and ``removed_edges``, as the expander split counted them.
-    Returns the edge-disjoint cycles found, the leftover view (input minus
-    all cycle edges), and a report with the in/out average degrees, the edge
-    ledger and the parts' counters.
+    Under ``engineering`` every component of the residue is a part, counted
+    in ``parts``, and each part with an edge runs through
+    ``decompose_expander``; under ``paper`` the residue is passed on whole,
+    and ``parts`` is 0.  Returns the edge-disjoint cycles found, the
+    leftover view (input minus all cycle edges), and a report with the
+    in/out average degrees, the edge ledger and the parts' counters.
     """
     t0 = time.perf_counter()
     d_in = g.avg_degree()
@@ -143,12 +142,9 @@ def density_step(g: Graph, cfg: PipelineConfig) -> tuple[list[Cycle], Graph, dic
     peeled, residual = peel_long_cycles(g, min_len)
     cycles = list(peeled)
     leftover = residual
-    report = {"d_in": d_in, "min_len": min_len, "edges_in": g.m, "parts": 0, "removed_edges": 0}
+    report = {"d_in": d_in, "min_len": min_len, "edges_in": g.m, "parts": 0}
     report.update(dict.fromkeys(PART_COUNTERS, 0))
-    if residual.m and cfg.preset == "paper":
-        report["parts"] = residual.n
-        report["removed_edges"] = residual.m
-    elif residual.m:
+    if residual.m and cfg.preset == "engineering":
         comps = residual.components()
         report["parts"] = len(comps)
         singles: list[int] = []

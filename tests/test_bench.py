@@ -1,11 +1,12 @@
 """Tests for the generators, the bipartite lower bound, and the CSV harness."""
 
 import csv
+import hashlib
 import io
 import math
 import random
-from concurrent.futures import Future
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,15 @@ from helpers import complete_graph
 
 def rows_of(text: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def drop_first_edge(g, cfg):
+    """A broken pipeline: it drops one edge, so the partition check fails."""
+    dec = Decomposition(
+        n=g.n, m=g.m, cycles=(), single_edges=tuple(g.edge_id_list()[1:]),
+        source="test", stats={},
+    )
+    return dec, None
 
 
 class TestGenGnp:
@@ -143,13 +153,10 @@ class TestBenchScaling:
     @pytest.mark.parametrize("kw", [
         dict(sizes=(0,)),
         dict(sizes=(16, -2)),
-        # rejected before any pool starts
-        dict(sizes=(16,), workers=0),
-        dict(sizes=(16,), workers=-3),
         # rejected before the gallai1 cells run
         dict(families=("gallai1", "gallai5"), sizes=(2048, 8)),
     ])
-    def test_sizes_and_workers_below_one_rejected_upfront(self, kw, monkeypatch):
+    def test_sizes_below_one_rejected_upfront(self, kw, monkeypatch):
         monkeypatch.setattr(bench, "_bench_one", lambda *a: pytest.fail("an instance ran"))
         match = "gallai5 needs n >= 12, got n=8" if "families" in kw else "must be at least 1"
         with pytest.raises(ValueError, match=match):
@@ -194,55 +201,73 @@ class TestBenchScaling:
         kw = dict(families=("gnp8n", "gallai2"), sizes=(20,), seeds=(0, 3))
         assert strip(bench_scaling(**kw)) == strip(bench_scaling(**kw))
 
-    def test_validity_failure_aborts_with_repro(self, tmp_path, monkeypatch):
-        def broken(g, cfg):
-            # drop one edge from the output so the partition check fails
-            dec = Decomposition(
-                n=g.n, m=g.m, cycles=(), single_edges=tuple(g.edge_id_list()[1:]),
-                source="test", stats={},
-            )
-            return dec, None
+    def test_grid_rows_pinned(self):
+        # sha256 of the CSV without its runtime column
+        text = bench_scaling(families=("eulerian", "gallai1", "gnp8n"), sizes=(32, 64),
+                             seeds=(0, 1))
+        rows = "".join(",".join(row[:-1]) + "\n" for row in csv.reader(io.StringIO(text)))
+        assert hashlib.sha256(rows.encode()).hexdigest() == (
+            "4812e5b3c6f26b5b768d7bffe5b8ccb3f8ba21c06212e3dced53cc18c40f5e3a")
 
-        monkeypatch.setattr(bench, "decompose_logstar", broken)
+    def test_validity_failure_aborts_with_repro(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bench, "decompose_logstar", drop_first_edge)
         out = tmp_path / "r.csv"
         with pytest.raises(BenchFailure) as exc:
             bench_scaling(families=("gnp8n",), sizes=(12,), seeds=(0,), out=str(out))
-        path = exc.value.repro_path
-        assert path is not None and path.endswith(".edges")
-        body = open(path).read()
-        assert body.startswith("# family=gnp8n n=12 seed=0")
+        assert str(exc.value) == (
+            "gnp8n n=12 seed=0: fingerprint mismatch: test vs 2dfdb87d85e8d4fe; "
+            "1 live edges uncovered, e.g. [0]")
+        path = Path(exc.value.repro_path)
+        assert path == tmp_path / "bench_failure_gnp8n_12_0.edges"
+        body = path.read_bytes()
+        assert body.startswith(b"# family=gnp8n n=12 seed=0\n")
+        assert hashlib.sha256(body).hexdigest() == (
+            "61e204f2416a66a9152f96e3e2deef262bbe66edee320bf04273621e8bfb520f")
 
-    def test_worker_pool_matches_serial(self):
-        kw = dict(families=("gnp8n",), sizes=(16, 20), seeds=(0, 1))
-        serial = rows_of(bench_scaling(**kw))
-        pooled = rows_of(bench_scaling(workers=2, **kw))
-        drop = lambda rs: [{k: v for k, v in r.items() if k != "runtime"} for r in rs]
-        assert drop(serial) == drop(pooled)
+    def test_failing_first_cell_stops_the_grid(self, tmp_path, monkeypatch):
+        ran = []
 
-    def test_pool_is_no_larger_than_the_grid(self, monkeypatch):
-        """A pool starts all its workers at the first submit, so it is asked
-        for no more workers than there are cells, and for none at one cell.
-        The stand-in pool runs each cell at once, in this process."""
-        asked = []
+        def counted(g, cfg):
+            ran.append(g.n)
+            return drop_first_edge(g, cfg)
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
+        monkeypatch.setattr(bench, "decompose_logstar", counted)
+        with pytest.raises(BenchFailure, match="gnp8n n=12 seed=0"):
+            bench_scaling(families=("gnp8n",), sizes=(12, 16), seeds=(0, 1),
+                          out=str(tmp_path / "r.csv"))
+        assert ran == [12]
+        # the output was opened before the first cell, and is left empty
+        assert (tmp_path / "r.csv").read_text() == ""
 
-            def __enter__(self):
-                return self
+    def test_failing_later_cell_stops_the_rest(self, tmp_path, monkeypatch):
+        ran = []
+        real = bench.decompose_logstar
 
-            def __exit__(self, *exc):
-                return False
+        def broken_at_16(g, cfg):
+            ran.append(g.n)
+            return drop_first_edge(g, cfg) if g.n == 16 else real(g, cfg)
 
-            def submit(self, fn, *args):
-                fut = Future()
-                fut.set_result(fn(*args))
-                return fut
+        monkeypatch.setattr(bench, "decompose_logstar", broken_at_16)
+        with pytest.raises(BenchFailure, match="^gnp8n n=16 seed=0: ") as exc:
+            bench_scaling(families=("gnp8n",), sizes=(12, 16, 20), seeds=(0,),
+                          out=str(tmp_path / "r.csv"))
+        assert ran == [12, 16]
+        assert Path(exc.value.repro_path) == tmp_path / "bench_failure_gnp8n_16_0.edges"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bench_failure_gnp8n_16_0.edges", "r.csv"]
+        assert (tmp_path / "r.csv").read_text() == ""
 
-        monkeypatch.setattr(bench.concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        kw = dict(families=("gnp8n",), sizes=(16,), seeds=(0, 1))
-        assert bench_scaling(workers=10 ** 6, **kw).count("\n") == 3
-        assert asked == [2]
-        bench_scaling(workers=8, families=("gnp8n",), sizes=(16,), seeds=(0,))
-        assert asked == [2]
+    def test_cells_run_in_grid_order(self, monkeypatch):
+        calls = []
+        real = bench._bench_one
+
+        def recorded(family, n, seed, cfg, base):
+            calls.append((family, n, seed))
+            return real(family, n, seed, cfg, base)
+
+        monkeypatch.setattr(bench, "_bench_one", recorded)
+        text = bench_scaling(families=("gnp8n", "eulerian"), sizes=(16, 12), seeds=(1, 0))
+        expected = sorted((f, n, s) for f in ("gnp8n", "eulerian") for n in (16, 12)
+                          for s in (1, 0))
+        assert calls == expected
+        assert [(r["family"], int(r["n"]), int(r["seed"])) for r in rows_of(text)] == expected

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cycledecomp.bench as bench
 from cycledecomp.cli import main
 from cycledecomp.graph import MAX_VERTICES, format_edge_list, parse_edge_list
 from cycledecomp.pipeline import PART_COUNTERS
@@ -145,7 +146,7 @@ class TestDecomposeRoundTrip:
         for it in doc["iterations"]:
             assert set(it) == {
                 "d_in", "d_out", "min_len", "seconds", "edges_in", "cycle_edges", "edges_left",
-                "cycles_peeled", "cycles_general", "parts", "removed_edges", *PART_COUNTERS,
+                "cycles_peeled", "cycles_general", "parts", *PART_COUNTERS,
             }
 
     def test_determinism_byte_identical(self, capsys):
@@ -384,6 +385,16 @@ class TestExpanders:
         code, out, _ = run(capsys, argv + ["exhaustive"], stdin=k8)
         assert code == 0 and json.loads(out)["checked"] == [True, True]
 
+    def test_split_check_honours_cap_exit2_one_line(self, capsys):
+        # exhaustive checks are capped at 10 vertices, as certify caps them
+        flags = ["--epsilon", "1", "--s", "8", "--denominator", "const",
+                 "--denominator-const", "0.1", "--cap", "10"]
+        _, g12, _ = run(capsys, ["gen", "gnp", "12", "0.5", "--seed", "1"])
+        for argv in (["expanders", "--split", "2", "--check", "exhaustive"], ["certify"]):
+            code, out, err = run(capsys, argv + flags, stdin=g12)
+            assert (code, out) == (2, "")
+            assert err == "error: exhaustive certification capped at n=10, got 12\n"
+
 
 def run_quietly(argv: list[str], text: str) -> tuple[int, str]:
     """Exit code and stderr of a command on stdin text; exceptions escape."""
@@ -570,8 +581,8 @@ class TestBenchCommand:
         assert lines[0].startswith("family,")
         assert len(lines) == 5
 
-    @pytest.mark.parametrize("arg", ["--sizes=0", "--sizes=16,0", "--workers=0", "--workers=-3"])
-    def test_size_or_worker_count_below_one_exits_2_with_one_line(self, capsys, arg):
+    @pytest.mark.parametrize("arg", ["--sizes=0", "--sizes=16,0"])
+    def test_size_below_one_exits_2_with_one_line(self, capsys, arg):
         code, out, err = run(capsys, ["bench", "--families", "gnp8n", "--seeds", "0", arg])
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -587,6 +598,22 @@ class TestBenchCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "given more than once" in err
+
+    def test_unwritable_out_runs_no_cell(self, capsys, tmp_path, monkeypatch):
+        ran = []
+        real = bench.decompose_logstar
+
+        def counted(g, cfg):
+            ran.append(g.n)
+            return real(g, cfg)
+
+        monkeypatch.setattr(bench, "decompose_logstar", counted)
+        argv = ["bench", "--families", "gnp8n", "--sizes", "64,128", "--seeds", "0,1",
+                "--out", str(tmp_path / "missing" / "x.csv")]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ran == []
 
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(

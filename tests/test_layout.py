@@ -1,5 +1,6 @@
 """What each module may know of the others: graph.py alone holds a graph's
-cached adjacency, and the pipeline reaches no expander code."""
+cached adjacency, the pipeline reaches no expander code, and no module
+hands work to a pool of processes or threads."""
 
 import ast
 import re
@@ -23,3 +24,14 @@ def test_pipeline_imports_only_graph_and_pathscycles():
         elif isinstance(node, ast.Import):
             package.update(a.name for a in node.names if a.name.startswith("cycledecomp"))
     assert package == {"graph", "pathscycles"}
+
+
+def test_no_module_starts_workers():
+    roots = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots.add(node.module.split(".")[0])
+    assert not roots & {"concurrent", "multiprocessing"}

@@ -20,8 +20,8 @@ GUARD_TESTS = [
     "tests/test_graph_core.py::test_edge_list_errors_carry_line_numbers",
     "tests/test_graph_core.py::test_vertex_count_over_the_limit_rejected_before_allocation",
     "tests/test_graph_core.py::test_parser_matches_reference",
-    "tests/test_bench.py::TestBenchScaling::test_sizes_and_workers_below_one_rejected_upfront",
-    "tests/test_cli.py::TestBenchCommand::test_size_or_worker_count_below_one_exits_2_with_one_line",
+    "tests/test_bench.py::TestBenchScaling::test_sizes_below_one_rejected_upfront",
+    "tests/test_cli.py::TestBenchCommand::test_size_below_one_exits_2_with_one_line",
     "tests/test_bench.py::TestBenchScaling::test_repeated_family_size_or_seed_rejected_upfront",
     "tests/test_cli.py::TestBenchCommand::test_repeated_grid_entry_exits_2_with_one_line",
     "tests/test_cli.py::TestGen::test_wrong_parameter_count_exit2_one_line",

@@ -1,6 +1,7 @@
 """Tests for path/cycle decomposition, long-cycle search, and peeling."""
 
 import random
+import re
 import time
 
 import pytest
@@ -453,21 +454,26 @@ class TestEulerWalksMatchReference:
     @settings(max_examples=300, deadline=None)
     def test_paired_walks(self, g):
         for comp in g.components():
-            assert (pathscycles._component_walks(g, comp, pair_odd=True)
+            assert (pathscycles._component_walks(g, comp)
                     == reference_component_walks(g, comp, pair_odd=True))
 
     @given(g=edge_tables())
     @settings(max_examples=200, deadline=None)
     def test_closed_walks_and_odd_rejection(self, g):
+        # on an all-even graph the paired walk is the closed circuit, and
+        # the finisher excises the same cycles from it in the same order
         even = even_part(g)
+        want = []
         for comp in even.components():
-            assert (pathscycles._component_walks(even, comp, pair_odd=False)
-                    == reference_component_walks(even, comp, pair_odd=False))
-        deg = g.degrees()
-        for comp in g.components():
-            if any(deg[v] % 2 for v in comp):
-                with pytest.raises(ValueError, match="odd-degree"):
-                    pathscycles._component_walks(g, comp, pair_odd=False)
+            walks = reference_component_walks(even, comp, pair_odd=False)
+            assert pathscycles._component_walks(even, comp) == walks
+            want.extend(c for vs, es in walks for c in pathscycles._excise_walk(vs, es)[1])
+        assert eulerian_cycle_decompose(even) == want
+        odd = sorted(v for v, d in g.degrees().items() if d % 2)
+        if odd:
+            message = re.escape(f"odd-degree vertices present: {odd[:5]}")
+            with pytest.raises(ValueError, match=message):
+                eulerian_cycle_decompose(g)
 
     @given(g=edge_tables())
     @settings(max_examples=300, deadline=None)

@@ -112,7 +112,8 @@ class TestPaperNeverReachesClosures:
     @pytest.mark.parametrize("name", sorted(INSTANCES) + ["disconnected"])
     def test_split_removes_every_edge(self, name, monkeypatch):
         """Under ``paper`` every round passes its whole peel residue on, as
-        the split that removed every edge did, and no part is decomposed."""
+        the split that removed every edge did, and no part is decomposed or
+        counted."""
         g = three_dense_blocks() if name == "disconnected" else INSTANCES[name]()
         entered = spy(monkeypatch, pipeline, "decompose_expander")
         rounds = []
@@ -130,7 +131,7 @@ class TestPaperNeverReachesClosures:
         for h, (cycles, leftover, rep) in rounds:
             _, residual = peel_long_cycles(h, rep["min_len"])
             assert leftover.edge_ids == residual.edge_ids
-            assert (rep["parts"], rep["removed_edges"]) == (residual.n, residual.m)
+            assert rep["parts"] == 0 and "removed_edges" not in rep
 
 
 class TestNoSplitOnThePipelinePath:
@@ -151,7 +152,9 @@ class TestRoundMatchesReference:
     """The round against the one that ran the expander split on the peel
     residue with each preset's old parameters
     (``helpers.reference_density_step``): the same cycles, leftover edges
-    and report, but for its wall seconds."""
+    and report, but for its wall seconds and the split's own counts: no
+    ``removed_edges`` (0 under ``engineering``), and ``parts`` 0 under
+    ``paper``, which splits nothing."""
 
     @staticmethod
     def signature(got):
@@ -161,7 +164,11 @@ class TestRoundMatchesReference:
 
     def check(self, g: Graph) -> None:
         for cfg in (CFG, PipelineConfig.paper()):
-            want = self.signature(reference_density_step(g, cfg))
+            cycles, leftover, rep = self.signature(reference_density_step(g, cfg))
+            assert rep.pop("removed_edges") == 0 or cfg.preset == "paper"
+            if cfg.preset == "paper":
+                rep["parts"] = 0
+            want = cycles, leftover, rep
             assert self.signature(density_step(g, cfg)) == want, (g, cfg.preset)
 
     def test_random_graphs(self):
