@@ -14,6 +14,7 @@ import io
 import math
 import os
 import random
+import re
 import time
 from bisect import bisect_left
 from collections import Counter
@@ -170,17 +171,24 @@ class BenchFailure(Exception):
         self.repro_path = repro_path
 
 
+def _gallai_k(family: str) -> Optional[int]:
+    """K of a gallaiK family, None for gnp8n, gnp05 and eulerian; ValueError
+    for any other name.  K is in ASCII digits with no leading zero, so no
+    grid cell runs twice under two names."""
+    match = re.fullmatch(r"gallai(0|[1-9][0-9]*)", family)
+    if match:
+        return int(match[1])
+    if family not in ("gnp8n", "gnp05", "eulerian"):
+        raise ValueError(f"unknown family {family!r}")
+    return None
+
+
 def _make_instance(family: str, n: int, seed: int) -> tuple[Graph, Optional[int]]:
-    if family == "gnp8n":
-        return gen_gnp(n, min(1.0, 8 / n), seed), None
-    if family == "gnp05":
-        return gen_gnp(n, 0.5, seed), None
-    if family.startswith("gallai"):
-        k = int(family[len("gallai"):])
+    k = _gallai_k(family)
+    if k is not None:
         return gen_gallai_bipartite(k, n), gallai_lower_bound(k, n)
-    if family == "eulerian":
-        return gen_eulerian(n, min(1.0, 8 / n), seed), None
-    raise ValueError(f"unknown family {family!r}")
+    gen = gen_eulerian if family == "eulerian" else gen_gnp
+    return gen(n, 0.5 if family == "gnp05" else min(1.0, 8 / n), seed), None
 
 
 def _bench_one(family: str, n: int, seed: int, cfg: PipelineConfig, base: str) -> dict:
@@ -190,12 +198,9 @@ def _bench_one(family: str, n: int, seed: int, cfg: PipelineConfig, base: str) -
     t0 = time.perf_counter()
     dec, _ = decompose_logstar(g, cfg)
     dt = time.perf_counter() - t0
-    problems: list[str] = []
-    rep = validate_decomposition(g, dec)
-    if not rep.ok:
-        problems.extend(rep.problems)
-    pieces = len(dec.cycles) + len(dec.single_edges)
-    if family.startswith("gnp") and pieces > 32 * n:
+    problems = list(validate_decomposition(g, dec).problems)
+    pieces = dec.pieces
+    if family in ("gnp8n", "gnp05") and pieces > 32 * n:
         problems.append(f"pieces {pieces} above the 32n ceiling {32 * n}")
     if bound is not None and pieces < bound:
         problems.append(f"pieces {pieces} below the proven floor {bound}")
@@ -249,12 +254,9 @@ def bench_scaling(
     if min(sizes, default=1) < 1:
         raise ValueError(f"sizes must be at least 1, got {min(sizes)}")
     for f in families:
-        if f.startswith("gallai") and f[len("gallai"):].isdigit():
-            need = 2 * int(f[len("gallai"):]) + 2
-            if min(sizes, default=need) < need:
-                raise ValueError(f"{f} needs n >= {need}, got n={min(sizes)}")
-        elif f not in ("gnp8n", "gnp05", "eulerian"):
-            raise ValueError(f"unknown family {f!r}")
+        k = _gallai_k(f)
+        if k is not None and min(sizes, default=2 * k + 2) < 2 * k + 2:
+            raise ValueError(f"{f} needs n >= {2 * k + 2}, got n={min(sizes)}")
     base = os.path.dirname(out or "") or "."
     with open(out, "w") if out else contextlib.nullcontext() as fh:
         buf = io.StringIO()

@@ -367,6 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--quiet", action="store_true", help="suppress progress notes")
     shared.add_argument("--out", help="write the primary output here instead of stdout")
 
+    # the commands that read a graph: the shared options plus its file
+    graph_args = argparse.ArgumentParser(add_help=False, parents=[shared])
+    graph_args.add_argument("file", nargs="?", help="edge-list file (default stdin)")
+
     seed_args = argparse.ArgumentParser(add_help=False)
     seed_args.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
@@ -398,9 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser(
-        "decompose", parents=[shared, seed_args, preset_args], help="run the full pipeline"
+        "decompose", parents=[graph_args, seed_args, preset_args], help="run the full pipeline"
     )
-    p.add_argument("file", nargs="?", help="edge-list file (default stdin)")
     p.add_argument("--report", help="write the per-iteration run report JSON here")
     p.set_defaults(func=_cmd_decompose)
 
@@ -410,18 +413,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser(
-        "certify", parents=[shared, seed_args, expander_args], help="test the expansion property"
+        "certify", parents=[graph_args, seed_args, expander_args],
+        help="test the expansion property",
     )
-    p.add_argument("file", nargs="?", help="edge-list file (default stdin)")
     p.add_argument("--mode", choices=("exhaustive", "heuristic"), default="exhaustive")
     p.add_argument("--cap", type=int, default=20, help="exhaustive-mode vertex cap")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser(
-        "expanders", parents=[shared, seed_args, expander_args],
+        "expanders", parents=[graph_args, seed_args, expander_args],
         help="split into expander parts (or edge classes with --split)",
     )
-    p.add_argument("file", nargs="?", help="edge-list file (default stdin)")
     p.add_argument("--split", type=int, default=0, help="split edges into k classes instead")
     p.add_argument(
         "--check", choices=("none", "heuristic", "exhaustive"),
@@ -431,27 +433,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_expanders)
 
     p = sub.add_parser(
-        "route", parents=[shared, seed_args], help="route a pair batch through a vertex set"
+        "route", parents=[graph_args, seed_args], help="route a pair batch through a vertex set"
     )
-    p.add_argument("file", nargs="?", help="edge-list file (default stdin)")
     p.add_argument("--pairs", required=True, help="file of 'u v' lines")
     p.add_argument("--through", required=True, help="file of through-vertex ids")
     p.add_argument("--ell", type=int, required=True, help="per-path length cap")
     p.add_argument("--strategy", choices=("greedy", "matching_oracle"), default="greedy")
     p.set_defaults(func=_cmd_route)
 
-    p = sub.add_parser("paths", parents=[shared], help="well-spread path/cycle decomposition")
-    p.add_argument("file", nargs="?", help="edge-list file (default stdin)")
+    p = sub.add_parser("paths", parents=[graph_args], help="well-spread path/cycle decomposition")
     p.add_argument("--mode", choices=("euler", "paths_only"), default="euler")
     p.set_defaults(func=_cmd_paths)
 
-    p = sub.add_parser("longcycle", parents=[shared], help="find one long cycle")
-    p.add_argument("file", nargs="?", help="edge-list file (default stdin)")
+    p = sub.add_parser("longcycle", parents=[graph_args], help="find one long cycle")
     p.add_argument("--min-len", type=int, default=0, help="fail unless at least this long")
     p.set_defaults(func=_cmd_longcycle)
 
-    p = sub.add_parser("euler", parents=[shared], help="cycle decomposition of an all-even graph")
-    p.add_argument("file", nargs="?", help="edge-list file (default stdin)")
+    p = sub.add_parser(
+        "euler", parents=[graph_args], help="cycle decomposition of an all-even graph"
+    )
     p.set_defaults(func=_cmd_euler)
 
     # no abbreviations: --seed would otherwise be taken for --seeds

@@ -19,32 +19,33 @@ from .graph import Graph, Path
 
 @dataclass(frozen=True)
 class PairBatch:
-    """Unordered vertex pairs with a per-vertex multiplicity bound t."""
+    """Unordered vertex pairs, none degenerate, with a per-vertex
+    multiplicity bound t: no vertex lies in more than t pairs."""
 
     pairs: tuple[tuple[int, int], ...]
     t: int
 
     def __post_init__(self):
-        mult: dict[int, int] = {}
-        for u, v in self.pairs:
-            if u == v:
-                raise ValueError(f"pair ({u}, {v}) is degenerate")
-            mult[u] = mult.get(u, 0) + 1
-            mult[v] = mult.get(v, 0) + 1
-        worst = max(mult.values(), default=0)
+        worst = _max_multiplicity(self.pairs)
         if worst > self.t:
             raise ValueError(f"vertex multiplicity {worst} exceeds bound t={self.t}")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]], t: Optional[int] = None) -> "PairBatch":
+        """Pairs, smaller end first; t defaults to the top multiplicity, at least 1."""
         ps = tuple((min(u, v), max(u, v)) for u, v in pairs)
-        if t is None:
-            mult: dict[int, int] = {}
-            for u, v in ps:
-                mult[u] = mult.get(u, 0) + 1
-                mult[v] = mult.get(v, 0) + 1
-            t = max(mult.values(), default=1)
-        return cls(ps, t)
+        return cls(ps, max(1, _max_multiplicity(ps)) if t is None else t)
+
+
+def _max_multiplicity(pairs: Iterable[tuple[int, int]]) -> int:
+    """Most pairs any one vertex lies in, 0 for none; rejects a degenerate pair."""
+    mult: dict[int, int] = {}
+    for u, v in pairs:
+        if u == v:
+            raise ValueError(f"pair ({u}, {v}) is degenerate")
+        mult[u] = mult.get(u, 0) + 1
+        mult[v] = mult.get(v, 0) + 1
+    return max(mult.values(), default=0)
 
 
 @dataclass(frozen=True)

@@ -84,10 +84,7 @@ def almost_decompose_into_expanders(
             continue
         if p.budget(1) > 0 and p.every_set_violates(max(cur.degrees().values())):
             # only single vertices are expanders: every edge goes
-            parts.extend(
-                Graph(cur.host_n, cur.edge_table, frozenset((v,)), frozenset())
-                for v in cur.vertex_list()
-            )
+            parts.extend(cur.subview(vertices=(v,), edge_ids=()) for v in cur.vertex_list())
             certified.extend([True] * cur.n)
             removed |= cur.edge_ids
             max_depth = max(max_depth, depth + (cur.n > 1))
@@ -117,7 +114,7 @@ def almost_decompose_into_expanders(
             parts.append(cur)
             certified.append(False)
             continue
-        g1 = cur.induced(X).without_edges(F)
+        g1 = cur.subview(vertices=X).without_edges(F)
         g2 = cur.subview(vertices=cur.vertices - U).without_edges(set(g1.edge_ids) | F)
         removed |= F
         stack.append((g2, depth + 1))
@@ -155,13 +152,10 @@ def _assert_almost_decompose_guarantees(
 def _find_violation(
     g: Graph, p: ExpanderParams, *, cap: int, seed: int
 ) -> Optional[tuple[set[int], set[int]]]:
-    """Heuristic search first; exhaustive fallback under the cap."""
-    v = certify_expander(g, p, mode="heuristic", seed=seed)
-    if not v.is_expander:
-        U, F = v.violation
-        return set(U), set(F)
-    if g.n <= cap:
-        v = certify_expander(g, p, mode="exhaustive", cap=cap)
+    """Heuristic search first; exhaustive fallback under the cap.  Both
+    modes get cap and seed, and each ignores the one it does not use."""
+    for mode in ("heuristic", "exhaustive") if g.n <= cap else ("heuristic",):
+        v = certify_expander(g, p, mode=mode, cap=cap, seed=seed)
         if not v.is_expander:
             U, F = v.violation
             return set(U), set(F)

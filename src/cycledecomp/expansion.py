@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import Graph, neighborhood, robust_neighborhood
+from .graph import Graph, _check_sets, neighborhood, robust_neighborhood
 
 
 # greedy-growth roots of the heuristic certifier: half lowest-degree, half random
@@ -146,11 +146,7 @@ def worst_case_frontier(
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    Uset = set(U)
-    if not Uset:
-        raise ValueError("U must be nonempty")
-    if not Uset <= g.vertices:
-        raise ValueError("U must consist of live vertices")
+    Uset, _ = _check_sets(g, U, ())
     nbrs, eids = g.arrays()
     into_u: dict[int, list[int]] = {}
     for u in Uset:
@@ -492,11 +488,7 @@ def extract_well_expanding_core(g: Graph, U: Iterable[int], tau: float) -> set[i
     The returned set always satisfies |N_G(U')| >= tau * |U'| (vacuous for
     the empty set, which is returned when no single vertex meets tau).
     """
-    Uset = set(U)
-    if not Uset:
-        raise ValueError("U must be nonempty")
-    if not Uset <= g.vertices:
-        raise ValueError("U must consist of live vertices")
+    Uset, _ = _check_sets(g, U, ())
     adj = g.arrays()[0]
     core: set[int] = set()
     nbrs: set[int] = set()

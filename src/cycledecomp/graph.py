@@ -103,9 +103,6 @@ class Graph:
         """Number of live edges."""
         return len(self.edge_ids)
 
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        return self.edge_table[eid]
-
     def vertex_list(self) -> list[int]:
         return sorted(self.vertices)
 
@@ -168,7 +165,8 @@ class Graph:
         vertices: Optional[Iterable[int]] = None,
         edge_ids: Optional[Iterable[int]] = None,
     ) -> "Graph":
-        """Restricted view sharing this graph's host edge table.
+        """Restricted view sharing this graph's host edge table: the subgraph
+        induced by vertices, the spanning subgraph on edge_ids, or both.
 
         Restricting vertices drops edges with a dead endpoint; restricting
         edges never drops vertices.  Edge ids keep their host meaning.
@@ -180,16 +178,14 @@ class Graph:
         if not eids <= self.edge_ids:
             raise ValueError("subview edges must be live in the parent")
         tab = self.edge_table
-        keep = frozenset(
+        # a live edge has both ends live, so only a vertex restriction drops edges
+        keep = eids if vertices is None else frozenset(
             e for e in eids if tab[e][0] in verts and tab[e][1] in verts
         )
         return Graph(self.host_n, tab, verts, keep)
 
     def without_edges(self, drop: Iterable[int]) -> "Graph":
         return Graph(self.host_n, self.edge_table, self.vertices, self.edge_ids - frozenset(drop))
-
-    def induced(self, vertices: Iterable[int]) -> "Graph":
-        return self.subview(vertices=vertices)
 
     def components(self) -> list[list[int]]:
         """Connected components of live vertices, each sorted, in sorted order."""
@@ -298,13 +294,7 @@ class Path:
 
     def check(self, g: Graph) -> None:
         """Raise unless every edge is live in g and joins its two vertices."""
-        live, tab, vs = g.edge_ids, g.edge_table, self.vertices
-        for i, eid in enumerate(self.edge_ids):
-            if eid not in live:
-                raise ValueError(f"path edge {eid} not live")
-            a, b = vs[i], vs[i + 1]
-            if ((a, b) if a < b else (b, a)) != tab[eid]:
-                raise ValueError(f"path edge {eid} does not join {a},{b}")
+        _check_incidence(g, "path", zip(self.edge_ids, self.vertices, self.vertices[1:]))
 
 
 @dataclass(frozen=True)
@@ -327,12 +317,18 @@ class Cycle:
         return len(self.edge_ids)
 
     def check(self, g: Graph) -> None:
-        live, tab, vs = g.edge_ids, g.edge_table, self.vertices
-        for eid, a, b in zip(self.edge_ids, vs, vs[1:] + vs[:1]):
-            if eid not in live:
-                raise ValueError(f"cycle edge {eid} not live")
-            if ((a, b) if a < b else (b, a)) != tab[eid]:
-                raise ValueError(f"cycle edge {eid} does not join {a},{b}")
+        vs = self.vertices
+        _check_incidence(g, "cycle", zip(self.edge_ids, vs, vs[1:] + vs[:1]))
+
+
+def _check_incidence(g: Graph, kind: str, steps: Iterable[tuple[int, int, int]]) -> None:
+    """Raise unless each step (edge id, a, b) is a live edge of g joining a and b."""
+    live, tab = g.edge_ids, g.edge_table
+    for eid, a, b in steps:
+        if eid not in live:
+            raise ValueError(f"{kind} edge {eid} not live")
+        if ((a, b) if a < b else (b, a)) != tab[eid]:
+            raise ValueError(f"{kind} edge {eid} does not join {a},{b}")
 
 
 @dataclass(frozen=True)
@@ -354,14 +350,9 @@ class Decomposition:
         single_edges: Iterable[int],
         stats: Optional[dict] = None,
     ) -> "Decomposition":
-        base = {
-            "n_cycles": len(cycles),
-            "n_single_edges": 0,
-            "pieces": 0,
-        }
         singles = tuple(sorted(single_edges))
-        base["n_single_edges"] = len(singles)
-        base["pieces"] = len(cycles) + len(singles)
+        base = {"n_cycles": len(cycles), "n_single_edges": len(singles),
+                "pieces": len(cycles) + len(singles)}
         if stats:
             base.update(stats)
         return cls(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graph import Cycle, Graph, Path, _component_sets
@@ -19,11 +19,11 @@ from .graph import Cycle, Graph, Path, _component_sets
 
 @dataclass(frozen=True)
 class WellSpreadResult:
+    """Paths and cycles partitioning the edges; in paths_only mode, only the
+    cycles that splitting would push some vertex past endpoint multiplicity 2."""
+
     paths: tuple[Path, ...]
     cycles: tuple[Cycle, ...]
-    # paths_only mode: cycles kept because splitting them would push some
-    # vertex past endpoint multiplicity 2
-    infeasible: tuple[Cycle, ...] = field(default=())
 
     def endpoint_multiplicity(self) -> dict[int, int]:
         return _endpoint_multiplicity(self.paths)
@@ -163,8 +163,8 @@ def well_spread_path_cycle_decompose(g: Graph, mode: str = "euler") -> WellSprea
 
     euler mode emits exactly (#odd-degree vertices)/2 paths, each odd vertex
     serving as an endpoint exactly once.  paths_only mode additionally splits
-    each cycle into two paths where the multiplicity budget allows; cycles
-    that cannot be split are reported in ``infeasible`` (and stay cycles).
+    each cycle into two paths where the multiplicity budget allows; the
+    cycles it returns are exactly those that could not be split.
     """
     if mode not in ("euler", "paths_only"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -194,7 +194,7 @@ def well_spread_path_cycle_decompose(g: Graph, mode: str = "euler") -> WellSprea
         paths.extend([first, second])
         for v in (vs[i], vs[j]):
             mult[v] = mult.get(v, 0) + 2
-    return WellSpreadResult(tuple(paths), tuple(kept), tuple(kept))
+    return WellSpreadResult(tuple(paths), tuple(kept))
 
 
 def _largest_component(g: Graph) -> tuple[int, set[int]]:
@@ -276,7 +276,8 @@ def find_long_cycle_dfs(g: Graph) -> Optional[Cycle]:
     """Long-cycle extraction via the unexplored/path/removed DFS process.
 
     Runs DFS on the largest component tracking the unexplored set U and the
-    removed set R; the path P is snapshotted at the first moment |U| = |R|.
+    removed set R; the DFS stops at the first moment |U| = |R|, which always
+    comes before the path empties, and P is the path at that moment.
     P splits into consecutive X, Y, Z; a shortest X-Z path Q in G minus Y is
     found by multi-source BFS (its interior automatically avoids all of P),
     and Q plus the P-segment between its endpoints closes a simple cycle
@@ -297,11 +298,9 @@ def find_long_cycle_dfs(g: Graph) -> Optional[Cycle]:
     path = [root]
     path_e: list[Optional[int]] = [None]  # path_e[t] joins path[t - 1] and path[t]
     ptr = {root: 0}
-    snapshot: Optional[list[int]] = None
-    while path:
-        if u_count == r_count:
-            snapshot = list(path)
-            break
+    # |U| - |R| starts at 2 or more and falls by exactly one per step; an
+    # empty path would leave U empty and R full, so it reaches 0 before that
+    while u_count != r_count:
         v = path[-1]
         nb = nbrs[v]
         end = len(nb)
@@ -320,15 +319,15 @@ def find_long_cycle_dfs(g: Graph) -> Optional[Cycle]:
             path.append(w)
             path_e.append(eids[v][i])
             ptr[w] = 0
-    if snapshot is None or len(snapshot) < 3:
+    if len(path) < 3:
         return _longest_back_edge_cycle(g)
 
-    p = len(snapshot)
+    p = len(path)
     y_len = max(1, min(int(Y_FRACTION * p), p - 2))
     x_len = (p - y_len + 1) // 2
-    X = snapshot[:x_len]
-    Y = snapshot[x_len : x_len + y_len]
-    Z = snapshot[x_len + y_len :]
+    X = path[:x_len]
+    Y = path[x_len : x_len + y_len]
+    Z = path[x_len + y_len :]
 
     y_set = set(Y)
     z_set = set(Z)
@@ -359,9 +358,9 @@ def find_long_cycle_dfs(g: Graph) -> Optional[Cycle]:
     q_vs.reverse()  # X endpoint first
     q_es.reverse()
 
-    pos = {v: i for i, v in enumerate(snapshot)}
+    pos = {v: i for i, v in enumerate(path)}
     ix, iz = pos[q_vs[0]], pos[hit]
-    cyc_vs = tuple(snapshot[ix : iz + 1]) + tuple(reversed(q_vs[1:-1]))
+    cyc_vs = tuple(path[ix : iz + 1]) + tuple(reversed(q_vs[1:-1]))
     cyc_es = tuple(path_e[ix + 1 : iz + 1]) + tuple(reversed(q_es))
     return Cycle(cyc_vs, cyc_es)
 

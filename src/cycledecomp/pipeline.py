@@ -155,7 +155,7 @@ def density_step(g: Graph, cfg: PipelineConfig) -> tuple[list[Cycle], Graph, dic
                 singles.extend(got.singles)
                 for key in PART_COUNTERS:
                     report[key] += got.stats[key]
-        leftover = Graph(g.host_n, g.edge_table, residual.vertices, frozenset(singles))
+        leftover = residual.subview(edge_ids=singles)
     report.update(
         d_out=leftover.avg_degree(),
         cycles_peeled=len(peeled),

@@ -1042,7 +1042,7 @@ def reference_almost_decompose_into_expanders(
             parts.append(cur)
             certified.append(False)
             continue
-        g1 = cur.induced(X).without_edges(F)
+        g1 = cur.subview(vertices=X).without_edges(F)
         g2 = cur.subview(vertices=cur.vertices - U).without_edges(set(g1.edge_ids) | F)
         removed |= F
         stack.append((g2, depth + 1))

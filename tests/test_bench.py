@@ -146,9 +146,14 @@ class TestBenchScaling:
         text = bench_scaling(sizes=(), seeds=(0,))
         assert text.splitlines() == [",".join(bench.CSV_COLUMNS)]
 
-    def test_unknown_family_rejected_upfront(self):
-        with pytest.raises(ValueError):
-            bench_scaling(families=("nosuch",), sizes=(16,), seeds=(0,))
+    # each gallaiK family has one spelling: ASCII digits without a leading
+    # zero, so no other name reruns the same cells under a new label
+    @pytest.mark.parametrize("name", ["nosuch", "gallai", "gallai01", "gallai001", "gallai\u0661"])
+    def test_unknown_family_rejected_upfront(self, name, monkeypatch):
+        monkeypatch.setattr(bench, "_bench_one", lambda *a: pytest.fail("an instance ran"))
+        with pytest.raises(ValueError) as exc:
+            bench_scaling(families=("gnp8n", name), sizes=(16,), seeds=(0,))
+        assert str(exc.value) == f"unknown family {name!r}"
 
     @pytest.mark.parametrize("kw", [
         dict(sizes=(0,)),

@@ -599,6 +599,18 @@ class TestBenchCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "given more than once" in err
 
+    @pytest.mark.parametrize("name", ["gallai01", "gallai001", "gallai\u0661"])
+    def test_family_alias_exits_2_with_one_line(self, capsys, name):
+        code, out, err = run(capsys, ["bench", "--families", f"gnp8n,{name}",
+                                      "--sizes", "8", "--seeds", "0"])
+        assert (code, out, err) == (2, "", f"error: unknown family {name!r}\n")
+
+    def test_canonical_gallai_names_run(self, capsys):
+        code, out, _ = run(capsys, ["bench", "--families", "gallai0,gallai10",
+                                    "--sizes", "22", "--seeds", "0"])
+        assert code == 0
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["gallai0", "gallai10"]
+
     def test_unwritable_out_runs_no_cell(self, capsys, tmp_path, monkeypatch):
         ran = []
         real = bench.decompose_logstar

@@ -51,6 +51,18 @@ class TestPairBatch:
         assert b.t == 3
         assert b.pairs == ((0, 2), (0, 1), (0, 3))
 
+    def test_messages(self):
+        with pytest.raises(ValueError) as exc:
+            PairBatch(((0, 1), (3, 3)), 4)
+        assert str(exc.value) == "pair (3, 3) is degenerate"
+        with pytest.raises(ValueError) as exc:
+            PairBatch(((0, 1), (0, 2), (1, 0)), 2)
+        assert str(exc.value) == "vertex multiplicity 3 exceeds bound t=2"
+
+    def test_from_pairs_of_nothing_has_t_one(self):
+        b = PairBatch.from_pairs([])
+        assert b.pairs == () and b.t == 1
+
 
 class TestShortestThroughPath:
     def test_matches_full_scan_reference(self):

@@ -169,7 +169,7 @@ class TestAlmostDecompose:
             )
             for g in (host, view):
                 r = almost_decompose_into_expanders(g, p)
-                ref = [g.induced(c) for c in g.components()]
+                ref = [g.subview(vertices=c) for c in g.components()]
                 assert len(ref) > 1
                 assert [(pt.vertices, pt.edge_ids) for pt in r.parts] == [
                     (h.vertices, h.edge_ids) for h in ref

@@ -122,6 +122,32 @@ def test_worst_frontier_matches_exhaustive_minimization(data):
     assert len(survivors) == brute_min_survivors(g, U, budget)
 
 
+# every function that takes a vertex set U rejects it with the same words
+VERTEX_SET_CHECKERS = {
+    "worst_case_frontier": lambda g, U: worst_case_frontier(g, U, 1),
+    "extract_well_expanding_core": lambda g, U: extract_well_expanding_core(g, U, 1.0),
+    "neighborhood": lambda g, U: neighborhood(g, U),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_SET_CHECKERS))
+@pytest.mark.parametrize("U, message", [
+    ((), "U must be nonempty"),
+    ((0, 3), "U must consist of live vertices"),  # vertex 3 is dead in the view
+])
+def test_vertex_set_messages(name, U, message):
+    g = path_graph(4).subview(vertices=(0, 1, 2))
+    with pytest.raises(ValueError) as exc:
+        VERTEX_SET_CHECKERS[name](g, U)
+    assert str(exc.value) == message
+
+
+def test_worst_frontier_budget_checked_before_the_set():
+    with pytest.raises(ValueError) as exc:
+        worst_case_frontier(path_graph(4), (), -1)
+    assert str(exc.value) == "budget must be nonnegative"
+
+
 # -- certify_expander ----------------------------------------------------------
 
 
@@ -241,7 +267,7 @@ def test_component_shortcut_matches_enumeration():
         g = random_gnp(rng, n, rng.choice((0.1, 0.2, 0.35, 0.6)))
         if rng.random() < 0.4:
             # a subview whose live ids have gaps
-            g = g.induced(rng.sample(range(n), rng.randint(1, n)))
+            g = g.subview(vertices=rng.sample(range(n), rng.randint(1, n)))
         cases.append(g)
     verdicts = []
     for g in cases:

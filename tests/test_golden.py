@@ -353,3 +353,29 @@ def cli_outcome(argv: list[str], stdin: str) -> tuple[int, str]:
 def test_cli_output_is_byte_identical(argv, name):
     stdin = "" if name is None else CLI_INPUTS[name]()
     assert cli_outcome(argv.split(), stdin) == CLI_GOLDEN[(argv, name)]
+
+
+# sha256 of each subcommand's ``--help`` text at a fixed width of 100 columns,
+# as Python 3.11's argparse lays it out
+HELP_GOLDEN = {
+    "bench": "5becb7a964d16a76aa33c40e8f24dd0d9377e2d1df3cb6290687df84ac17ebf4",
+    "certify": "b7e5c428d0e4d0d7566585272af9b4eee7b8494a0b13a47f08bbb3fd50c081d7",
+    "decompose": "aa7298c18991476f6439e7e75f43ab0fec65674227e5870c62da932b5df435f7",
+    "euler": "28a18b2ca6be9a352c41df7b90941b8a32e385b2a4f349f135ed998a35bd19a5",
+    "expanders": "7d5cbd9daaf469a68e5426ec497ed8c7143f2f1db34a383573fa4156a4de6020",
+    "gen": "543fdd85fef01c9bcbd6b18de68174dcf42c54f1383e4e44ae7362b746ce7b62",
+    "longcycle": "1958a427583e8f6581854aa967afc4a2bef4d536f06e31889f98b75aa4d173fd",
+    "paths": "563aa2c91abbe638465e5b8fb470b0522f38fe5ccda4ca8333f1f6ae87eb6470",
+    "route": "40e5768edb747cf8bffdfbd0cc4dba39adb0f4cfd3a4084fa60b2ad3df8ce982",
+    "validate": "4030a169d3c284f15d284d59ea858aa856a6e0ea319eced9a7611473e75afacf",
+}
+
+
+@pytest.mark.parametrize("sub", sorted(HELP_GOLDEN))
+def test_help_is_byte_identical(sub, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main([sub, "--help"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == HELP_GOLDEN[sub]

@@ -58,7 +58,7 @@ def test_edge_ids_dense_and_stable_under_views():
     sub = g.subview(vertices=[0, 1, 2])
     assert sub.n == 3
     for eid in sub.edge_ids:
-        assert g.endpoints(eid) == sub.endpoints(eid)
+        assert g.edge_table[eid] == sub.edge_table[eid]
     # restricting edges never drops vertices
     sub2 = g.subview(edge_ids=[0])
     assert sub2.n == 5 and sub2.m == 1
@@ -229,6 +229,22 @@ def test_cycle_invariants():
     bad = Cycle((0, 2, 1), (g.edge_id(0, 1), g.edge_id(1, 2), g.edge_id(0, 2)))
     with pytest.raises(ValueError):
         bad.check(g)
+
+
+def test_path_and_cycle_check_messages():
+    g = cycle_graph(4)
+    e01, e12, e23, e03 = (g.edge_id(0, 1), g.edge_id(1, 2), g.edge_id(2, 3), g.edge_id(0, 3))
+    dead = g.without_edges([e12])
+    cases = [
+        (Path((0, 1, 2), (e01, e12)), dead, f"path edge {e12} not live"),
+        (Path((0, 1, 2), (e01, e23)), g, f"path edge {e23} does not join 1,2"),
+        (Cycle((0, 1, 2, 3), (e01, e12, e23, e03)), dead, f"cycle edge {e12} not live"),
+        (Cycle((0, 1, 2, 3), (e01, e12, e03, e23)), g, f"cycle edge {e03} does not join 2,3"),
+    ]
+    for obj, host, message in cases:
+        with pytest.raises(ValueError) as exc:
+            obj.check(host)
+        assert str(exc.value) == message
 
 
 # -- validate_decomposition ----------------------------------------------------

@@ -24,6 +24,7 @@ GUARD_TESTS = [
     "tests/test_cli.py::TestBenchCommand::test_size_below_one_exits_2_with_one_line",
     "tests/test_bench.py::TestBenchScaling::test_repeated_family_size_or_seed_rejected_upfront",
     "tests/test_cli.py::TestBenchCommand::test_repeated_grid_entry_exits_2_with_one_line",
+    "tests/test_cli.py::TestBenchCommand::test_family_alias_exits_2_with_one_line",
     "tests/test_cli.py::TestGen::test_wrong_parameter_count_exit2_one_line",
     "tests/test_cli.py::TestGen::test_gnp_vertex_count_checked_before_any_pair_is_drawn",
     "tests/test_cli.py::TestRoute::test_through_id_outside_graph_exit2_one_line",
