@@ -1,11 +1,12 @@
 """The full engine: decompose any graph into cycles plus few single edges.
 
-decompose_logstar iterates a density-halving step until the residual is
-sparse, then sweeps up: each iteration peels long cycles, takes each
-component of the rest as an expander part, and peels each part at its own
-average degree; a part whose residue is sparse is peeled again at length 3,
-and what is left goes on to the next round.  The paper preset is the bare
-loop: each iteration peels long cycles and passes the rest on whole.  The run report shows the density
+decompose_logstar runs density rounds until the residual's average degree
+is at most DEGREE_FLOOR or log*(n) + 2 rounds have run: each round peels
+long cycles at the average degree, takes each component of the rest as an
+expander part, and peels each part at its own average degree; a part whose
+residue is sparse is peeled again at length 3, and what is left goes on to
+the next round.  The paper preset is the bare loop: each round peels long
+cycles and passes the rest on whole.  The run report shows the density
 trajectory; the stats dict records the preset, the seed, how many density
 rounds ran and whether the Eulerian finisher closed the residual.  Piece
 counts stay linear in n, which is the whole point.

@@ -158,8 +158,7 @@ def gen_regular(n: int, d: int, seed: int) -> Graph:
                 stubs[idx] = stubs[-1]
                 stubs.pop()
         if not wedged:
-            pairs = sorted((u, v) for u in adj for v in adj[u] if u < v)
-            return Graph.from_edges(n, pairs)
+            return Graph.from_edges(n, [(u, v) for u in adj for v in adj[u] if u < v])
     raise RuntimeError(f"could not realize a simple {d}-regular graph on {n} vertices")
 
 

@@ -33,6 +33,7 @@ from .connectivity import RouteFailure, PairBatch, route_pairs
 from .decomposer import SplitFailure, almost_decompose_into_expanders, split_expander_edges
 from .expansion import ExpanderParams, certify_expander
 from .graph import (
+    DECOMPOSITION_SCHEMA_VERSION,
     Decomposition,
     Graph,
     ParseError,
@@ -74,7 +75,7 @@ def _emit_json(doc: dict, out: Optional[str]) -> None:
 
 
 def _info(args: argparse.Namespace, msg: str) -> None:
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(msg, file=sys.stderr)
 
 
@@ -129,7 +130,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             json.dump(doc, fh, sort_keys=True, indent=2)
             fh.write("\n")
     if not rep.ok:
-        _info(args, "decomposition failed self-validation: " + "; ".join(rep.problems))
+        print("decomposition failed self-validation: " + "; ".join(rep.problems), file=sys.stderr)
         return 1
     _info(args, f"{len(dec.cycles)} cycles, {len(dec.single_edges)} single edges")
     return 0
@@ -292,7 +293,7 @@ def _cmd_paths(args: argparse.Namespace) -> int:
     g = _read_graph(args.file)
     res = well_spread_path_cycle_decompose(g, mode=args.mode)
     doc = {
-        "schema": 1,
+        "schema": DECOMPOSITION_SCHEMA_VERSION,
         "n": g.host_n,
         "m": g.m,
         "cycles": [list(c.vertices) for c in res.cycles],
@@ -313,7 +314,7 @@ def _cmd_longcycle(args: argparse.Namespace) -> int:
     length = len(cyc.edge_ids)
     _emit_json({"found": True, "cycle": list(cyc.vertices), "length": length}, args.out)
     if args.min_len and length < args.min_len:
-        _info(args, f"cycle length {length} below requested {args.min_len}")
+        print(f"cycle length {length} below requested {args.min_len}", file=sys.stderr)
         return 1
     return 0
 
@@ -364,8 +365,11 @@ def _str_list(raw: str) -> list[str]:
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--quiet", action="store_true", help="suppress progress notes")
     shared.add_argument("--out", help="write the primary output here instead of stdout")
+
+    # --quiet hides progress notes, never a failure; only decompose and bench print any
+    quiet_args = argparse.ArgumentParser(add_help=False)
+    quiet_args.add_argument("--quiet", action="store_true", help="suppress progress notes")
 
     # the commands that read a graph: the shared options plus its file
     graph_args = argparse.ArgumentParser(add_help=False, parents=[shared])
@@ -402,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser(
-        "decompose", parents=[graph_args, seed_args, preset_args], help="run the full pipeline"
+        "decompose", parents=[quiet_args, graph_args, seed_args, preset_args],
+        help="run the full pipeline",
     )
     p.add_argument("--report", help="write the per-iteration run report JSON here")
     p.set_defaults(func=_cmd_decompose)
@@ -456,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # no abbreviations: --seed would otherwise be taken for --seeds
     p = sub.add_parser(
-        "bench", parents=[shared, preset_args], help="run the scaling benchmark grid",
+        "bench", parents=[quiet_args, shared, preset_args], help="run the scaling benchmark grid",
         allow_abbrev=False,
     )
     p.add_argument("--families", type=_str_list, default=list(DEFAULT_FAMILIES))
@@ -472,9 +477,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2

@@ -19,33 +19,19 @@ from .graph import Graph, Path
 
 @dataclass(frozen=True)
 class PairBatch:
-    """Unordered vertex pairs, none degenerate, with a per-vertex
-    multiplicity bound t: no vertex lies in more than t pairs."""
+    """Unordered vertex pairs, none degenerate."""
 
     pairs: tuple[tuple[int, int], ...]
-    t: int
 
     def __post_init__(self):
-        worst = _max_multiplicity(self.pairs)
-        if worst > self.t:
-            raise ValueError(f"vertex multiplicity {worst} exceeds bound t={self.t}")
+        for u, v in self.pairs:
+            if u == v:
+                raise ValueError(f"pair ({u}, {v}) is degenerate")
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]], t: Optional[int] = None) -> "PairBatch":
-        """Pairs, smaller end first; t defaults to the top multiplicity, at least 1."""
-        ps = tuple((min(u, v), max(u, v)) for u, v in pairs)
-        return cls(ps, max(1, _max_multiplicity(ps)) if t is None else t)
-
-
-def _max_multiplicity(pairs: Iterable[tuple[int, int]]) -> int:
-    """Most pairs any one vertex lies in, 0 for none; rejects a degenerate pair."""
-    mult: dict[int, int] = {}
-    for u, v in pairs:
-        if u == v:
-            raise ValueError(f"pair ({u}, {v}) is degenerate")
-        mult[u] = mult.get(u, 0) + 1
-        mult[v] = mult.get(v, 0) + 1
-    return max(mult.values(), default=0)
+    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "PairBatch":
+        """Pairs, smaller end first."""
+        return cls(tuple((min(u, v), max(u, v)) for u, v in pairs))
 
 
 @dataclass(frozen=True)
@@ -240,6 +226,10 @@ def _route_matching_oracle(
     return RoutedPaths(paths, V, ell)
 
 
+# greedy attempts per batch, each in a fresh seeded order
+ROUTE_RETRIES = 8
+
+
 def route_pairs(
     g: Graph,
     batch: PairBatch,
@@ -248,22 +238,20 @@ def route_pairs(
     strategy: str = "greedy",
     *,
     rng_seed: int = 0,
-    retries: int = 8,
 ) -> Union[RoutedPaths, RouteFailure]:
     """Connect every pair by edge-disjoint paths internally through V.
 
     greedy: pairs are processed in a seeded random order, each taking the
     shortest through-V path of length <= ell in the graph minus edges already
-    used; the whole batch is retried with fresh orders up to ``retries``
-    times, and every attempt but the last stops at its first stuck pair.
+    used; the whole batch is retried with fresh orders up to
+    ``ROUTE_RETRIES`` times, and every attempt but the last stops at its
+    first stuck pair.
     matching_oracle: exact backtracking over enumerated candidates (small
-    inputs only).  Raises ValueError for ``ell`` or ``retries`` below 1 and
-    for a pair endpoint or through-set id that is not a live vertex of g.
+    inputs only).  Raises ValueError for ``ell`` below 1 and for a pair
+    endpoint or through-set id that is not a live vertex of g.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
-    if retries < 1:
-        raise ValueError("retries must be at least 1")
     for w in (w for pair in batch.pairs for w in pair):
         if w not in g.vertices:
             raise ValueError(f"pair endpoint {w} is not a vertex of the graph")
@@ -280,12 +268,12 @@ def route_pairs(
     through: dict[int, list[tuple[int, int]]] = {}
     rng = random.Random(rng_seed)
     k = len(batch.pairs)
-    for attempt in range(1, retries + 1):
+    for attempt in range(1, ROUTE_RETRIES + 1):
         order = list(range(k))
         rng.shuffle(order)
         # only the last attempt's stuck list is reported, so an earlier
         # attempt is abandoned at its first stuck pair
-        final = attempt == retries
+        final = attempt == ROUTE_RETRIES
         used: set[int] = set()
         found: dict[int, tuple[list[int], list[int]]] = {}
         stuck: list[int] = []
@@ -304,7 +292,7 @@ def route_pairs(
             return RoutedPaths(paths, Vset, ell)
     return RouteFailure(
         tuple(batch.pairs[i] for i in sorted(stuck)),
-        retries,
+        ROUTE_RETRIES,
         "greedy",
         "dead end after retries",
     )

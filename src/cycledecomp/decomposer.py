@@ -198,13 +198,16 @@ def split_target_params(p: ExpanderParams, k: int, n: int) -> ExpanderParams:
     )
 
 
+# sampled assignments tried before a split fails
+SPLIT_RETRY_CAP = 32
+
+
 def split_expander_edges(
     g: Graph,
     p: ExpanderParams,
     k: int,
     rng_seed: int,
     *,
-    retry_cap: int = 32,
     check: str = "auto",
     cap: int = 20,
 ) -> SplitResult:
@@ -213,15 +216,13 @@ def split_expander_edges(
     All parts share V(g); edge sets partition E(g).  Each part is verified
     against the relaxed target (ε/4, s') — exhaustively when the graph fits
     under ``cap``, heuristically otherwise — and the whole assignment is
-    resampled on failure, up to ``retry_cap`` attempts (reported).  With
+    resampled on failure, up to ``SPLIT_RETRY_CAP`` attempts (reported).  With
     ``check="none"`` the first sample is accepted unverified.
 
     Raises :class:`SplitFailure` if no attempt verifies.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if retry_cap < 1:
-        raise ValueError("retry_cap must be at least 1")
     if check not in ("auto", "exhaustive", "heuristic", "none"):
         raise ValueError(f"unknown check mode {check!r}")
     target = split_target_params(p, k, g.n)
@@ -229,7 +230,7 @@ def split_expander_edges(
     eids = g.edge_id_list()
 
     last_fail: Optional[tuple[Graph, ExpanderVerdict]] = None
-    for attempt in range(1, retry_cap + 1):
+    for attempt in range(1, SPLIT_RETRY_CAP + 1):
         buckets: list[list[int]] = [[] for _ in range(k)]
         for eid in eids:
             buckets[rng.randrange(k)].append(eid)
@@ -250,4 +251,4 @@ def split_expander_edges(
                 break
         if ok:
             return SplitResult(parts, attempt, target, tuple(verdicts))
-    raise SplitFailure(retry_cap, *last_fail)
+    raise SplitFailure(SPLIT_RETRY_CAP, *last_fail)

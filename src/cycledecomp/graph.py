@@ -13,6 +13,7 @@ import json
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -34,7 +35,9 @@ class Graph:
 
     Vertices are ints in ``range(host_n)``; a view keeps only a subset of
     them live.  Edge ids index the shared host edge table, so a view and
-    its host agree on what edge ``e`` means.
+    its host agree on what edge ``e`` means.  The table holds each edge as
+    (u, v), u < v, in pair order: ``arrays()`` relies on it, and hosts come
+    from ``from_edges`` or ``parse_edge_list``, which sort it.
     """
 
     __slots__ = ("host_n", "edge_table", "vertices", "edge_ids", "_adj", "_eid_of", "_fp")
@@ -47,8 +50,9 @@ class Graph:
         edge_ids: frozenset[int],
         arrays: Optional[Arrays] = None,
     ):
-        """arrays, when given, hold exactly the live edges as ``arrays()``
-        would build them, and become this graph's own."""
+        """edge_table is a host's table, in pair order; arrays, when given,
+        hold exactly the live edges as ``arrays()`` would build them, and
+        become this graph's own."""
         self.host_n = host_n
         self.edge_table = edge_table
         self.vertices = vertices
@@ -61,35 +65,38 @@ class Graph:
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
         """Build a host graph on vertex set ``range(n)`` from endpoint pairs.
 
-        Pairs may come in either endpoint order.  Loops and duplicate pairs
-        are rejected: the type models simple graphs only.
+        Pairs may come in either endpoint order and in any order; edge ids
+        number them in pair order.  Loops and duplicate pairs are rejected:
+        the type models simple graphs only.
         """
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         if n > MAX_VERTICES:
             raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
-        index: dict[tuple[int, int], int] = {}
+        codes: dict[int, None] = {}
         for u, v in pairs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"endpoint out of range: ({u}, {v}) with n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
-            key = (u, v) if u < v else (v, u)
-            if key in index:
-                raise ValueError(f"duplicate edge {key}")
-            index[key] = len(index)
-        # the index is not kept: generators hold many graphs at once and
-        # seldom look an edge up, so it is built on the first edge_id call
-        return cls._host(n, index)
+            code = u * n + v if u < v else v * n + u
+            if code in codes:
+                raise ValueError(f"duplicate edge {divmod(code, n)}")
+            codes[code] = None
+        return cls._host(n, codes)
 
     @classmethod
-    def _host(cls, n: int, index: dict[tuple[int, int], int]) -> "Graph":
-        """Host graph on ``range(n)`` whose edge ids number index's keys in order.
+    def _host(cls, n: int, codes: Iterable[int]) -> "Graph":
+        """Host graph on ``range(n)`` whose edge ids number its edges in pair order.
 
-        index maps each edge (u, v), u < v, to its position among the keys;
-        the caller has checked the pairs.
+        codes holds each edge (u, v), u < v, as u * n + v, which sorts as the
+        pair does, in input order, so input already in pair order sorts in
+        one linear pass; the caller has checked the pairs.  The pairs are
+        made here, in pair order, so walks over the table read memory in
+        order whatever order the input came in.
         """
-        return cls(n, tuple(index), frozenset(range(n)), frozenset(range(len(index))))
+        table = tuple(map(divmod, sorted(codes), repeat(n)))
+        return cls(n, table, frozenset(range(n)), frozenset(range(len(table))))
 
     # -- basic accessors -------------------------------------------------
 
@@ -228,9 +235,8 @@ Arrays = tuple[dict[int, list[int]], dict[int, list[int]]]
 def _neighbour_lists(g: Graph) -> Arrays:
     """Fresh per-vertex neighbour and edge-id lists of g's live edges, in neighbour order.
 
-    The edge table is walked in edge-id order, so a table in pair order
-    gives every list already sorted; only the lists that come out of order
-    are sorted, both by neighbour.
+    A host's edge table is in pair order, so the walk in edge-id order
+    gives every list already sorted.
     """
     nbrs: dict[int, list[int]] = {v: [] for v in g.vertices}
     eids: dict[int, list[int]] = {v: [] for v in g.vertices}
@@ -241,12 +247,6 @@ def _neighbour_lists(g: Graph) -> Arrays:
         eids[u].append(e)
         nbrs[v].append(u)
         eids[v].append(e)
-    for v, nb in nbrs.items():
-        if nb != sorted(nb):
-            order = sorted(range(len(nb)), key=nb.__getitem__)
-            eb = eids[v]
-            nbrs[v] = [nb[k] for k in order]
-            eids[v] = [eb[k] for k in order]
     return nbrs, eids
 
 
@@ -487,14 +487,14 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format: header ``n m``, then ``u v`` lines.
 
     Requires 0 <= u < v < n on each edge line.  Blank lines and lines whose
-    first nonblank character is ``#`` are ignored.  Raises :class:`ParseError`
-    with a 1-based line number on any malformed content.
+    first nonblank character is ``#`` are ignored.  Edge ids number the edges
+    in pair order, whatever the order of their lines.  Raises
+    :class:`ParseError` with a 1-based line number on any malformed content.
     """
     n = m = -1
-    # (u, v) -> edge id in line order: the duplicate check and the graph's
-    # edge index are one dict
-    index: dict[tuple[int, int], int] = {}
-    k = 0
+    # each edge (u, v) as u * n + v, in line order: the duplicate check and
+    # the host's input are one dict
+    codes: dict[int, None] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         try:
@@ -512,22 +512,19 @@ def parse_edge_list(text: str) -> Graph:
                 raise ParseError(f"header n={a} exceeds the limit of {MAX_VERTICES}", line_no)
             n, m = a, b
             continue
-        if k == m:
+        if len(codes) == m:
             raise ParseError(f"more than {m} edge lines", line_no)
         if not (0 <= a < b < n):
             raise ParseError(f"edge must satisfy 0 <= u < v < n, got {a} {b}", line_no)
-        key = (a, b)
-        if key in index:
+        code = a * n + b
+        if code in codes:
             raise ParseError(f"duplicate edge {a} {b}", line_no)
-        index[key] = k
-        k += 1
+        codes[code] = None
     if m < 0:
         raise ParseError("missing header line", 1)
-    if k != m:
-        raise ParseError(f"header promised {m} edges, found {k}", 1)
-    g = Graph._host(n, index)
-    g._eid_of = index  # the validators of this graph's decomposition read it
-    return g
+    if len(codes) != m:
+        raise ParseError(f"header promised {m} edges, found {len(codes)}", 1)
+    return Graph._host(n, codes)
 
 
 def format_edge_list(g: Graph) -> str:
@@ -722,9 +719,9 @@ _DOT_PALETTE = (
 )
 
 
-def to_dot(g: Graph, d: Optional[Decomposition] = None, name: str = "G") -> str:
-    """Graphviz text for g; with a decomposition, cycles are colored by index."""
-    lines = [f"graph {name} {{"]
+def to_dot(g: Graph, d: Optional[Decomposition] = None) -> str:
+    """Graphviz text for g, named G; with a decomposition, cycles are colored by index."""
+    lines = ["graph G {"]
     color: dict[int, str] = {}
     if d is not None:
         for ci, cyc in enumerate(d.cycles):

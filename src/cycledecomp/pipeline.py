@@ -1,8 +1,9 @@
 """End-to-end drivers: one expander part into cycles plus edges, one
 density-reduction round, and the iterated log-star loop.
 
-Each stage hands back a :class:`Stage` of cycles, single edge ids and
-counters; only ``decompose_logstar`` builds a :class:`Decomposition`.
+Only ``decompose_expander`` returns a :class:`Stage` of cycles, single
+edge ids and counters; only ``decompose_logstar`` builds a
+:class:`Decomposition`.
 Validity is inviolable and counts are best-effort: an edge that no stage
 puts in a cycle comes out as a single.
 

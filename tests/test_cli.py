@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cycledecomp.bench as bench
+import cycledecomp.cli as cli
 from cycledecomp.cli import main
-from cycledecomp.graph import MAX_VERTICES, format_edge_list, parse_edge_list
+from cycledecomp.graph import MAX_VERTICES, ValidationReport, format_edge_list, parse_edge_list
 from cycledecomp.pipeline import PART_COUNTERS
 
 from helpers import complete_graph, cycle_graph
@@ -155,6 +157,25 @@ class TestDecomposeRoundTrip:
         _, b, _ = run(capsys, ["decompose", "--seed", "9", "--quiet"], stdin=edges)
         assert a == b
 
+    def test_shuffled_file_gives_the_bytes_of_the_sorted_file(self, capsys, tmp_path):
+        # edge ids follow pair order, so the order of a file's lines changes nothing
+        _, edges, _ = run(capsys, ["gen", "gnp", "40", "0.3", "--seed", "5"])
+        header, *lines = edges.splitlines()
+        random.Random(2).shuffle(lines)
+        files = tmp_path / "sorted.edges", tmp_path / "shuffled.edges"
+        files[0].write_text(edges)
+        files[1].write_text("\n".join([header] + lines) + "\n")
+        for preset in ("engineering", "paper"):
+            a, b = (run(capsys, ["decompose", "--preset", preset, str(f)]) for f in files)
+            assert a == b and a[0] == 0
+
+    def test_self_validation_failure_is_reported_under_quiet(self, capsys, monkeypatch):
+        failed = ValidationReport(False, ("edge 0 uncovered",), 0, 0, 0)
+        monkeypatch.setattr(cli, "validate_decomposition", lambda g, d: failed)
+        code, out, err = run(capsys, ["decompose", "--quiet"], stdin="3 3\n0 1\n1 2\n0 2\n")
+        assert code == 1 and json.loads(out)["n"] == 3
+        assert err == "decomposition failed self-validation: edge 0 uncovered\n"
+
 
 class TestOutputPathIsADirectory:
     TRIANGLE = "3 3\n0 1\n1 2\n0 2\n"
@@ -203,6 +224,23 @@ class TestConfigPrecedence:
             main([command, "--seed", "3"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "gnp", "8", "0.5"],
+        ["validate"],
+        ["certify", "--epsilon", "1", "--s", "1"],
+        ["expanders", "--epsilon", "1", "--s", "1"],
+        ["route", "--pairs", "p", "--through", "t", "--ell", "2"],
+        ["paths"],
+        ["longcycle"],
+        ["euler"],
+    ])
+    def test_quiet_only_where_there_are_progress_notes(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--quiet"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith("error: unrecognized arguments: --quiet")
 
     def test_paper_preset_past_float_range(self, capsys):
         # a host far larger than its edges: the round passes the residue on
@@ -548,8 +586,8 @@ class TestPathsCyclesCommands:
         c4 = "4 4\n0 1\n1 2\n2 3\n0 3\n"
         code, out, _ = run(capsys, ["longcycle", "--min-len", "4"], stdin=c4)
         assert code == 0 and json.loads(out)["length"] == 4
-        code, _, _ = run(capsys, ["longcycle", "--min-len", "5", "--quiet"], stdin=c4)
-        assert code == 1
+        code, _, err = run(capsys, ["longcycle", "--min-len", "5"], stdin=c4)
+        assert (code, err) == (1, "cycle length 4 below requested 5\n")
 
     def test_longcycle_acyclic(self, capsys):
         code, out, _ = run(capsys, ["longcycle"], stdin="3 2\n0 1\n1 2\n")

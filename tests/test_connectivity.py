@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycledecomp import connectivity
-from cycledecomp.bench import gen_gnp
 from cycledecomp.connectivity import (
+    ROUTE_RETRIES,
     PairBatch,
     RoutedPaths,
     RouteFailure,
@@ -37,31 +37,17 @@ def gnp(n, p, seed):
 
 
 class TestPairBatch:
-    def test_multiplicity_enforced(self):
-        with pytest.raises(ValueError):
-            PairBatch(((0, 1), (0, 2)), 1)
-        PairBatch(((0, 1), (0, 2)), 2)
-
     def test_degenerate_pair_rejected(self):
-        with pytest.raises(ValueError):
-            PairBatch(((3, 3),), 1)
-
-    def test_from_pairs_infers_t(self):
-        b = PairBatch.from_pairs([(2, 0), (0, 1), (0, 3)])
-        assert b.t == 3
-        assert b.pairs == ((0, 2), (0, 1), (0, 3))
-
-    def test_messages(self):
         with pytest.raises(ValueError) as exc:
-            PairBatch(((0, 1), (3, 3)), 4)
+            PairBatch(((0, 1), (3, 3)))
         assert str(exc.value) == "pair (3, 3) is degenerate"
-        with pytest.raises(ValueError) as exc:
-            PairBatch(((0, 1), (0, 2), (1, 0)), 2)
-        assert str(exc.value) == "vertex multiplicity 3 exceeds bound t=2"
+        with pytest.raises(ValueError):
+            PairBatch.from_pairs([(3, 3)])
 
-    def test_from_pairs_of_nothing_has_t_one(self):
-        b = PairBatch.from_pairs([])
-        assert b.pairs == () and b.t == 1
+    def test_from_pairs_puts_the_smaller_end_first(self):
+        b = PairBatch.from_pairs([(2, 0), (0, 1), (0, 3)])
+        assert b.pairs == ((0, 2), (0, 1), (0, 3))
+        assert PairBatch.from_pairs([]).pairs == ()
 
 
 class TestShortestThroughPath:
@@ -115,7 +101,7 @@ class TestRoutePairs:
 
     def test_k4_duplicate_pair(self):
         g = complete_graph(4)
-        b = PairBatch(((0, 1), (0, 1)), 2)
+        b = PairBatch(((0, 1), (0, 1)))
         for strategy in ("greedy", "matching_oracle"):
             r = route_pairs(g, b, g.vertices, 2, strategy=strategy)
             assert isinstance(r, RoutedPaths)
@@ -126,11 +112,11 @@ class TestRoutePairs:
     def test_c4_crossing_batch_infeasible(self):
         # both pairs need 2 of the 4 edges and any two length-2 routes share one
         g = cycle_graph(4)
-        b = PairBatch(((0, 2), (1, 3)), 2)
-        rg = route_pairs(g, b, g.vertices, 2, retries=16)
+        b = PairBatch(((0, 2), (1, 3)))
+        rg = route_pairs(g, b, g.vertices, 2)
         assert isinstance(rg, RouteFailure)
         assert rg.strategy == "greedy"
-        assert rg.attempts == 16
+        assert rg.attempts == ROUTE_RETRIES
         ro = route_pairs(g, b, g.vertices, 2, strategy="matching_oracle")
         assert isinstance(ro, RouteFailure)
         assert "no edge-disjoint system" in ro.reason
@@ -138,7 +124,7 @@ class TestRoutePairs:
     def test_length_cap_flips_feasibility(self):
         # duplicate pair with one short and one long route: needs ell >= 3
         g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 2)])
-        b = PairBatch(((0, 2), (0, 2)), 2)
+        b = PairBatch(((0, 2), (0, 2)))
         tight = route_pairs(g, b, g.vertices, 2, strategy="matching_oracle")
         assert isinstance(tight, RouteFailure)
         loose = route_pairs(g, b, g.vertices, 3, strategy="matching_oracle")
@@ -178,13 +164,6 @@ class TestRoutePairs:
         with pytest.raises(ValueError):
             route_pairs(g, PairBatch.from_pairs([(0, 1)]), g.vertices, 1, strategy="astar")
 
-    def test_retries_must_be_positive(self):
-        g = gen_gnp(30, 0.5, 1)
-        for retries in (0, -1):
-            for pairs in ([], [(0, 1), (2, 3)]):
-                with pytest.raises(ValueError, match="retries must be at least 1"):
-                    route_pairs(g, PairBatch.from_pairs(pairs), range(10), 3, retries=retries)
-
     @pytest.mark.parametrize("strategy", ["greedy", "matching_oracle"])
     def test_through_id_outside_graph_rejected(self, strategy):
         # a guard, not an assert: it must hold under python -O too
@@ -197,7 +176,8 @@ class TestRoutePairs:
 
     def test_non_final_attempts_stop_at_first_stuck_pair(self, monkeypatch):
         # no two pair ends are adjacent and V is empty: every pair is stuck
-        # in every attempt, so routing every pair each time would search 24 times
+        # in every attempt, so routing every pair each time would search
+        # 3 * ROUTE_RETRIES times
         calls = []
         search = connectivity._shortest_through_path
 
@@ -207,9 +187,9 @@ class TestRoutePairs:
 
         monkeypatch.setattr(connectivity, "_shortest_through_path", counted)
         pairs = ((0, 2), (3, 5), (6, 8))
-        r = route_pairs(path_graph(10), PairBatch.from_pairs(pairs), set(), 3, retries=8)
-        assert len(calls) == (8 - 1) + 3
-        assert r == RouteFailure(pairs, 8, "greedy", "dead end after retries")
+        r = route_pairs(path_graph(10), PairBatch.from_pairs(pairs), set(), 3)
+        assert len(calls) == (ROUTE_RETRIES - 1) + 3
+        assert r == RouteFailure(pairs, ROUTE_RETRIES, "greedy", "dead end after retries")
 
     def test_determinism(self):
         g = gnp(24, 0.3, 4)
@@ -231,9 +211,9 @@ class TestRoutePairs:
             return
         pool = verts[:]
         rng.shuffle(pool)
-        b = PairBatch.from_pairs([(pool[0], pool[1]), (pool[2], pool[3])], t=2)
+        b = PairBatch.from_pairs([(pool[0], pool[1]), (pool[2], pool[3])])
         ell = rng.randint(1, 4)
-        greedy = route_pairs(g, b, g.vertices, ell, retries=8, rng_seed=seed)
+        greedy = route_pairs(g, b, g.vertices, ell, rng_seed=seed)
         oracle = route_pairs(g, b, g.vertices, ell, strategy="matching_oracle")
         if isinstance(greedy, RoutedPaths):
             assert isinstance(oracle, RoutedPaths)
@@ -274,11 +254,10 @@ class TestRouterMatchesReference:
             if rng.random() < 0.3:
                 pairs.append(rng.choice(pairs))
             batch = PairBatch.from_pairs(pairs)
-            retries = rng.randint(1, 8)
             seed = rng.randrange(10**6)
-            want = reference_route_pairs(g, batch, V, ell, rng_seed=seed, retries=retries)
-            got = route_pairs(g, batch, V, ell, rng_seed=seed, retries=retries)
-            assert got == want, (g.fingerprint(), batch.pairs, sorted(V), ell, retries, seed)
+            want = reference_route_pairs(g, batch, V, ell, rng_seed=seed, retries=ROUTE_RETRIES)
+            got = route_pairs(g, batch, V, ell, rng_seed=seed)
+            assert got == want, (g.fingerprint(), batch.pairs, sorted(V), ell, seed)
             seen["cases"] += 1
             seen["duplicate pair"] += len(set(batch.pairs)) < len(batch.pairs)
             seen["pair with no path in the whole graph"] += any(
@@ -307,7 +286,7 @@ def test_routed_paths_invariants(seed):
         return
     pool = verts[:]
     rng.shuffle(pool)
-    b = PairBatch.from_pairs([(pool[0], pool[1]), (pool[2], pool[3]), (pool[4], pool[5])], t=2)
+    b = PairBatch.from_pairs([(pool[0], pool[1]), (pool[2], pool[3]), (pool[4], pool[5])])
     V = frozenset(v for v in verts if rng.random() < 0.7)
     ell = rng.randint(2, 5)
     r = route_pairs(g, b, V, ell, rng_seed=seed)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cycledecomp import decomposer
 from cycledecomp.decomposer import (
+    SPLIT_RETRY_CAP,
     AlmostDecomposeResult,
     SplitFailure,
     almost_decompose_into_expanders,
@@ -312,8 +313,8 @@ class TestSplitExpanderEdges:
         # can never pass verification
         g = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(SplitFailure) as exc:
-            split_expander_edges(g, ExpanderParams(0.5, 1), 2, 0, retry_cap=6)
-        assert exc.value.attempts == 6
+            split_expander_edges(g, ExpanderParams(0.5, 1), 2, 0)
+        assert exc.value.attempts == SPLIT_RETRY_CAP
         assert exc.value.failing_part.m == 0
         assert not exc.value.verdict.is_expander
         assert exc.value.verdict.violation is not None

@@ -28,7 +28,7 @@ from cycledecomp.graph import (
     validate_decomposition,
     validate_decomposition_json,
 )
-from cycledecomp.pipeline import PipelineConfig, decompose_logstar
+from cycledecomp.pipeline import PRESETS, PipelineConfig, decompose_logstar
 
 from helpers import (
     reference_decomposition_from_json_dict,
@@ -273,10 +273,16 @@ def test_validators_match_reference(name, preset):
 
 
 def shuffled_lines(text: str, seed: int) -> str:
-    """The same edge list with its edge lines in a seeded random order, so
-    edge ids no longer follow pair order."""
+    """The same edge list with its edge lines in a seeded random order."""
     header, *lines = text.splitlines()
     random.Random(seed).shuffle(lines)
+    return "\n".join([header] + lines) + "\n"
+
+
+def sorted_lines(text: str) -> str:
+    """The same edge list with its edge lines in pair order."""
+    header, *lines = text.splitlines()
+    lines.sort(key=lambda line: tuple(map(int, line.split())))
     return "\n".join([header] + lines) + "\n"
 
 
@@ -317,7 +323,7 @@ CLI_GOLDEN = {
     ("paths --mode paths_only", "gnp30_shuffled"): (0, "84b3e229da461324d50e1bc29c95e408e10030ad838d35cf83cfb2d358252bc0"),
     ("euler", "k11"): (0, "6b72a228de371f5377e3528922dc73cb651ac565e754ec2f1de1891d4bac609e"),
     ("euler", "eulerian60"): (0, "bb91193bf9ff3817d033956fd4fb4cce9e06860cc132c9f3b7d825b7c9fe6f6a"),
-    ("euler", "eulerian48_shuffled"): (0, "e146f01d5308caf15d3912bb5accc839d5611b42cf4bfef689bebe184c0d5e40"),
+    ("euler", "eulerian48_shuffled"): (0, "5930e16390f89c986aef7d1e5abcf8ab1794a061f719e0f0f121de35ebca53c1"),
     ("longcycle", "k10"): (0, "33b4b8a7c468dbdd22c5f18f3e2374af479aed74d141c878726c81eeb37f4767"),
     ("longcycle", "gnp40"): (0, "7842b377804ad738931a80556dbb75d15c9890d18c75583efe15f7e787abb56d"),
     ("longcycle", "gnp60_sparse"): (0, "9112bb2a76aeba798b62a11439df55116f035be70c4d48dbc91f5903b9fa07a2"),
@@ -353,21 +359,41 @@ def cli_outcome(argv: list[str], stdin: str) -> tuple[int, str]:
 def test_cli_output_is_byte_identical(argv, name):
     stdin = "" if name is None else CLI_INPUTS[name]()
     assert cli_outcome(argv.split(), stdin) == CLI_GOLDEN[(argv, name)]
+    if name is not None and name.endswith("_shuffled"):
+        # edge ids follow pair order, so the order of the lines changes nothing
+        assert cli_outcome(argv.split(), sorted_lines(stdin)) == CLI_GOLDEN[(argv, name)]
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_shuffled_lines_give_the_graph_and_bytes_of_the_sorted_lines(name):
+    """Edge ids follow pair order, not line order: a shuffled edge list gives
+    the sorted list's edge table, edge index and decomposition bytes under
+    both presets."""
+    text = format_edge_list(INSTANCES[name]())
+    shuffled = shuffled_lines(text, 11)
+    assert shuffled != text
+    g, h = parse_edge_list(text), parse_edge_list(shuffled)
+    assert h.edge_table == g.edge_table
+    assert h._edge_index() == g._edge_index()
+    for preset in PRESETS:
+        cfg = PipelineConfig(preset, 0)
+        assert (decomposition_to_json(decompose_logstar(h, cfg)[0], h)
+                == decomposition_to_json(decompose_logstar(g, cfg)[0], g))
 
 
 # sha256 of each subcommand's ``--help`` text at a fixed width of 100 columns,
 # as Python 3.11's argparse lays it out
 HELP_GOLDEN = {
     "bench": "5becb7a964d16a76aa33c40e8f24dd0d9377e2d1df3cb6290687df84ac17ebf4",
-    "certify": "b7e5c428d0e4d0d7566585272af9b4eee7b8494a0b13a47f08bbb3fd50c081d7",
+    "certify": "6d02d050307855163fdd49cde10e64e56c16eade7921bf27978f5a6bb645558e",
     "decompose": "aa7298c18991476f6439e7e75f43ab0fec65674227e5870c62da932b5df435f7",
-    "euler": "28a18b2ca6be9a352c41df7b90941b8a32e385b2a4f349f135ed998a35bd19a5",
-    "expanders": "7d5cbd9daaf469a68e5426ec497ed8c7143f2f1db34a383573fa4156a4de6020",
-    "gen": "543fdd85fef01c9bcbd6b18de68174dcf42c54f1383e4e44ae7362b746ce7b62",
-    "longcycle": "1958a427583e8f6581854aa967afc4a2bef4d536f06e31889f98b75aa4d173fd",
-    "paths": "563aa2c91abbe638465e5b8fb470b0522f38fe5ccda4ca8333f1f6ae87eb6470",
-    "route": "40e5768edb747cf8bffdfbd0cc4dba39adb0f4cfd3a4084fa60b2ad3df8ce982",
-    "validate": "4030a169d3c284f15d284d59ea858aa856a6e0ea319eced9a7611473e75afacf",
+    "euler": "0111949703b80a11642f2c3bb0cce7b11932e9434ca376039694f3479451ea12",
+    "expanders": "f4c20d3ba787ec4736986f79aebd8efc216706a68b0000f6c466857d6f1eb3b0",
+    "gen": "119bc870f68e8f93919e5fe7b1e174fc7301b16dbef354441b60ddb6ec55f21b",
+    "longcycle": "fa3b263e12c284ddd4ac1a865a481c6e91219a5bc997c960532aa7d9c9dd1276",
+    "paths": "94ee70773a5ec5888ae3210ca77b0be273a78a206c64bb01214694f73ef7b2fc",
+    "route": "5d60bf357a551a10e849b17a753e59ad75f8e2a600e497bf6913eef700e7230d",
+    "validate": "2b9de9741cc85b7cdeb1c128b42eef140fdc6fb68ea03ed3f2094ab6891ad90e",
 }
 
 

@@ -91,18 +91,24 @@ def test_degrees_equal_the_adjacency_count_without_building_it():
 def test_arrays_equal_an_adjacency_built_from_the_definition():
     """The cached arrays of from_edges hosts (pairs in either endpoint
     order), parsed graphs whose lines are not in pair order, subviews and
-    peel residuals equal ``reference_adjacency``.  A peel leaves arrays
-    cached on its input as they were, and caches none on an input that
-    had none."""
+    peel residuals equal ``reference_adjacency``.  Both hosts number their
+    edges in pair order, as from_edges over the sorted pairs does, and
+    their edge index agrees.  A peel leaves arrays cached on its input as
+    they were, and caches none on an input that had none."""
     rng = random.Random(1020)
     unordered = 0
     for _ in range(200):
         n = rng.randint(1, 30)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
-        rng.shuffle(pairs)
-        host = Graph.from_edges(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs])
-        parsed = parse_edge_list(f"{n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs))
-        unordered += pairs != sorted(pairs)
+        assert list(Graph.from_edges(n, pairs).edge_table) == pairs
+        shuffled = pairs[:]
+        rng.shuffle(shuffled)
+        host = Graph.from_edges(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in shuffled])
+        parsed = parse_edge_list(f"{n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in shuffled))
+        unordered += shuffled != pairs
+        for h in (host, parsed):
+            assert list(h.edge_table) == pairs
+            assert h._edge_index() == {pair: e for e, pair in enumerate(pairs)}
         sub = parsed.subview(vertices=[v for v in range(n) if rng.random() < 0.8])
         sub = sub.subview(edge_ids=[e for e in sub.edge_ids if rng.random() < 0.8])
         for g in (host, parsed, sub, scattered_subview(rng)):

@@ -336,62 +336,6 @@ class TestSweepExit:
         assert live == reference_adjacency(g.subview(edge_ids=ref_alive))
 
 
-def shuffled_host(rng: random.Random) -> Graph:
-    """G(n, p) whose edge ids follow a random order of the pairs, so the
-    edge table is not in pair order and the peel's per-vertex lists come
-    out of the edge-id walk unsorted."""
-    n = rng.randint(3, 40)
-    p = rng.uniform(0.1, 0.9)
-    pairs = [(u, v) if rng.random() < 0.5 else (v, u)
-             for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    rng.shuffle(pairs)
-    return Graph.from_edges(n, pairs)
-
-
-class TestPeelOnShuffledEdgeTables:
-    """Hosts whose edge table is not in pair order, and gappy subviews of
-    them, against the reference peel and finder: same cycles in the same
-    order, same residual, residual arrays equal to an adjacency built from
-    the definition, and a residual that a second peel leaves as it was."""
-
-    def check(self, g: Graph, min_len: int) -> None:
-        assert find_long_cycle_dfs(g) == reference_find_long_cycle_dfs(g)
-        got, residual = peel_signature(g, peel_long_cycles, min_len)
-        want, ref_residual = peel_signature(g, reference_peel_long_cycles, min_len)
-        assert got == want, (g, min_len)
-        assert residual.edge_ids == ref_residual.edge_ids
-        fresh = Graph(g.host_n, g.edge_table, g.vertices, residual.edge_ids)
-        # peel the residual before its arrays are checked, so a second
-        # peel that wrote into the arrays the first one left would show
-        assert find_long_cycle_dfs(residual) == reference_find_long_cycle_dfs(fresh)
-        again, residual2 = peel_signature(residual, peel_long_cycles, 3)
-        want2, ref_residual2 = peel_signature(fresh, reference_peel_long_cycles, 3)
-        assert again == want2
-        assert residual2.edge_ids == ref_residual2.edge_ids
-        assert zipped_arrays(residual) == reference_adjacency(fresh)
-        assert zipped_arrays(residual2) == reference_adjacency(residual2)
-
-    def test_shuffled_hosts(self):
-        rng = random.Random(1018)
-        unordered = 0
-        for _ in range(300):
-            g = shuffled_host(rng)
-            unordered += list(g.edge_table) != sorted(g.edge_table)
-            for min_len in sorted({3, rng.randint(4, 8), rng.randint(3, g.n)}):
-                self.check(g, min_len)
-        assert unordered >= 250
-
-    def test_gappy_subviews_of_shuffled_hosts(self):
-        rng = random.Random(2026)
-        for _ in range(300):
-            host = shuffled_host(rng)
-            verts = [v for v in host.vertices if rng.random() < 0.8]
-            view = host.subview(vertices=verts)
-            g = view.subview(edge_ids=[e for e in view.edge_id_list() if rng.random() < 0.8])
-            for min_len in sorted({3, rng.randint(4, 8)}):
-                self.check(g, min_len)
-
-
 class TestViewsCarryingArrays:
     """A view that carries the peel's arrays, and a peel residual, answer
     components and degrees from those arrays as the definition does on the
