@@ -40,7 +40,9 @@ class Graph:
     from ``from_edges`` or ``parse_edge_list``, which sort it.
     """
 
-    __slots__ = ("host_n", "edge_table", "vertices", "edge_ids", "_adj", "_eid_of", "_fp")
+    __slots__ = (
+        "host_n", "edge_table", "vertices", "edge_ids", "found", "_adj", "_eid_of", "_fp",
+    )
 
     def __init__(
         self,
@@ -49,14 +51,19 @@ class Graph:
         vertices: frozenset[int],
         edge_ids: frozenset[int],
         arrays: Optional[Arrays] = None,
+        found: Optional[tuple[Optional[Cycle]]] = None,
     ):
         """edge_table is a host's table, in pair order; arrays, when given,
         hold exactly the live edges as ``arrays()`` would build them, and
-        become this graph's own."""
+        become this graph's own.  found, when given, holds what the
+        long-cycle finder returns on the live edges, the cycle or None, as
+        a 1-tuple; None means it is not known.  The answer depends on the
+        live edges alone, so views with the same edges may share it."""
         self.host_n = host_n
         self.edge_table = edge_table
         self.vertices = vertices
         self.edge_ids = edge_ids
+        self.found = found
         self._adj = arrays
         self._eid_of: Optional[dict[tuple[int, int], int]] = None
         self._fp: Optional[str] = None
@@ -200,13 +207,27 @@ class Graph:
 
     def component(self, comp: list[int]) -> "Graph":
         """This graph's component on the vertices comp, carrying its slice of
-        ``arrays()``; the graph itself when comp spans it."""
+        ``arrays()``, and ``found`` when it holds every edge; the graph
+        itself when comp spans it."""
         if len(comp) == self.n:
             return self
         nbrs, eids = self.arrays()
         edge_ids = frozenset(e for v in comp for e in eids[v])
         arrays = ({v: nbrs[v] for v in comp}, {v: eids[v] for v in comp})
-        return Graph(self.host_n, self.edge_table, frozenset(comp), edge_ids, arrays)
+        found = self.found if len(edge_ids) == self.m else None
+        return Graph(self.host_n, self.edge_table, frozenset(comp), edge_ids, arrays, found)
+
+    def spanning(self, part: "Graph") -> "Graph":
+        """The spanning view of this graph on the edges of part, a view of
+        it, carrying part's ``arrays()``, an empty list for each vertex
+        outside part, and part's ``found``."""
+        if not (part.vertices <= self.vertices and part.edge_ids <= self.edge_ids):
+            raise ValueError("spanning view of a graph that is not a view of this one")
+        nb, eb = part.arrays()
+        nbrs = {v: nb[v] if v in nb else [] for v in self.vertices}
+        eids = {v: eb[v] if v in eb else [] for v in self.vertices}
+        return Graph(self.host_n, self.edge_table, self.vertices, part.edge_ids,
+                     (nbrs, eids), part.found)
 
     def fingerprint(self) -> str:
         """Stable hex digest of (host size, live vertices, live edges)."""

@@ -422,15 +422,18 @@ def _back_edge_pass(
     leaves them at once, so a sweep scans live entries only.  One depth
     table marks each vertex unvisited (-1), finished (-2) or on the stack
     at that depth; the edge to the parent closes a 2-cycle, below any
-    min_len >= 3, so it needs no test of its own.  Per-vertex scan pointers
-    move forward (a deleted entry behind a pointer pulls it back one place),
-    so a full pass is near-linear in the live edges; cycles missed because
-    their stack was truncated are picked up by later passes.  A finished
-    vertex stays finished for the rest of the pass, and a cycle is only
-    taken from a stack of at least min_len unfinished vertices, so the pass
-    returns once fewer than min_len of g's vertices are unfinished: the
-    rest of it could neither take a cycle nor delete an edge, so the
-    cycles, alive and the arrays are those of the full sweep.
+    min_len >= 3, so it needs no test of its own; while the stack holds
+    fewer than min_len vertices no neighbour on it can close a cycle that
+    long, so the scan only looks for an unvisited one.  Per-vertex scan
+    pointers move forward (a deleted entry behind a pointer pulls it back
+    one place), so a full pass is near-linear in the live edges; cycles
+    missed because their stack was truncated are picked up by later
+    passes.  A finished vertex stays finished for the rest of the pass,
+    and a cycle is only taken from a stack of at least min_len unfinished
+    vertices, so the pass returns once fewer than min_len of g's vertices
+    are unfinished: the rest of it could neither take a cycle nor delete
+    an edge, so the cycles, alive and the arrays are those of the full
+    sweep.
     """
     found = 0
     depth = _per_vertex(g, -1)
@@ -449,6 +452,9 @@ def _back_edge_pass(
             end = len(nb)
             i = ptr[v]
             lim = top - min_len  # an ancestor at depth <= lim closes a long cycle
+            if lim < 0:  # no ancestor can
+                while i < end and depth[nb[i]] != -1:
+                    i += 1
             while i < end:
                 w = nb[i]
                 j = depth[w]
@@ -495,19 +501,30 @@ def peel_long_cycles(g: Graph, min_len: int) -> tuple[list[Cycle], Graph]:
     ``g.arrays_copy()``: per vertex, the neighbours in ascending order and
     the edge ids beside them.  Every cycle's edges are deleted from them as
     it is taken, and the residual carries the final arrays as its own.
+    The last finder call is made on the final live edges, so the residual
+    carries its answer as ``found``; a peel of a graph that carries one
+    takes it in place of its first finder call, and returns at once when
+    it says that the graph is acyclic.
     """
     if min_len < 3:
         raise ValueError("min_len must be at least 3")
-    if g.n < min_len:  # no room for a cycle that long
-        return [], g
+    carried = g.found
+    if g.n < min_len or (carried is not None and carried[0] is None):
+        return [], g  # no room for a cycle that long, or no cycle at all
     arrays = nbrs, eids = g.arrays_copy()
     alive = set(g.edge_ids)
     cycles: list[Cycle] = []
     swept = False
     while True:
-        # the view describes its edges only until the next cycle is dropped
-        view = Graph(g.host_n, g.edge_table, g.vertices, frozenset(alive), arrays)
-        cyc = find_long_cycle_dfs(view)
+        if carried is None:
+            # the view wraps alive, so it describes its edges only until
+            # the next cycle is dropped
+            cyc = find_long_cycle_dfs(Graph(g.host_n, g.edge_table, g.vertices, alive, arrays))
+        else:
+            cyc = carried[0]
+            carried = None
+            if not alive.issuperset(cyc.edge_ids):
+                raise RuntimeError(f"carried cycle through {cyc.vertices[:3]} is not live")
         progress = cyc is not None and len(cyc.edge_ids) >= min_len
         if progress:
             cycles.append(cyc)
@@ -520,7 +537,8 @@ def peel_long_cycles(g: Graph, min_len: int) -> tuple[list[Cycle], Graph]:
         if not progress:
             break
         swept = True
-    return cycles, Graph(g.host_n, g.edge_table, g.vertices, frozenset(alive), arrays)
+    # both exits follow a finder answer with nothing dropped after it
+    return cycles, Graph(g.host_n, g.edge_table, g.vertices, frozenset(alive), arrays, (cyc,))
 
 
 def eulerian_cycle_decompose(g: Graph) -> list[Cycle]:

@@ -72,11 +72,13 @@ class PipelineConfig:
 
 
 class Stage(NamedTuple):
-    """What one stage hands back: cycles, single edge ids and its counters."""
+    """What one stage hands back: cycles, single edge ids, its counters and
+    the residual graph on the singles."""
 
     cycles: list[Cycle]
     singles: list[int]
     stats: dict
+    rest: Graph
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,9 @@ def decompose_expander(g: Graph, cfg: PipelineConfig) -> Stage:
     residue of average degree at most ``DEGREE_FLOOR`` is peeled again at
     length 3, which leaves a forest; a denser residue comes back whole, for
     the next round to peel long.  Every residue edge is handed back as a
-    single.  The stats are exactly the counters in ``PART_COUNTERS``.
+    single, and ``rest`` is the residue itself, carrying the peel's arrays
+    and its last finder answer.  The stats are exactly the counters in
+    ``PART_COUNTERS``.
     g has no isolated vertex, so its average degree is the part's.  ``cfg``
     is unused; perfbench/tracing.py wraps the call with it.
     """
@@ -119,7 +123,7 @@ def decompose_expander(g: Graph, cfg: PipelineConfig) -> Stage:
     if rest.m and min_len > 3 and rest.avg_degree() <= DEGREE_FLOOR:
         short, rest = peel_long_cycles(rest, 3)
     stats = {"peeled_cycles": len(peeled), "short_cycles": len(short)}
-    return Stage(peeled + short, rest.edge_id_list(), stats)
+    return Stage(peeled + short, rest.edge_id_list(), stats, rest)
 
 
 # counters of each expander part that a density round sums into its report
@@ -135,7 +139,11 @@ def density_step(g: Graph, cfg: PipelineConfig) -> tuple[list[Cycle], Graph, dic
     ``decompose_expander``; under ``paper`` the residue is passed on whole,
     and ``parts`` is 0.  Returns the edge-disjoint cycles found, the
     leftover view (input minus all cycle edges), and a report with the
-    in/out average degrees, the edge ledger and the parts' counters.
+    in/out average degrees, the edge ledger and the parts' counters.  When
+    one part kept edges, the leftover is ``spanning`` its residue, so the
+    next round starts from that residue's arrays and finder answer.  The
+    residues of several parts are not held: on many small parts the
+    collector's extra passes over them cost more than their arrays save.
     """
     t0 = time.perf_counter()
     d_in = g.avg_degree()
@@ -149,14 +157,18 @@ def density_step(g: Graph, cfg: PipelineConfig) -> tuple[list[Cycle], Graph, dic
         comps = residual.components()
         report["parts"] = len(comps)
         singles: list[int] = []
+        kept = 0  # parts that kept edges; rest is the last one's residue
         for comp in comps:
             if len(comp) > 1:
                 got = decompose_expander(residual.component(comp), cfg)
                 cycles.extend(got.cycles)
                 singles.extend(got.singles)
+                if got.singles:
+                    kept += 1
+                    rest = got.rest
                 for key in PART_COUNTERS:
                     report[key] += got.stats[key]
-        leftover = residual.subview(edge_ids=singles)
+        leftover = residual.spanning(rest) if kept == 1 else residual.subview(edge_ids=singles)
     report.update(
         d_out=leftover.avg_degree(),
         cycles_peeled=len(peeled),

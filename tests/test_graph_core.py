@@ -148,6 +148,35 @@ def test_components_carry_the_arrays_of_the_subview_on_their_vertices():
         assert g.component(g.vertex_list()) is g
 
 
+def test_spanning_view_carries_the_arrays_and_answer_of_its_part():
+    """``Graph.spanning(part)`` is the subview on part's edges, with arrays
+    equal to the definition's, and it carries part's ``found``."""
+    rng = random.Random(1023)
+    carried = 0
+    for _ in range(200):
+        g = scattered_subview(rng)
+        comps = [c for c in g.components() if len(c) > 2] or g.components()
+        part = g.component(rng.choice(comps))
+        # some parts are peeled, so they carry the peel's answer
+        if rng.random() < 0.5:
+            _, part = peel_long_cycles(part, 3)
+        view = g.spanning(part)
+        ref = g.subview(edge_ids=part.edge_ids)
+        assert (view.vertices, view.edge_ids) == (ref.vertices, ref.edge_ids)
+        assert zipped_arrays(view) == reference_adjacency(ref)
+        assert view.found == part.found
+        carried += part.found is not None
+    assert 50 <= carried < 200
+
+
+def test_spanning_rejects_a_part_that_is_not_a_view_of_the_graph():
+    g = complete_graph(6)
+    with pytest.raises(ValueError, match="not a view of this one"):
+        g.subview(vertices=range(3)).spanning(g.subview(vertices=range(4)))
+    with pytest.raises(ValueError, match="not a view of this one"):
+        g.subview(edge_ids=[0]).spanning(g.subview(edge_ids=[1]))
+
+
 def test_arrays_copy_caches_nothing_and_leaves_the_arrays_as_they_were():
     rng = random.Random(1022)
     for _ in range(200):

@@ -1,10 +1,14 @@
 """What each module may know of the others: graph.py alone holds a graph's
 cached adjacency and builds its views, the pipeline reaches no expander
-code, and no module hands work to a pool of processes or threads."""
+code, no module hands work to a pool of processes or threads, and the
+calls perfbench's tracer wraps by name keep their shapes."""
 
 import ast
 import re
 from pathlib import Path
+
+from cycledecomp import pathscycles, pipeline
+from cycledecomp.graph import Cycle, Graph
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cycledecomp"
 
@@ -49,3 +53,31 @@ def test_no_module_starts_workers():
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 roots.add(node.module.split(".")[0])
     assert not roots & {"concurrent", "multiprocessing"}
+
+
+# perfbench/tracing.py swaps these names for wrappers that call the
+# originals with the arguments below and read the results as shown, so a
+# change of signature or result shape fails here, not only in a traced run
+
+
+def test_traced_peel_takes_a_graph_and_a_floor_and_returns_cycles_and_residual():
+    assert pipeline.peel_long_cycles is pathscycles.peel_long_cycles
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])
+    cycles, residual = pipeline.peel_long_cycles(g, 3)
+    assert all(isinstance(c, Cycle) for c in cycles) and cycles
+    assert isinstance(residual, Graph)
+    assert sum(len(c.edge_ids) for c in cycles) + residual.m == g.m
+
+
+def test_traced_finder_takes_a_graph():
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert isinstance(pathscycles.find_long_cycle_dfs(g), Cycle)
+
+
+def test_traced_expander_stage_has_the_part_counters_as_stats():
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])
+    got = pipeline.decompose_expander(g, pipeline.PipelineConfig.engineering())
+    assert set(got.stats) == set(pipeline.PART_COUNTERS)
+    assert all(type(v) is int for v in got.stats.values())
+    assert "singles" in pipeline.Stage._fields
+    assert isinstance(got.rest, Graph)

@@ -30,6 +30,7 @@ GUARD_TESTS = [
     "tests/test_connectivity.py::TestRoutePairs::test_through_id_outside_graph_rejected",
     "tests/test_pipeline.py::TestPipelineConfig::test_unknown_preset_rejected",
     "tests/test_cli.py::TestExpanders::test_check_without_split_exit2_one_line",
+    "tests/test_pathscycles.py::TestCarriedAnswer::test_a_stale_carried_cycle_is_refused",
 ]
 
 

@@ -1,5 +1,7 @@
 """Tests for path/cycle decomposition, long-cycle search, and peeling."""
 
+import itertools
+import math
 import random
 import re
 import time
@@ -358,6 +360,97 @@ class TestViewsCarryingArrays:
                 assert carrier.degrees() == {v: len(lst) for v, lst in adj.items()}
             isolated += any(len(c) == 1 for c in reference_components(plain))
         assert isolated >= 200
+
+
+def bare(g: Graph) -> Graph:
+    """g's vertices and live edges, with nothing cached or carried."""
+    return Graph(g.host_n, g.edge_table, g.vertices, frozenset(g.edge_ids))
+
+
+def counted_finder(monkeypatch) -> list:
+    """Record the live edge set of every finder call the peel makes."""
+    calls = []
+    finder = pathscycles.find_long_cycle_dfs
+
+    def counting(view, **kwargs):
+        calls.append(frozenset(view.edge_ids))
+        return finder(view, **kwargs)
+
+    monkeypatch.setattr(pathscycles, "find_long_cycle_dfs", counting)
+    return calls
+
+
+class TestCarriedAnswer:
+    """A peel leaves the finder's answer on its final live edges with the
+    residual, and a peel of a graph carrying one takes it in place of its
+    first finder call.  Chains of peels as the pipeline makes them (the
+    round floor, then each part's floor, then 3) match fresh reference
+    peels at every link."""
+
+    def link(self, h: Graph, min_len: int):
+        want, ref_residual = peel_signature(bare(h), reference_peel_long_cycles, min_len)
+        got, residual = peel_signature(h, peel_long_cycles, min_len)
+        assert got == want, (h, min_len)
+        assert residual.edge_ids == ref_residual.edge_ids
+        assert residual.vertices == h.vertices
+        if residual.found is not None:
+            assert residual.found == (find_long_cycle_dfs(bare(residual)),)
+        assert residual.found is not None or h.n < min_len
+        return residual
+
+    def test_chains_of_peels_match_fresh_reference_peels(self):
+        rng = random.Random(25)
+        parts = carried = 0
+        for _ in range(300):
+            g = scattered_subview(rng)
+            residual = self.link(g, max(3, math.ceil(g.avg_degree())))
+            for comp in residual.components():
+                if len(comp) > 1:
+                    part = residual.component(comp)
+                    parts += 1
+                    carried += part.found is not None
+                    rest = self.link(part, max(3, math.ceil(part.avg_degree())))
+                    self.link(rest, 3)
+        assert parts >= 300 and 50 <= carried < parts
+
+    def test_a_component_among_several_calls_the_finder(self, monkeypatch):
+        g = Graph.from_edges(12, [(6 * k + u, 6 * k + v) for k in range(2)
+                                  for u, v in itertools.combinations(range(6), 2)])
+        _, residual = peel_long_cycles(g, 6)
+        assert residual.found is not None
+        comps = [c for c in residual.components() if len(c) > 1]
+        assert len(comps) == 2
+        calls = counted_finder(monkeypatch)
+        for comp in comps:
+            part = residual.component(comp)
+            assert part.found is None
+            self.link(part, 3)
+        assert frozenset(residual.component(comps[0]).edge_ids) in calls
+
+    def test_the_component_holding_every_edge_takes_the_answer(self, monkeypatch):
+        g = Graph.from_edges(10, list(itertools.combinations(range(7), 2)))
+        _, residual = peel_long_cycles(g, 7)
+        part = residual.component(list(range(7)))
+        assert part.found == residual.found and part.found[0] is not None
+        calls = counted_finder(monkeypatch)
+        cycles, _ = peel_long_cycles(part, 3)
+        assert cycles[0] == part.found[0]
+        assert frozenset(part.edge_ids) not in calls
+
+    def test_an_acyclic_answer_ends_the_peel_at_once(self, monkeypatch):
+        _, residual = peel_long_cycles(complete_graph(6), 3)
+        assert residual.found == (None,)
+        calls = counted_finder(monkeypatch)
+        assert peel_long_cycles(residual, 3) == ([], residual)
+        assert calls == []
+
+    def test_a_stale_carried_cycle_is_refused(self):
+        g = complete_graph(6)
+        cyc = find_long_cycle_dfs(g)
+        stale = Graph(g.host_n, g.edge_table, g.vertices,
+                      g.edge_ids - {cyc.edge_ids[0]}, None, (cyc,))
+        with pytest.raises(RuntimeError, match="is not live"):
+            peel_long_cycles(stale, 3)
 
 
 @st.composite

@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from cycledecomp import decomposer, pipeline
+from cycledecomp import decomposer, pathscycles, pipeline
 from cycledecomp.bench import gen_gallai_bipartite, gen_gnp
 from cycledecomp.graph import (
     Decomposition,
@@ -22,7 +22,7 @@ from cycledecomp.pipeline import (
     density_step,
     log_star,
 )
-from cycledecomp.pathscycles import peel_long_cycles
+from cycledecomp.pathscycles import find_long_cycle_dfs, peel_long_cycles
 
 from helpers import (
     complete_graph,
@@ -30,9 +30,11 @@ from helpers import (
     exact_min_pieces,
     path_graph,
     random_gnp,
+    reference_adjacency,
     reference_density_step,
     scattered_subview,
     star_graph,
+    zipped_arrays,
 )
 from test_golden import INSTANCES
 
@@ -362,6 +364,99 @@ class TestDensityStep:
                 used.add(eid)
         assert used.isdisjoint(leftover.edge_ids)
         assert used | set(leftover.edge_ids) == set(g.edge_ids)
+
+    def test_leftover_of_one_part_carries_its_arrays_and_answer(self, monkeypatch):
+        stages = []
+        real = pipeline.decompose_expander
+
+        def recording(h, cfg):
+            stages.append(real(h, cfg))
+            return stages[-1]
+
+        monkeypatch.setattr(pipeline, "decompose_expander", recording)
+        rng = random.Random(25)
+        carried = several = 0
+        for g in [scattered_subview(rng) for _ in range(60)] + [three_dense_blocks()]:
+            for cfg in (CFG, PipelineConfig.paper()):
+                stages.clear()
+                _, leftover, rep = density_step(g, cfg)
+                kept = [got.rest for got in stages if got.singles]
+                if len(kept) > 1:
+                    # the residues of several parts are not held
+                    assert leftover._adj is None and leftover.found is None
+                    several += 1
+                else:
+                    assert leftover._adj is not None or leftover.m == 0
+                    assert zipped_arrays(leftover) == reference_adjacency(leftover)
+                if leftover.found is not None:
+                    bare = Graph(g.host_n, g.edge_table, g.vertices, leftover.edge_ids)
+                    assert leftover.found == (find_long_cycle_dfs(bare),)
+                    carried += 1
+                assert leftover.vertices == g.vertices
+        assert carried >= 40 and several >= 10
+
+
+def disjoint_triangles_and_complete(k: int) -> Graph:
+    """40 disjoint triangles and a K_k on the vertices after them."""
+    edges = [(3 * t + a, 3 * t + b) for t in range(40) for a, b in ((0, 1), (1, 2), (0, 2))]
+    edges += [(120 + a, 120 + b) for a, b in itertools.combinations(range(k), 2)]
+    return Graph.from_edges(120 + k, edges)
+
+
+def finder_keys(monkeypatch) -> list:
+    """Record the live edge set of every finder call."""
+    keys = []
+    finder = pathscycles.find_long_cycle_dfs
+
+    def keyed(view, **kwargs):
+        keys.append(frozenset(view.edge_ids))
+        return finder(view, **kwargs)
+
+    monkeypatch.setattr(pathscycles, "find_long_cycle_dfs", keyed)
+    return keys
+
+
+class TestFinderOncePerEdgeSet:
+    """Each peel starts from the answer the previous peel left on the same
+    live edges, so no live edge set reaches the finder twice in a run."""
+
+    @pytest.mark.parametrize("preset", pipeline.PRESETS)
+    @pytest.mark.parametrize("make", [
+        lambda: complete_graph(20),
+        lambda: complete_graph(24),
+        lambda: gnp(64, 0.5, 3),
+        lambda: gen_gallai_bipartite(1, 64),
+        # average degree 2.8: no round runs, so the finder is never called
+        lambda: disjoint_triangles_and_complete(12),
+        three_dense_blocks,
+    ])
+    def test_no_edge_set_twice(self, monkeypatch, preset, make):
+        keys = finder_keys(monkeypatch)
+        decompose_logstar(make(), PipelineConfig(preset, 1))
+        assert len(set(keys)) == len(keys)
+
+    def test_no_edge_set_with_an_edge_twice_among_many_parts(self, monkeypatch):
+        keys = finder_keys(monkeypatch)
+        rng = random.Random(5)
+        graphs = [disjoint_triangles_and_complete(24)]
+        graphs += [scattered_subview(rng) for _ in range(100)]
+        for g in graphs:
+            for preset in pipeline.PRESETS:
+                keys.clear()
+                decompose_logstar(g, PipelineConfig(preset, 1))
+                # a part used up ends with a call on no edges, which returns
+                # at the finder's first line: every used-up triangle of the
+                # first graph makes one
+                called = [k for k in keys if k]
+                assert len(set(called)) == len(called)
+
+    def test_complete_graphs_pinned(self, monkeypatch):
+        # perfbench's complete workload: 32 calls when each peel began
+        # with a finder call
+        keys = finder_keys(monkeypatch)
+        for k in (128, 144):
+            decompose_logstar(complete_graph(k), CFG)
+        assert len(keys) == 24
 
 
 class TestRoundLedger:
