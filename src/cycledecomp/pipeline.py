@@ -106,21 +106,26 @@ def _finish_or_singles(g: Graph) -> tuple[list[Cycle], list[int]]:
 def decompose_expander(g: Graph, cfg: PipelineConfig) -> Stage:
     """Decompose one expander part into cycles plus leftover edges.
 
-    Long cycles of length at least the part's average degree are peeled.  A
-    residue of average degree at most ``DEGREE_FLOOR`` is peeled again at
-    length 3, which leaves a forest; a denser residue comes back whole, for
-    the next round to peel long.  Every residue edge is handed back as a
-    single, and ``rest`` is the residue itself, carrying the peel's arrays
-    and its last finder answer.  The stats are exactly the counters in
-    ``PART_COUNTERS``.
-    g has no isolated vertex, so its average degree is the part's.  ``cfg``
-    is unused; perfbench/tracing.py wraps the call with it.
+    g is one part: a component, or a graph whose edges form one component
+    beside isolated vertices.  The part's average degree is taken over the
+    vertices its edges touch, so isolated vertices change nothing.  Long
+    cycles of at least that length are peeled.  A residue of average degree
+    at most ``DEGREE_FLOOR`` is peeled again at length 3, which leaves a
+    forest; a denser residue comes back whole, for the next round to peel
+    long.  Every residue edge is handed back as a single, and ``rest`` is
+    the residue itself, on g's vertices, carrying the peel's arrays and its
+    last finder answer.  The stats are exactly the counters in
+    ``PART_COUNTERS``.  ``cfg`` is unused; perfbench/tracing.py wraps the
+    call with it.
     """
-    min_len = max(3, math.ceil(g.avg_degree()))
+    # the vertices g's edges touch; an edgeless g touches none, and 1 keeps
+    # its degree at 0.0
+    touched = sum(map(bool, g.arrays()[0].values())) or 1
+    min_len = max(3, math.ceil(2.0 * g.m / touched))
     peeled, rest = peel_long_cycles(g, min_len)
     short: list[Cycle] = []
     # at min_len 3 the first peel already left a forest
-    if rest.m and min_len > 3 and rest.avg_degree() <= DEGREE_FLOOR:
+    if rest.m and min_len > 3 and 2.0 * rest.m / touched <= DEGREE_FLOOR:
         short, rest = peel_long_cycles(rest, 3)
     stats = {"peeled_cycles": len(peeled), "short_cycles": len(short)}
     return Stage(peeled + short, rest.edge_id_list(), stats, rest)
@@ -134,16 +139,18 @@ def density_step(g: Graph, cfg: PipelineConfig) -> tuple[list[Cycle], Graph, dic
     """One density-reduction round: peel long cycles, then peel each part.
 
     Long cycles of length at least the average degree are peeled first.
-    Under ``engineering`` every component of the residue is a part, counted
-    in ``parts``, and each part with an edge runs through
+    Under ``engineering`` every component of the residue is counted in
+    ``parts``, and each one with an edge is a part that runs through
     ``decompose_expander``; under ``paper`` the residue is passed on whole,
     and ``parts`` is 0.  Returns the edge-disjoint cycles found, the
     leftover view (input minus all cycle edges), and a report with the
-    in/out average degrees, the edge ledger and the parts' counters.  When
-    one part kept edges, the leftover is ``spanning`` its residue, so the
-    next round starts from that residue's arrays and finder answer.  The
-    residues of several parts are not held: on many small parts the
-    collector's extra passes over them cost more than their arrays save.
+    in/out average degrees, the edge ledger and the parts' counters.  A
+    lone part is the residue itself, isolated vertices and all, and its
+    ``rest`` is the leftover, so the next round starts from that peel's
+    arrays and finder answer.  Several parts are component views, and the
+    leftover is the residue's view on their singles: their residues are not
+    held, since on many small parts the collector's extra passes over them
+    cost more than their arrays save.
     """
     t0 = time.perf_counter()
     d_in = g.avg_degree()
@@ -156,19 +163,16 @@ def density_step(g: Graph, cfg: PipelineConfig) -> tuple[list[Cycle], Graph, dic
     if residual.m and cfg.preset == "engineering":
         comps = residual.components()
         report["parts"] = len(comps)
+        parts = [comp for comp in comps if len(comp) > 1]
+        lone = len(parts) == 1
         singles: list[int] = []
-        kept = 0  # parts that kept edges; rest is the last one's residue
-        for comp in comps:
-            if len(comp) > 1:
-                got = decompose_expander(residual.component(comp), cfg)
-                cycles.extend(got.cycles)
-                singles.extend(got.singles)
-                if got.singles:
-                    kept += 1
-                    rest = got.rest
-                for key in PART_COUNTERS:
-                    report[key] += got.stats[key]
-        leftover = residual.spanning(rest) if kept == 1 else residual.subview(edge_ids=singles)
+        for part in [residual] if lone else map(residual.component, parts):
+            got = decompose_expander(part, cfg)
+            cycles.extend(got.cycles)
+            singles.extend(got.singles)
+            for key in PART_COUNTERS:
+                report[key] += got.stats[key]
+        leftover = got.rest if lone else residual.subview(edge_ids=singles)
     report.update(
         d_out=leftover.avg_degree(),
         cycles_peeled=len(peeled),

@@ -47,6 +47,9 @@ INSTANCES = {
     "k144": lambda: Graph.from_edges(144, list(itertools.combinations(range(144), 2))),
     # the dense workload's shape: several back-edge sweeps per peel round
     "gnp384_half": lambda: gen_gnp(384, 0.5, 1000),
+    # isolated input vertices: the residue of a round is one part plus them
+    "k64_on96": lambda: Graph.from_edges(96, list(itertools.combinations(range(64), 2))),
+    "gnp64_half_on128": lambda: Graph.from_edges(128, gen_gnp(64, 0.5, 0).edge_table),
 }
 
 GOLDEN = {
@@ -63,6 +66,10 @@ GOLDEN = {
     ("k128", "engineering"): "e0d7e0e893b89ea9ea0a4013cbe84296a737cf79d0d4da2ed5558d4aa410f106",
     ("k144", "engineering"): "892b23c2d8152bdb507b32d193cf8f02f56db3b5c4b7750182244f07f420eb7c",
     ("gnp384_half", "engineering"): "b2af3d49da55a2bb20f2a321c20633351315399bfc755053fe4b238aa1b1c328",
+    ("k64_on96", "engineering"): "20553439bdbd976a98de98e6f68944f5d6f067ee1129eda327cff3090145f038",
+    ("k64_on96", "paper"): "228792892d0891d994f602a0135e49bc9e25ef23985564c0a91085074dc58f54",
+    ("gnp64_half_on128", "engineering"): "d76eb465e4000edf0f0e115cc7dcb4bc5d563b941eda9ad4affde7355da6fb7e",
+    ("gnp64_half_on128", "paper"): "af493397882a40b65e78a8c09bbd0dfcbb440cbf6aab0a6147ecd949c8b4734d",
 }
 
 
@@ -107,6 +114,10 @@ REPORT_GOLDEN = {
     ("k144", "engineering"): "7c665f9867b4f9afe0d08594e226feb229bc4f3d843b5925f4406544f586b621",
     ("k64", "engineering"): "8e5c48e60ad483c2b269e2e0479eda3e1fafd937953ed2889e04ea9dfa4b8e39",
     ("k64", "paper"): "61167cfcc998af57c0974358f1fb2b53e005e402e719fdcbe41621f07cb7fd68",
+    ("k64_on96", "engineering"): "097b54f056c2b2ac902bd60439a6a492b151f683af70661ab622fddd04b2e859",
+    ("k64_on96", "paper"): "7467b4ac92094a22f3131f5bdcb0278c7d3417e527e85d2019a1f68aed39ad4e",
+    ("gnp64_half_on128", "engineering"): "8cfdd9cc8c5b538270cf28b35dcb4b7daabfa885d62f9c94898c287784e13092",
+    ("gnp64_half_on128", "paper"): "b3ccb9c000b975c1051f2a492f9e4a160f7708722d980b31e21947b51619e146",
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycledecomp import pathscycles
+from cycledecomp import pathscycles, pipeline
 from cycledecomp.graph import Graph
 from cycledecomp.pathscycles import (
     eulerian_cycle_decompose,
@@ -384,8 +384,8 @@ class TestCarriedAnswer:
     """A peel leaves the finder's answer on its final live edges with the
     residual, and a peel of a graph carrying one takes it in place of its
     first finder call.  Chains of peels as the pipeline makes them (the
-    round floor, then each part's floor, then 3) match fresh reference
-    peels at every link."""
+    round floor, then each part's floor, then 3, where a lone part is the
+    residual itself) match fresh reference peels at every link."""
 
     def link(self, h: Graph, min_len: int):
         want, ref_residual = peel_signature(bare(h), reference_peel_long_cycles, min_len)
@@ -404,13 +404,15 @@ class TestCarriedAnswer:
         for _ in range(300):
             g = scattered_subview(rng)
             residual = self.link(g, max(3, math.ceil(g.avg_degree())))
-            for comp in residual.components():
-                if len(comp) > 1:
-                    part = residual.component(comp)
-                    parts += 1
-                    carried += part.found is not None
-                    rest = self.link(part, max(3, math.ceil(part.avg_degree())))
-                    self.link(rest, 3)
+            comps = [c for c in residual.components() if len(c) > 1]
+            for part in [residual] if len(comps) == 1 else map(residual.component, comps):
+                parts += 1
+                # the residual carries its peel's answer; a component view none
+                assert (part.found is not None) is (part is residual)
+                carried += part is residual
+                touched = sum(1 for d in part.degrees().values() if d)
+                rest = self.link(part, max(3, math.ceil(2 * part.m / touched)))
+                self.link(rest, 3)
         assert parts >= 300 and 50 <= carried < parts
 
     def test_a_component_among_several_calls_the_finder(self, monkeypatch):
@@ -427,15 +429,31 @@ class TestCarriedAnswer:
             self.link(part, 3)
         assert frozenset(residual.component(comps[0]).edge_ids) in calls
 
-    def test_the_component_holding_every_edge_takes_the_answer(self, monkeypatch):
+    def test_a_lone_part_is_the_residual_and_takes_its_answer(self, monkeypatch):
+        # K7 beside three isolated vertices: the round peels at 5 and leaves
+        # one part, whose carried answer is a 4-cycle
         g = Graph.from_edges(10, list(itertools.combinations(range(7), 2)))
-        _, residual = peel_long_cycles(g, 7)
-        part = residual.component(list(range(7)))
-        assert part.found == residual.found and part.found[0] is not None
+        peels, entered = [], []
+        peel, expand = pipeline.peel_long_cycles, pipeline.decompose_expander
+
+        def peeling(h, min_len):
+            peels.append(peel(h, min_len))
+            return peels[-1]
+
+        def expanding(h, cfg):
+            entered.append(h)
+            return expand(h, cfg)
+
+        monkeypatch.setattr(pipeline, "peel_long_cycles", peeling)
+        monkeypatch.setattr(pipeline, "decompose_expander", expanding)
         calls = counted_finder(monkeypatch)
-        cycles, _ = peel_long_cycles(part, 3)
-        assert cycles[0] == part.found[0]
-        assert frozenset(part.edge_ids) not in calls
+        pipeline.density_step(g, pipeline.PipelineConfig.engineering())
+        residual = peels[0][1]
+        assert len(entered) == 1 and entered[0] is residual
+        assert residual.n == 10 and residual.found[0] is not None
+        assert peels[1][0][0] == residual.found[0]
+        # the round's own peel made the one call on these edges
+        assert calls.count(frozenset(residual.edge_ids)) == 1
 
     def test_an_acyclic_answer_ends_the_peel_at_once(self, monkeypatch):
         _, residual = peel_long_cycles(complete_graph(6), 3)

@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from cycledecomp import decomposer, pathscycles, pipeline
+from cycledecomp import decomposer, graph, pathscycles, pipeline
 from cycledecomp.bench import gen_gallai_bipartite, gen_gnp
 from cycledecomp.graph import (
     Decomposition,
@@ -257,17 +257,28 @@ class TestDecomposeExpander:
         for g in (Graph.from_edges(5, []), complete_graph(7), complete_graph(32)):
             assert set(PART_COUNTERS) == set(decompose_expander(g, CFG).stats)
 
-    def test_isolated_vertices_do_not_matter(self, monkeypatch):
-        # the round hands decompose_expander components, never a vertex
-        # without an edge, so the part's average degree is its own
-        entered = spy(monkeypatch, pipeline, "decompose_expander")
-        for g in (padded_complete(32, 40), three_dense_blocks(), ten_triangles()):
-            density_step(g, CFG)
+    def test_a_part_gives_its_component_s_stage(self):
+        """A part is a component or the residue whose edges form one:
+        ``decompose_expander`` gives the same cycles, singles and stats on
+        a graph with isolated vertices, carrying a finder answer or not, as
+        on the component its edges form, and hands back its rest on the
+        graph's own vertices."""
         rng = random.Random(7)
-        for _ in range(30):
-            density_step(scattered_subview(rng), CFG)
-        assert entered
-        assert all(min(h.degrees().values()) > 0 for h in entered)
+        graphs = [padded_complete(32, 40)]
+        graphs += [peel_long_cycles(three_dense_blocks(), L)[1] for L in (5, 10, 20)]
+        graphs += [scattered_subview(rng) for _ in range(30)]
+        padded = 0
+        for r in graphs:
+            comps = [c for c in r.components() if len(c) > 1]
+            for comp in comps:
+                part = r.component(comp)
+                whole = r if len(comps) == 1 else r.subview(edge_ids=part.edge_ids)
+                got, want = decompose_expander(whole, CFG), decompose_expander(part, CFG)
+                assert got.cycles == want.cycles
+                assert (got.singles, got.stats) == (want.singles, want.stats)
+                assert got.rest.vertices == whole.vertices
+                padded += whole.n > part.n
+        assert padded >= 30
 
     def test_empty_graph(self):
         g = Graph.from_edges(5, [])
@@ -366,34 +377,40 @@ class TestDensityStep:
         assert used | set(leftover.edge_ids) == set(g.edge_ids)
 
     def test_leftover_of_one_part_carries_its_arrays_and_answer(self, monkeypatch):
-        stages = []
+        """When one component of the residue has edges, that part is the
+        residue itself and its rest is the leftover, with the peel's arrays
+        and answer; the leftover of several parts holds neither."""
+        parts = []
         real = pipeline.decompose_expander
 
         def recording(h, cfg):
-            stages.append(real(h, cfg))
-            return stages[-1]
+            parts.append((h, real(h, cfg)))
+            return parts[-1][1]
 
         monkeypatch.setattr(pipeline, "decompose_expander", recording)
         rng = random.Random(25)
-        carried = several = 0
+        carried = lone = several = 0
         for g in [scattered_subview(rng) for _ in range(60)] + [three_dense_blocks()]:
             for cfg in (CFG, PipelineConfig.paper()):
-                stages.clear()
+                parts.clear()
                 _, leftover, rep = density_step(g, cfg)
-                kept = [got.rest for got in stages if got.singles]
-                if len(kept) > 1:
+                if len(parts) > 1:
                     # the residues of several parts are not held
                     assert leftover._adj is None and leftover.found is None
                     several += 1
                 else:
                     assert leftover._adj is not None or leftover.m == 0
                     assert zipped_arrays(leftover) == reference_adjacency(leftover)
+                if len(parts) == 1:
+                    (h, got), = parts
+                    assert h.vertices == g.vertices and leftover is got.rest
+                    lone += 1
                 if leftover.found is not None:
                     bare = Graph(g.host_n, g.edge_table, g.vertices, leftover.edge_ids)
                     assert leftover.found == (find_long_cycle_dfs(bare),)
                     carried += 1
                 assert leftover.vertices == g.vertices
-        assert carried >= 40 and several >= 10
+        assert carried >= 40 and lone >= 10 and several >= 10
 
 
 def disjoint_triangles_and_complete(k: int) -> Graph:
@@ -457,6 +474,17 @@ class TestFinderOncePerEdgeSet:
         for k in (128, 144):
             decompose_logstar(complete_graph(k), CFG)
         assert len(keys) == 24
+
+    def test_complete_graphs_build_arrays_once(self, monkeypatch):
+        # each round starts from the arrays the last peel left, so over all
+        # rounds each graph builds them once, and the peels number 30
+        built = spy(monkeypatch, graph, "_neighbour_lists")
+        lens, _ = peel_calls(monkeypatch)
+        for k in (128, 144):
+            built.clear()
+            decompose_logstar(complete_graph(k), CFG)
+            assert len(built) == 1
+        assert len(lens) == 30
 
 
 class TestRoundLedger:
