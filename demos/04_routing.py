@@ -17,7 +17,7 @@ print("host: K_32, through-set V = {0..15}")
 
 batch = PairBatch.from_pairs([(20, 25), (21, 26), (22, 27)])
 # drop the direct edges so the paths actually have to detour through V
-host = g.without_edges({g.edge_id(20, 25), g.edge_id(21, 26), g.edge_id(22, 27)})
+host = g.subview(edge_ids=g.edge_ids - {g.edge_id(20, 25), g.edge_id(21, 26), g.edge_id(22, 27)})
 routed = route_pairs(host, batch, V, ell=3, rng_seed=0)
 assert isinstance(routed, RoutedPaths)
 print(f"\nrouted {len(routed.paths)} pairs, interiors inside V, max length {routed.ell}:")

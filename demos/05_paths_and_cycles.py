@@ -20,7 +20,7 @@ from cycledecomp.pathscycles import (
 theta = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
                              (0, 3), (1, 4)])
 # make all degrees even first: the 8 edges above leave 0,1,3,4 at odd degree
-even = theta.without_edges({theta.edge_id(0, 3), theta.edge_id(1, 4)})
+even = theta.subview(edge_ids=theta.edge_ids - {theta.edge_id(0, 3), theta.edge_id(1, 4)})
 cycles = eulerian_cycle_decompose(even)
 print("even graph (C_6):", [list(c.vertices) for c in cycles])
 

@@ -49,8 +49,8 @@ def almost_decompose_into_expanders(
     part fits under ``cap``; finding one splits the node into
     G1 = G[U ∪ N_{G-F}(U)] - F and G2 = G∖U - E(G1) - F with F removed, and
     both sides recurse.  Parts where no violation is found are emitted,
-    tagged certified when the exhaustive pass vouched for them or when
-    connectivity alone proves them expanders.
+    tagged with their verdict's ``certified``: true when the exhaustive pass
+    vouched for them.
 
     When ``p.connectivity_only(n)`` holds for every component's order n
     (zero removal budget, unit thresholds: epsilon 2^-5 with s = 0 up to n
@@ -101,12 +101,12 @@ def almost_decompose_into_expanders(
             stack.extend((part, depth + 1) for part in reversed(split))
             continue
 
-        violation = _find_violation(cur, p, cap=cap, seed=seed)
-        if violation is None:
+        verdict = _final_verdict(cur, p, cap=cap, seed=seed)
+        if verdict.is_expander:
             parts.append(cur)
-            certified.append(cur.n <= cap or p.connectivity_only(cur.n))
+            certified.append(verdict.certified)
             continue
-        U, F = violation
+        U, F = verdict.violation
         X = U | neighborhood(cur, U, F)
         if len(X) >= cur.n:
             # no progress possible; only reachable with thresholds far outside
@@ -114,8 +114,8 @@ def almost_decompose_into_expanders(
             parts.append(cur)
             certified.append(False)
             continue
-        g1 = cur.subview(vertices=X).without_edges(F)
-        g2 = cur.subview(vertices=cur.vertices - U).without_edges(set(g1.edge_ids) | F)
+        g1 = cur.subview(vertices=X, edge_ids=cur.edge_ids - F)
+        g2 = cur.subview(vertices=cur.vertices - U, edge_ids=cur.edge_ids - F - g1.edge_ids)
         removed |= F
         stack.append((g2, depth + 1))
         stack.append((g1, depth + 1))
@@ -149,17 +149,15 @@ def _assert_almost_decompose_guarantees(
         raise TheoremViolation("removed set exceeded 4*s*n*log(n)")
 
 
-def _find_violation(
-    g: Graph, p: ExpanderParams, *, cap: int, seed: int
-) -> Optional[tuple[set[int], set[int]]]:
-    """Heuristic search first; exhaustive fallback under the cap.  Both
-    modes get cap and seed, and each ignores the one it does not use."""
+def _final_verdict(g: Graph, p: ExpanderParams, *, cap: int, seed: int) -> ExpanderVerdict:
+    """Heuristic search first; exhaustive fallback under the cap.  The first
+    violating verdict, else the last one, which is certified under the cap.
+    Both modes get cap and seed, and each ignores the one it does not use."""
     for mode in ("heuristic", "exhaustive") if g.n <= cap else ("heuristic",):
-        v = certify_expander(g, p, mode=mode, cap=cap, seed=seed)
-        if not v.is_expander:
-            U, F = v.violation
-            return set(U), set(F)
-    return None
+        verdict = certify_expander(g, p, mode=mode, cap=cap, seed=seed)
+        if not verdict.is_expander:
+            break
+    return verdict
 
 
 # -- edge splitting ---------------------------------------------------------------

@@ -198,12 +198,23 @@ def certify_expander(
     searches candidate U via connected components, low-degree greedy growth,
     BFS prefix cuts, and random seeds; a true verdict only means "no
     violation found".
+
+    Each certifier returns its violating U, or None, and its subset count;
+    the verdict is built here alone, its F the adversary's deletions for U.
     """
     if mode == "exhaustive":
-        return _certify_exhaustive(g, p, cap)
-    if mode == "heuristic":
-        return _certify_heuristic(g, p, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+        U, checked = _certify_exhaustive(g, p, cap)
+    elif mode == "heuristic":
+        U, checked = _certify_heuristic(g, p, seed)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    violation = None
+    if U is not None:
+        violation = (frozenset(U), frozenset(worst_case_frontier(g, U, p.budget(len(U)))[0]))
+    return ExpanderVerdict(
+        is_expander=U is None, certified=mode == "exhaustive", mode=mode, params=p,
+        violation=violation, subsets_checked=checked,
+    )
 
 
 def _survivors_from_counts(cnt: dict[int, int], budget: int) -> int:
@@ -219,17 +230,15 @@ def _survivors_from_counts(cnt: dict[int, int], budget: int) -> int:
     return len(cnt) - kill
 
 
-def _certify_exhaustive(g: Graph, p: ExpanderParams, cap: int) -> ExpanderVerdict:
+def _certify_exhaustive(g: Graph, p: ExpanderParams, cap: int) -> tuple[Optional[set[int]], int]:
+    """The enumeration's first violating U, or None, and the subsets it checked."""
     n = g.n
     if p.connectivity_only(n):
-        return _certify_by_components(g, p)
+        return _certify_by_components(g)
     max_size = (2 * n) // 3
     if p.threshold(max_size, n) <= 0:
         # the threshold only grows with |U|, so no set leaves fewer survivors
-        return ExpanderVerdict(
-            is_expander=True, certified=True, mode="exhaustive", params=p,
-            subsets_checked=_subset_count(n, max_size),
-        )
+        return None, _subset_count(n, max_size)
     if n > cap:
         raise CapacityError(f"exhaustive certification capped at n={cap}, got {n}")
     verts = g.vertex_list()
@@ -242,19 +251,8 @@ def _certify_exhaustive(g: Graph, p: ExpanderParams, cap: int) -> ExpanderVerdic
             checked += 1
             Uset = set(combo)
             if _min_survivors(Uset, budget, nbrs) < thresh:
-                F, _ = worst_case_frontier(g, Uset, budget)
-                return ExpanderVerdict(
-                    is_expander=False,
-                    certified=True,
-                    mode="exhaustive",
-                    params=p,
-                    violation=(frozenset(Uset), frozenset(F)),
-                    subsets_checked=checked,
-                )
-    return ExpanderVerdict(
-        is_expander=True, certified=True, mode="exhaustive", params=p,
-        subsets_checked=checked,
-    )
+                return Uset, checked
+    return None, checked
 
 
 def _subset_count(n: int, top: int) -> int:
@@ -289,41 +287,30 @@ def _subsets_after(a: list[int], n: int) -> int:
     return after
 
 
-def _certify_by_components(g: Graph, p: ExpanderParams) -> ExpanderVerdict:
-    """Exhaustive verdict in the connectivity-only regime, without enumerating.
+def _certify_by_components(g: Graph) -> tuple[Optional[list[int]], int]:
+    """Exhaustive answer in the connectivity-only regime, without enumerating.
 
     Every union of components is at least as large as the smallest one, so
     the first violation the enumeration reaches (size ascending, then
     lexicographic) is the smallest component, ties to the lowest first
-    vertex, with F empty.  ``subsets_checked`` is what the enumeration would
-    have counted: every smaller subset, plus the witness's lexicographic
-    position among subsets of its size.
+    vertex; the budget is 0, so its F is empty.  The count is what the
+    enumeration would have checked: every smaller subset, plus the
+    witness's lexicographic position among subsets of its size.
     """
     n = g.n
     max_size = (2 * n) // 3
     smallest = min(g.components(), key=len, default=[])
     if not 1 <= len(smallest) <= max_size:
-        return ExpanderVerdict(
-            is_expander=True, certified=True, mode="exhaustive", params=p,
-            subsets_checked=_subset_count(n, max_size),
-        )
+        return None, _subset_count(n, max_size)
     index = {v: i for i, v in enumerate(g.vertex_list())}
     after = _subsets_after([index[v] for v in smallest], n)
-    return ExpanderVerdict(
-        is_expander=False,
-        certified=True,
-        mode="exhaustive",
-        params=p,
-        violation=(frozenset(smallest), frozenset()),
-        subsets_checked=_subset_count(n, len(smallest)) - after,
-    )
+    return smallest, _subset_count(n, len(smallest)) - after
 
 
-def _certify_heuristic(g: Graph, p: ExpanderParams, seed: int) -> ExpanderVerdict:
+def _certify_heuristic(g: Graph, p: ExpanderParams, seed: int) -> tuple[Optional[set[int]], int]:
+    """The search's first violating U, or None, and the candidate sets it checked."""
     n = g.n
     checked = 0
-    if n < 2:
-        return ExpanderVerdict(True, False, "heuristic", p, subsets_checked=0)
     nbrs = g.arrays()[0]
     max_size = (2 * n) // 3
 
@@ -335,31 +322,17 @@ def _certify_heuristic(g: Graph, p: ExpanderParams, seed: int) -> ExpanderVerdic
         checked += 1
         return _min_survivors(Uset, p.budget(size), nbrs) < p.threshold(size, n)
 
-    def verdict_for(Uset: set[int]) -> ExpanderVerdict:
-        F, _ = worst_case_frontier(g, Uset, p.budget(len(Uset)))
-        return ExpanderVerdict(
-            is_expander=False,
-            certified=False,
-            mode="heuristic",
-            params=p,
-            violation=(frozenset(Uset), frozenset(F)),
-            subsets_checked=checked,
-        )
-
     # (b) components: any component within size range has empty neighborhood
     comps = g.components()
     if len(comps) > 1:
-        smallest = min(comps, key=len)
-        if violates(set(smallest)):
-            return verdict_for(set(smallest))
+        smallest = set(min(comps, key=len))
+        if violates(smallest):
+            return smallest, checked
 
     if p.connectivity_only(n):
-        # a violation is exactly a set with no outside neighbors, i.e. a
-        # disconnection, and the component check above already looked
-        return ExpanderVerdict(
-            is_expander=True, certified=False, mode="heuristic", params=p,
-            subsets_checked=checked,
-        )
+        # a violation is exactly a disconnection, which the component check
+        # above looked for; every graph under 2 vertices is in this regime
+        return None, checked
 
     degs = g.degrees()
     by_degree = sorted(g.vertices, key=lambda v: (degs[v], v))
@@ -398,7 +371,7 @@ def _certify_heuristic(g: Graph, p: ExpanderParams, seed: int) -> ExpanderVerdic
             next_check = max(size + 1, int(size * 1.25))
             checked += 1
             if _survivors_from_counts(cnt, p.budget(size)) < p.threshold(size, n):
-                return verdict_for(set(prefix))
+                return prefix, checked
 
     # (a)+(c) greedy growth from low-degree and random seeds
     rng = random.Random(seed)
@@ -410,7 +383,7 @@ def _certify_heuristic(g: Graph, p: ExpanderParams, seed: int) -> ExpanderVerdic
     for root in seeds:
         Uset = {root}
         if violates(Uset):
-            return verdict_for(Uset)
+            return Uset, checked
         bnd: dict[int, int] = {}
         for w in nbrs[root]:
             bnd[w] = bnd.get(w, 0) + 1
@@ -432,12 +405,9 @@ def _certify_heuristic(g: Graph, p: ExpanderParams, seed: int) -> ExpanderVerdic
                     bnd[w] = bnd.get(w, 0) + 1
             if len(Uset) > max_size:
                 break
-            if violates(set(Uset)):
-                return verdict_for(set(Uset))
-    return ExpanderVerdict(
-        is_expander=True, certified=False, mode="heuristic", params=p,
-        subsets_checked=checked,
-    )
+            if violates(Uset):
+                return Uset, checked
+    return None, checked
 
 
 # -- red/blue dichotomy -----------------------------------------------------------

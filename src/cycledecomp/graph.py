@@ -198,9 +198,6 @@ class Graph:
         )
         return Graph(self.host_n, tab, verts, keep)
 
-    def without_edges(self, drop: Iterable[int]) -> "Graph":
-        return Graph(self.host_n, self.edge_table, self.vertices, self.edge_ids - frozenset(drop))
-
     def components(self) -> list[list[int]]:
         """Connected components of live vertices, each sorted, in sorted order."""
         return [sorted(comp) for _, comp in _component_sets(self)]

@@ -21,10 +21,9 @@ from cycledecomp.connectivity import (
 from cycledecomp.decomposer import (
     AlmostDecomposeResult,
     _assert_almost_decompose_guarantees,
-    _find_violation,
     almost_decompose_into_expanders,
 )
-from cycledecomp.expansion import ExpanderParams, TheoremViolation
+from cycledecomp.expansion import ExpanderParams, TheoremViolation, certify_expander
 from cycledecomp.graph import (
     MAX_VERTICES,
     Cycle,
@@ -978,7 +977,21 @@ def reference_validate_decomposition_json(doc: dict, g: Optional[Graph] = None) 
 # components at once in the connectivity-only regime: it builds the tuple
 # adjacency for the components' edge ids, pushes every component back on
 # its stack, and asks both certifiers about each.  Kept verbatim (name
-# prefixed) as the oracle of the differential test.
+# prefixed) as the oracle of the differential test, with its own copy of
+# the violation search it called.
+
+
+def reference_find_violation(
+    g: Graph, p: ExpanderParams, *, cap: int, seed: int
+) -> Optional[tuple[set[int], set[int]]]:
+    """Heuristic search first; exhaustive fallback under the cap.  Both
+    modes get cap and seed, and each ignores the one it does not use."""
+    for mode in ("heuristic", "exhaustive") if g.n <= cap else ("heuristic",):
+        v = certify_expander(g, p, mode=mode, cap=cap, seed=seed)
+        if not v.is_expander:
+            U, F = v.violation
+            return set(U), set(F)
+    return None
 
 
 def reference_almost_decompose_into_expanders(
@@ -1031,7 +1044,7 @@ def reference_almost_decompose_into_expanders(
                 stack.append((part, depth + 1))
             continue
 
-        violation = _find_violation(cur, p, cap=cap, seed=seed)
+        violation = reference_find_violation(cur, p, cap=cap, seed=seed)
         if violation is None:
             parts.append(cur)
             certified.append(cur.n <= cap or p.connectivity_only(cur.n))
@@ -1044,8 +1057,8 @@ def reference_almost_decompose_into_expanders(
             parts.append(cur)
             certified.append(False)
             continue
-        g1 = cur.subview(vertices=X).without_edges(F)
-        g2 = cur.subview(vertices=cur.vertices - U).without_edges(set(g1.edge_ids) | F)
+        g1 = cur.subview(vertices=X, edge_ids=cur.edge_ids - F)
+        g2 = cur.subview(vertices=cur.vertices - U, edge_ids=cur.edge_ids - F - g1.edge_ids)
         removed |= F
         stack.append((g2, depth + 1))
         stack.append((g1, depth + 1))

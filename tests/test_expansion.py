@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -368,6 +369,31 @@ def test_heuristic_violations_reverify_on_random_graphs():
             found += 1
             assert v.reverify(g)
     assert found > 0  # sparse G(n, .12) graphs do produce violations
+
+
+def test_every_witness_deletes_what_the_exact_adversary_deletes():
+    """In both modes a violating verdict's F is worst_case_frontier's
+    deletion set for its U at budget(|U|), and it is empty in the
+    connectivity regime, where that budget is 0."""
+    rng = random.Random(12)
+    params = [ExpanderParams(1, 1), ExpanderParams(1, 2, "const", 1.0),
+              ExpanderParams(0.5, 0.5, "const", 1.0), ExpanderParams(2**-5, 0.0)]
+    seen = Counter()
+    for _ in range(60):
+        g = random_gnp(rng, rng.randint(2, 12), rng.choice((0.15, 0.3, 0.5, 0.8)))
+        for p in params:
+            for mode in ("exhaustive", "heuristic"):
+                v = certify_expander(g, p, mode=mode)
+                if v.is_expander:
+                    assert v.violation is None
+                    continue
+                U, F = v.violation
+                assert F == worst_case_frontier(g, U, p.budget(len(U)))[0]
+                regime = p.connectivity_only(g.n)
+                assert not (regime and F)
+                seen[mode, regime, bool(F)] += 1
+    for mode in ("exhaustive", "heuristic"):
+        assert seen[mode, False, True] >= 10 and seen[mode, True, False] >= 10, seen
 
 
 # -- check_dichotomy ---------------------------------------------------------------

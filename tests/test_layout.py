@@ -1,7 +1,8 @@
 """What each module may know of the others: graph.py alone holds a graph's
-cached adjacency and builds its views, the pipeline reaches no expander
-code, no module hands work to a pool of processes or threads, and the
-calls perfbench's tracer wraps by name keep their shapes."""
+cached adjacency and builds its views, certify_expander alone builds a
+verdict, the pipeline reaches no expander code, no module hands work to a
+pool of processes or threads, and the calls perfbench's tracer wraps by
+name keep their shapes."""
 
 import ast
 import re
@@ -19,18 +20,29 @@ def test_only_graph_names_the_cached_arrays():
     assert named == {"graph.py"}
 
 
-def test_only_graph_and_the_peel_construct_graphs():
-    """Every view comes from a graph.py method; the peel alone builds its
-    own, around the arrays it cuts down as it takes each cycle."""
-    callers = set()
+def callers(name: str) -> set[tuple[str, str]]:
+    """(module file, top-level definition) of every call to name in src/."""
+    found = set()
     for path in SRC.glob("*.py"):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                        and node.func.id == "Graph"):
-                    callers.add((path.name, getattr(top, "name", "<module>")))
-    outside = {c for c in callers if c[0] != "graph.py"}
+                        and node.func.id == name):
+                    found.add((path.name, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_only_graph_and_the_peel_construct_graphs():
+    """Every view comes from a graph.py method; the peel alone builds its
+    own, around the arrays it cuts down as it takes each cycle."""
+    outside = {c for c in callers("Graph") if c[0] != "graph.py"}
     assert outside == {("pathscycles.py", "peel_long_cycles")}
+
+
+def test_only_certify_expander_builds_verdicts():
+    """Each certifier returns its violating set and count; the verdict, its
+    certified flag and its witness's F are made in one place."""
+    assert callers("ExpanderVerdict") == {("expansion.py", "certify_expander")}
 
 
 def test_pipeline_imports_only_graph_and_pathscycles():

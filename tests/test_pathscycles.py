@@ -297,6 +297,20 @@ class TestPeelMatchesReference:
         assert several >= 100 and small_part >= 200
 
 
+def test_tables_are_dicts_only_below_a_sixteenth_of_the_host():
+    """The finder's and the sweep's depth and pointer tables: a dict over
+    the part's own vertices below a sixteenth of its host, a host-length
+    list from there up.  No benchmark workload sweeps a part that small."""
+    host = path_graph(64)
+    for n in (1, 3, 4, 5, 64):
+        part = host.subview(vertices=range(64 - n, 64))
+        table = pathscycles._per_vertex(part, -1)
+        if 16 * n < 64:
+            assert type(table) is dict and table == dict.fromkeys(range(64 - n, 64), -1)
+        else:
+            assert type(table) is list and table == [-1] * 64
+
+
 class CountingLists(dict):
     """A vertex -> list table that counts its lookups."""
 
@@ -494,7 +508,7 @@ def even_part(g: Graph) -> Graph:
                      if any(deg[v] % 2 for v in g.edge_table[e])), None)
         if drop is None:
             return g
-        g = g.without_edges([drop])
+        g = g.subview(edge_ids=g.edge_ids - {drop})
 
 
 class TestEulerWalksMatchReference:
