@@ -63,8 +63,8 @@ def gen_gallai_bipartite(k: int, n: int) -> Graph:
     if k < 0 or n < 2 * k + 2:
         raise ValueError("need n >= 2k+2")
     a = 2 * k + 1
-    pairs = [(i, j) for i in range(a) for j in range(a, n)]
-    return Graph.from_edges(n, pairs)
+    # lazy pairs: from_edges rejects a bad n before the first one is made
+    return Graph.from_edges(n, ((i, j) for i in range(a) for j in range(a, n)))
 
 
 def gallai_lower_bound(k: int, n: int) -> int:
@@ -133,6 +133,7 @@ def gen_regular(n: int, d: int, seed: int) -> Graph:
         raise ValueError("need 0 <= d < n")
     if n * d % 2:
         raise ValueError("n*d must be even")
+    Graph.from_edges(n, [])  # rejects a bad n before any stub is made
     rng = random.Random(seed)
     for _ in range(200):
         stubs = [v for v in range(n) for _ in range(d)]

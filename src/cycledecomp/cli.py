@@ -297,7 +297,7 @@ def _cmd_paths(args: argparse.Namespace) -> int:
         "n": g.host_n,
         "m": g.m,
         "cycles": [list(c.vertices) for c in res.cycles],
-        "paths": [list(p.vertices) for p in res.paths if p.edge_ids],
+        "paths": [list(p.vertices) for p in res.paths],
         "edges": [],
         "endpoint_multiplicity_max": max(res.endpoint_multiplicity().values(), default=0),
     }

@@ -103,12 +103,18 @@ class ExpanderParams:
 
 @dataclass(frozen=True)
 class ExpanderVerdict:
-    is_expander: bool
-    certified: bool
     mode: str
     params: ExpanderParams
-    violation: Optional[tuple[frozenset[int], frozenset[int]]] = None
-    subsets_checked: int = 0
+    violation: Optional[tuple[frozenset[int], frozenset[int]]]
+    subsets_checked: int
+
+    @property
+    def is_expander(self) -> bool:
+        return self.violation is None
+
+    @property
+    def certified(self) -> bool:
+        return self.mode == "exhaustive"
 
     def reverify(self, g: Graph) -> bool:
         """Re-evaluate the reported violation definitionally on g."""
@@ -166,16 +172,6 @@ def worst_case_frontier(
     return F, survivors
 
 
-def _min_survivors(Uset: set[int], budget: int, nbrs: dict[int, list[int]]) -> int:
-    """Survivor count after optimal deletion; inner loop of certification."""
-    costs: dict[int, int] = {}
-    for u in Uset:
-        for w in nbrs[u]:
-            if w not in Uset:
-                costs[w] = costs.get(w, 0) + 1
-    return _survivors_from_counts(costs, budget)
-
-
 # -- certification ---------------------------------------------------------------
 
 
@@ -211,10 +207,7 @@ def certify_expander(
     violation = None
     if U is not None:
         violation = (frozenset(U), frozenset(worst_case_frontier(g, U, p.budget(len(U)))[0]))
-    return ExpanderVerdict(
-        is_expander=U is None, certified=mode == "exhaustive", mode=mode, params=p,
-        violation=violation, subsets_checked=checked,
-    )
+    return ExpanderVerdict(mode, p, violation, checked)
 
 
 def _survivors_from_counts(cnt: dict[int, int], budget: int) -> int:
@@ -250,7 +243,12 @@ def _certify_exhaustive(g: Graph, p: ExpanderParams, cap: int) -> tuple[Optional
         for combo in itertools.combinations(verts, size):
             checked += 1
             Uset = set(combo)
-            if _min_survivors(Uset, budget, nbrs) < thresh:
+            costs: dict[int, int] = {}
+            for u in combo:
+                for w in nbrs[u]:
+                    if w not in Uset:
+                        costs[w] = costs.get(w, 0) + 1
+            if _survivors_from_counts(costs, budget) < thresh:
                 return Uset, checked
     return None, checked
 
@@ -314,64 +312,80 @@ def _certify_heuristic(g: Graph, p: ExpanderParams, seed: int) -> tuple[Optional
     nbrs = g.arrays()[0]
     max_size = (2 * n) // 3
 
-    def violates(Uset: set[int]) -> bool:
-        nonlocal checked
-        size = len(Uset)
-        if not (1 <= size <= max_size):
-            return False
-        checked += 1
-        return _min_survivors(Uset, p.budget(size), nbrs) < p.threshold(size, n)
-
-    # (b) components: any component within size range has empty neighborhood
+    # (b) components: a component has no outside neighbour, so it violates
+    # exactly when its size is in range and the threshold is above 0
     comps = g.components()
     if len(comps) > 1:
-        smallest = set(min(comps, key=len))
-        if violates(smallest):
-            return smallest, checked
+        smallest = min(comps, key=len)
+        if 1 <= len(smallest) <= max_size:
+            checked += 1
+            if p.threshold(len(smallest), n) > 0:
+                return set(smallest), checked
 
     if p.connectivity_only(n):
         # a violation is exactly a disconnection, which the component check
         # above looked for; every graph under 2 vertices is in this regime
         return None, checked
 
-    degs = g.degrees()
-    by_degree = sorted(g.vertices, key=lambda v: (degs[v], v))
+    def grow(root, pick, top, every):
+        """Grow U from root by pick(U, cnt) up to top vertices, keeping cnt,
+        U's edge count into each outside neighbour; U is tested from cnt at
+        every size, or at x1.25 checkpoints, and returned once it violates."""
+        nonlocal checked
+        U: set[int] = set()
+        cnt: dict[int, int] = {}
+        next_check = 1
+        v = root
+        while v is not None and len(U) < top:
+            U.add(v)
+            cnt.pop(v, None)
+            for w in nbrs[v]:
+                if w not in U:
+                    cnt[w] = cnt.get(w, 0) + 1
+            size = len(U)
+            if every or size >= next_check:
+                next_check = max(size + 1, int(size * 1.25))
+                checked += 1
+                if _survivors_from_counts(cnt, p.budget(size)) < p.threshold(size, n):
+                    return U
+            v = pick(U, cnt)
+        return None
 
-    # (b) BFS prefix cuts from low-degree roots, boundary counts maintained
-    # incrementally; every size is tried on small graphs, geometric
-    # checkpoints on large ones
-    eval_all = n <= 256
-    for root in by_degree[:2]:
-        order = []
+    def layers(root):
+        """BFS order from root, each layer sorted."""
         seen = {root}
         frontier = [root]
         while frontier:
-            order.extend(sorted(frontier))
+            frontier.sort()
+            yield from frontier
             nxt = []
-            for a in sorted(frontier):
+            for a in frontier:
                 for b in nbrs[a]:
                     if b not in seen:
                         seen.add(b)
                         nxt.append(b)
             frontier = nxt
-        prefix: set[int] = set()
-        cnt: dict[int, int] = {}
-        next_check = 1
-        for v in order:
-            prefix.add(v)
-            cnt.pop(v, None)
-            for w in nbrs[v]:
-                if w not in prefix:
-                    cnt[w] = cnt.get(w, 0) + 1
-            size = len(prefix)
-            if size > max_size:
-                break
-            if not eval_all and size < next_check:
-                continue
-            next_check = max(size + 1, int(size * 1.25))
-            checked += 1
-            if _survivors_from_counts(cnt, p.budget(size)) < p.threshold(size, n):
-                return prefix, checked
+
+    def fewest_fresh(U, cnt):
+        # swallow the neighbour, among those with most edges into U, that
+        # adds fewest fresh neighbours
+        best, best_fresh = None, None
+        for v, _ in sorted(cnt.items(), key=lambda kv: (-kv[1], kv[0]))[:24]:
+            fresh = sum(1 for w in nbrs[v] if w not in U and w not in cnt)
+            if best_fresh is None or fresh < best_fresh:
+                best, best_fresh = v, fresh
+        return best
+
+    degs = g.degrees()
+    by_degree = sorted(g.vertices, key=lambda v: (degs[v], v))
+
+    # (b) BFS prefix cuts from low-degree roots; every size is tried on
+    # small graphs, geometric checkpoints on large ones
+    for root in by_degree[:2]:
+        order = layers(root)
+        U = grow(next(order), lambda U, cnt: next(order, None), max_size, n <= 256)
+        if U is not None:
+            return U, checked
 
     # (a)+(c) greedy growth from low-degree and random seeds
     rng = random.Random(seed)
@@ -379,34 +393,10 @@ def _certify_heuristic(g: Graph, p: ExpanderParams, seed: int) -> tuple[Optional
     pool = g.vertex_list()
     while len(seeds) < HEURISTIC_SEEDS and pool:
         seeds.append(pool[rng.randrange(len(pool))])
-    step_cap = min(max_size, 96)
     for root in seeds:
-        Uset = {root}
-        if violates(Uset):
-            return Uset, checked
-        bnd: dict[int, int] = {}
-        for w in nbrs[root]:
-            bnd[w] = bnd.get(w, 0) + 1
-        for _ in range(step_cap - 1):
-            if not bnd:
-                break
-            # prefer swallowing the neighbor that adds fewest fresh neighbors
-            cands = sorted(bnd.items(), key=lambda kv: (-kv[1], kv[0]))[:24]
-            best, best_fresh = None, None
-            for v, _ in cands:
-                fresh = sum(1 for w in nbrs[v] if w not in Uset and w not in bnd)
-                if best_fresh is None or fresh < best_fresh:
-                    best, best_fresh = v, fresh
-            v = best
-            Uset.add(v)
-            del bnd[v]
-            for w in nbrs[v]:
-                if w not in Uset:
-                    bnd[w] = bnd.get(w, 0) + 1
-            if len(Uset) > max_size:
-                break
-            if violates(Uset):
-                return Uset, checked
+        U = grow(root, fewest_fresh, min(max_size, 96), True)
+        if U is not None:
+            return U, checked
     return None, checked
 
 

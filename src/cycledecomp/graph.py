@@ -165,13 +165,6 @@ class Graph:
         """Live edge id joining u and v; KeyError if absent."""
         return self._edge_index()[(u, v) if u < v else (v, u)]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        try:
-            self.edge_id(u, v)
-            return True
-        except KeyError:
-            return False
-
     # -- views -----------------------------------------------------------
 
     def subview(
@@ -403,7 +396,6 @@ def validate_decomposition(g: Graph, d: Decomposition) -> ValidationReport:
         note(f"edge count mismatch: {d.m} vs {g.m}")
 
     used: set[int] = set()
-    covered = 0
     for ci, cyc in enumerate(d.cycles):
         try:
             cyc.check(g)
@@ -414,14 +406,12 @@ def validate_decomposition(g: Graph, d: Decomposition) -> ValidationReport:
         # they are added at once
         if used.isdisjoint(cyc.edge_ids):
             used.update(cyc.edge_ids)
-            covered += len(cyc.edge_ids)
             continue
         for eid in cyc.edge_ids:
             if eid in used:
                 note(f"cycle {ci}: edge {eid} already covered")
             else:
                 used.add(eid)
-                covered += 1
     for eid in d.single_edges:
         if eid not in g.edge_ids:
             note(f"single edge {eid} not live")
@@ -429,7 +419,6 @@ def validate_decomposition(g: Graph, d: Decomposition) -> ValidationReport:
             note(f"single edge {eid} already covered")
         else:
             used.add(eid)
-            covered += 1
     missing = g.edge_ids - used
     if missing:
         note(f"{len(missing)} live edges uncovered, e.g. {sorted(missing)[:5]}")
@@ -439,7 +428,7 @@ def validate_decomposition(g: Graph, d: Decomposition) -> ValidationReport:
         problems=tuple(problems),
         n_cycles=len(d.cycles),
         n_single_edges=len(d.single_edges),
-        covered_edges=covered,
+        covered_edges=len(used),
     )
 
 

@@ -197,14 +197,12 @@ def decompose_logstar(
     cur = g
     cycles: list[Cycle] = []
     iterations: list[dict] = []
-    it = 0
-    while it < cap and cur.m > 0 and cur.avg_degree() > DEGREE_FLOOR:
+    while len(iterations) < cap and cur.m > 0 and cur.avg_degree() > DEGREE_FLOOR:
         got, cur, rep = density_step(cur, cfg)
         if rep["d_out"] > rep["d_in"] + 1e-9:
             raise RuntimeError(f"average degree increased: {rep['d_in']} -> {rep['d_out']}")
         cycles.extend(got)
         iterations.append(rep)
-        it += 1
     fin_cycles, singles = _finish_or_singles(cur)
     cycles.extend(fin_cycles)
     dec = Decomposition.from_parts(

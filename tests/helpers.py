@@ -101,10 +101,6 @@ def scattered_subview(rng: random.Random) -> Graph:
     return view.subview(edge_ids=[e for e in view.edge_id_list() if rng.random() < 0.8])
 
 
-def edges_of(g: Graph) -> set[tuple[int, int]]:
-    return {g.edge_table[eid] for eid in g.edge_ids}
-
-
 # -- adjacency from the definition ----------------------------------------------
 # Built from the edge table and the live edge ids alone, so the oracles below
 # share no code with the graph layer's cached arrays.
@@ -245,6 +241,120 @@ def reference_certify(g: Graph, p):
             if survivors < thresh:
                 return False, Uset, checked
     return True, None, checked
+
+
+def reference_certify_heuristic(g: Graph, p, seed: int):
+    """The heuristic certifier as two growth loops, kept as the reference for
+    the one-loop version: (violating U or None, candidate sets checked).
+
+    The component check and the greedy growth recount U's boundary from
+    scratch at every test; the BFS prefix cuts keep it incrementally.
+    """
+    n = g.n
+    checked = 0
+    nbrs = g.arrays()[0]
+    max_size = (2 * n) // 3
+
+    def survivors_from_counts(cnt, budget):
+        if budget <= 0:
+            return len(cnt)
+        kill = 0
+        for c in sorted(cnt.values()):
+            if budget < c:
+                break
+            budget -= c
+            kill += 1
+        return len(cnt) - kill
+
+    def violates(Uset):
+        nonlocal checked
+        size = len(Uset)
+        if not (1 <= size <= max_size):
+            return False
+        checked += 1
+        costs = {}
+        for u in Uset:
+            for w in nbrs[u]:
+                if w not in Uset:
+                    costs[w] = costs.get(w, 0) + 1
+        return survivors_from_counts(costs, p.budget(size)) < p.threshold(size, n)
+
+    comps = g.components()
+    if len(comps) > 1:
+        smallest = set(min(comps, key=len))
+        if violates(smallest):
+            return smallest, checked
+    if p.connectivity_only(n):
+        return None, checked
+
+    degs = g.degrees()
+    by_degree = sorted(g.vertices, key=lambda v: (degs[v], v))
+    eval_all = n <= 256
+    for root in by_degree[:2]:
+        order = []
+        seen = {root}
+        frontier = [root]
+        while frontier:
+            order.extend(sorted(frontier))
+            nxt = []
+            for a in sorted(frontier):
+                for b in nbrs[a]:
+                    if b not in seen:
+                        seen.add(b)
+                        nxt.append(b)
+            frontier = nxt
+        prefix = set()
+        cnt = {}
+        next_check = 1
+        for v in order:
+            prefix.add(v)
+            cnt.pop(v, None)
+            for w in nbrs[v]:
+                if w not in prefix:
+                    cnt[w] = cnt.get(w, 0) + 1
+            size = len(prefix)
+            if size > max_size:
+                break
+            if not eval_all and size < next_check:
+                continue
+            next_check = max(size + 1, int(size * 1.25))
+            checked += 1
+            if survivors_from_counts(cnt, p.budget(size)) < p.threshold(size, n):
+                return prefix, checked
+
+    rng = random.Random(seed)
+    seeds = by_degree[:4]
+    pool = g.vertex_list()
+    while len(seeds) < 8 and pool:
+        seeds.append(pool[rng.randrange(len(pool))])
+    step_cap = min(max_size, 96)
+    for root in seeds:
+        Uset = {root}
+        if violates(Uset):
+            return Uset, checked
+        bnd = {}
+        for w in nbrs[root]:
+            bnd[w] = bnd.get(w, 0) + 1
+        for _ in range(step_cap - 1):
+            if not bnd:
+                break
+            cands = sorted(bnd.items(), key=lambda kv: (-kv[1], kv[0]))[:24]
+            best, best_fresh = None, None
+            for v, _ in cands:
+                fresh = sum(1 for w in nbrs[v] if w not in Uset and w not in bnd)
+                if best_fresh is None or fresh < best_fresh:
+                    best, best_fresh = v, fresh
+            v = best
+            Uset.add(v)
+            del bnd[v]
+            for w in nbrs[v]:
+                if w not in Uset:
+                    bnd[w] = bnd.get(w, 0) + 1
+            if len(Uset) > max_size:
+                break
+            if violates(Uset):
+                return Uset, checked
+    return None, checked
 
 
 def reference_shortest_through_path(adj, used, V, u, v, ell):

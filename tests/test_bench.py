@@ -20,7 +20,7 @@ from cycledecomp.bench import (
     gen_gnp,
     gen_regular,
 )
-from cycledecomp.graph import Decomposition, Graph
+from cycledecomp.graph import MAX_VERTICES, Decomposition, Graph
 
 from helpers import complete_graph
 
@@ -79,6 +79,11 @@ class TestGallaiFamily:
             gen_gallai_bipartite(1, 3)
         with pytest.raises(ValueError):
             gallai_lower_bound(2, 5)
+
+    def test_vertex_count_checked_before_any_pair_is_made(self):
+        # (2k+1)(n-2k-1) pairs past the limit would take gigabytes
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            gen_gallai_bipartite(0, MAX_VERTICES + 1)
 
     def test_lower_bound_frozen_values(self):
         # b + (a*b - b) / (2a), exact rational, rounded up
@@ -139,6 +144,11 @@ class TestGenRegular:
             gen_regular(5, 3, 0)
         with pytest.raises(ValueError):
             gen_regular(4, 4, 0)
+
+    def test_vertex_count_checked_before_any_stub_is_made(self):
+        # n*d stubs and n neighbour sets past the limit would take gigabytes
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            gen_regular(MAX_VERTICES + 2, 0, 0)
 
 
 class TestBenchScaling:

@@ -92,6 +92,17 @@ class TestGen:
         assert (proc.returncode, proc.stdout, proc.stderr) == (2 if err else 0, out, err)
 
 
+    @pytest.mark.parametrize("argv, n", [
+        (["regular", str(MAX_VERTICES + 2), "0"], MAX_VERTICES + 2),
+        (["gallai", "0", str(MAX_VERTICES + 1)], MAX_VERTICES + 1),
+    ])
+    def test_generators_check_the_vertex_count_before_they_allocate(self, capsys, argv, n):
+        # the stubs or pairs of a graph past the limit would take gigabytes
+        code, out, err = run(capsys, ["gen", *argv])
+        assert (code, out) == (2, "")
+        assert err == f"gen: vertex count {n} exceeds the limit of {MAX_VERTICES}\n"
+
+
 class TestDecomposeRoundTrip:
     def test_pipe_gen_decompose_validate(self, capsys):
         code, edges, _ = run(capsys, ["gen", "gnp", "16", "0.5", "--seed", "7"])

@@ -17,6 +17,7 @@ from cycledecomp.expansion import (
     check_dichotomy,
     extract_well_expanding_core,
     worst_case_frontier,
+    _certify_heuristic,
     _subset_count,
     _subsets_after,
 )
@@ -32,6 +33,7 @@ from helpers import (
     path_graph,
     random_gnp,
     reference_certify,
+    reference_certify_heuristic,
     star_graph,
 )
 
@@ -369,6 +371,44 @@ def test_heuristic_violations_reverify_on_random_graphs():
             found += 1
             assert v.reverify(g)
     assert found > 0  # sparse G(n, .12) graphs do produce violations
+
+
+def test_heuristic_matches_the_two_loop_reference(monkeypatch):
+    """The one growth loop tests the sets the two loops tested, in their
+    order, from the counts it keeps: the same violating U, or None, and the
+    same count, on graphs of 0 to 3 vertices, disconnected graphs, graphs
+    past the every-size limit of 256 vertices, and with the connectivity
+    shortcut switched off."""
+    rng = random.Random(28)
+    seen = Counter()
+    for shortcut in (True, False):
+        if not shortcut:
+            monkeypatch.setattr(ExpanderParams, "connectivity_only", lambda self, n: False)
+        for i in range(1100):
+            if i < 100:
+                n = i % 4
+            elif i < 104:
+                n = rng.randint(257, 300)
+            else:
+                n = rng.randint(4, 36)
+            g = random_gnp(rng, n, rng.choice((0.02, 0.1, 0.2, 0.4, 0.8)) if n <= 256
+                           else rng.choice((0.004, 0.02, 0.1)))
+            eps = rng.choice((2**-5, 0.1, 0.5, 1.0))
+            s = rng.choice((0.0, 0.25, 0.5, 1.0, 3.0))
+            p = rng.choice((
+                ExpanderParams(eps, s),
+                ExpanderParams(eps, s, "const", rng.choice((0.5, 1.0, 4.0))),
+                ExpanderParams(1e-300, s, "const", 1e300),  # every threshold underflows to 0
+            ))
+            seed = rng.randrange(1000)
+            got = _certify_heuristic(g, p, seed)
+            assert got == reference_certify_heuristic(g, p, seed), (n, g.m, p, seed)
+            seen["found" if got[0] is not None else "none"] += 1
+            seen["disconnected"] += len(g.components()) > 1
+            seen["large"] += n > 256
+            seen["underflow"] += p.epsilon == 1e-300
+    assert seen["found"] >= 300 and seen["none"] >= 300 and seen["disconnected"] >= 300, seen
+    assert seen["large"] == 8 and seen["underflow"] >= 300, seen
 
 
 def test_every_witness_deletes_what_the_exact_adversary_deletes():

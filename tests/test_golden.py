@@ -200,7 +200,7 @@ def object_outcome(from_json, validate, doc: dict, g: Graph):
 
 def non_edge(g: Graph):
     return next(([u, v] for u, v in itertools.combinations(range(g.host_n), 2)
-                 if not g.has_edge(u, v)), None)
+                 if (u, v) not in g._edge_index()), None)
 
 
 def document_mutations(doc: dict, g: Graph):

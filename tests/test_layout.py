@@ -1,8 +1,9 @@
 """What each module may know of the others: graph.py alone holds a graph's
 cached adjacency and builds its views, certify_expander alone builds a
 verdict, the pipeline reaches no expander code, no module hands work to a
-pool of processes or threads, and the calls perfbench's tracer wraps by
-name keep their shapes."""
+pool of processes or threads, every definition in src/ is named somewhere
+outside itself, and the calls perfbench's tracer wraps by name keep their
+shapes."""
 
 import ast
 import re
@@ -40,8 +41,8 @@ def test_only_graph_and_the_peel_construct_graphs():
 
 
 def test_only_certify_expander_builds_verdicts():
-    """Each certifier returns its violating set and count; the verdict, its
-    certified flag and its witness's F are made in one place."""
+    """Each certifier returns its violating set and count; the verdict and
+    its witness's F are made in one place, and its flags derive from them."""
     assert callers("ExpanderVerdict") == {("expansion.py", "certify_expander")}
 
 
@@ -93,3 +94,37 @@ def test_traced_expander_stage_has_the_part_counters_as_stats():
     assert all(type(v) is int for v in got.stats.values())
     assert "singles" in pipeline.Stage._fields
     assert isinstance(got.rest, Graph)
+
+
+def test_every_definition_in_src_is_named_outside_itself():
+    """Each function, method and class in src/ is named somewhere in src/,
+    demos/ or perfbench/ outside its own definition; what nothing names is
+    dead code.  Dunder names are called by Python itself."""
+    root = SRC.parent.parent
+    trees = {path: ast.parse(path.read_text()) for folder in ("src", "demos", "perfbench")
+             for path in sorted((root / folder).rglob("*.py"))}
+    named: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.asname or node.name
+            else:
+                continue
+            named.setdefault(name, []).append((path, node.lineno))
+    unnamed = []
+    for path, tree in trees.items():
+        if SRC not in path.parents:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if not any(where != path or not node.lineno <= line <= node.end_lineno
+                       for where, line in named.get(node.name, ())):
+                unnamed.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unnamed == []

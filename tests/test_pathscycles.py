@@ -300,7 +300,9 @@ class TestPeelMatchesReference:
 def test_tables_are_dicts_only_below_a_sixteenth_of_the_host():
     """The finder's and the sweep's depth and pointer tables: a dict over
     the part's own vertices below a sixteenth of its host, a host-length
-    list from there up.  No benchmark workload sweeps a part that small."""
+    list from there up.  Every benchmark workload builds some dict tables,
+    most of them on sparse inputs, but no host there is large enough for
+    the choice to change a timing."""
     host = path_graph(64)
     for n in (1, 3, 4, 5, 64):
         part = host.subview(vertices=range(64 - n, 64))

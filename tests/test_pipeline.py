@@ -603,8 +603,8 @@ def brute_min_pieces(g: Graph) -> int:
             # each cycle once: smallest vertex first, one direction
             if vs[0] != min(vs) or vs[1] > vs[-1]:
                 continue
-            pairs = list(zip(vs, vs[1:] + vs[:1]))
-            if all(g.has_edge(a, b) for a, b in pairs):
+            pairs = [(a, b) if a < b else (b, a) for a, b in zip(vs, vs[1:] + vs[:1])]
+            if all(e in g._edge_index() for e in pairs):
                 cycles.append(frozenset(g.edge_id(a, b) for a, b in pairs))
     best = g.m
 
