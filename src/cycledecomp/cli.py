@@ -80,7 +80,11 @@ def _info(args: argparse.Namespace, msg: str) -> None:
 
 
 def _params_from_args(args: argparse.Namespace) -> ExpanderParams:
-    return ExpanderParams(args.epsilon, args.s, args.denominator, args.denominator_const)
+    if args.denominator_const is None:
+        return ExpanderParams(args.epsilon, args.s, args.denominator)
+    if args.denominator != "const":
+        raise ValueError("--denominator-const applies only with --denominator const")
+    return ExpanderParams(args.epsilon, args.s, "const", args.denominator_const)
 
 
 # -- subcommand bodies ---------------------------------------------------------
@@ -388,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     expander_args.add_argument("--epsilon", type=float, required=True)
     expander_args.add_argument("--s", type=float, required=True)
     expander_args.add_argument("--denominator", choices=("log2sq", "const"), default="log2sq")
-    expander_args.add_argument("--denominator-const", type=float, default=1.0)
+    expander_args.add_argument("--denominator-const", type=float)
 
     ap = argparse.ArgumentParser(
         prog="cycledecomp",

@@ -72,7 +72,6 @@ class RoutedPaths:
 class RouteFailure:
     stuck: tuple[tuple[int, int], ...]
     attempts: int
-    strategy: str
     reason: str = ""
 
 
@@ -201,28 +200,27 @@ def _route_matching_oracle(
     ]
     if any(not c for c in cands):
         stuck = tuple(p for p, c in zip(batch.pairs, cands) if not c)
-        return RouteFailure(stuck, 1, "matching_oracle", "pair has no candidate path")
+        return RouteFailure(stuck, 1, "pair has no candidate path")
     order = sorted(range(len(cands)), key=lambda i: (len(cands[i]), i))
-    chosen: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-
-    def bt(pos: int, used: frozenset[int]) -> bool:
-        if pos == len(order):
-            return True
-        idx = order[pos]
-        for cand in cands[idx]:
-            eids = cand[1]
-            if used & set(eids):
-                continue
-            chosen[idx] = cand
-            if bt(pos + 1, used | set(eids)):
-                return True
-            del chosen[idx]
-        return False
-
-    if not bt(0, frozenset()):
-        return RouteFailure(tuple(batch.pairs), 1, "matching_oracle",
-                            "no edge-disjoint system of representatives exists")
-    paths = tuple(Path(chosen[i][0], chosen[i][1]) for i in range(len(batch.pairs)))
+    # per position, the candidate in use and an iterator over those untried
+    picked: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    untried: list = []
+    used: set[int] = set()
+    while len(picked) < len(order):
+        if len(untried) == len(picked):
+            untried.append(iter(cands[order[len(picked)]]))
+        cand = next((c for c in untried[-1] if used.isdisjoint(c[1])), None)
+        if cand is not None:
+            picked.append(cand)
+            used.update(cand[1])
+        elif picked:
+            untried.pop()
+            used.difference_update(picked.pop()[1])
+        else:
+            return RouteFailure(tuple(batch.pairs), 1,
+                                "no edge-disjoint system of representatives exists")
+    chosen = dict(zip(order, picked))
+    paths = tuple(Path(*chosen[i]) for i in range(len(order)))
     return RoutedPaths(paths, V, ell)
 
 
@@ -293,6 +291,5 @@ def route_pairs(
     return RouteFailure(
         tuple(batch.pairs[i] for i in sorted(stuck)),
         ROUTE_RETRIES,
-        "greedy",
         "dead end after retries",
     )

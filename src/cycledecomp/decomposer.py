@@ -167,7 +167,6 @@ def _final_verdict(g: Graph, p: ExpanderParams, *, cap: int, seed: int) -> Expan
 class SplitResult:
     parts: tuple[Graph, ...]
     attempts: int
-    target: ExpanderParams
     verdicts: tuple[Optional[ExpanderVerdict], ...]
 
 
@@ -234,7 +233,7 @@ def split_expander_edges(
             buckets[rng.randrange(k)].append(eid)
         parts = tuple(g.subview(edge_ids=b) for b in buckets)
         if check == "none" or g.m == 0:
-            return SplitResult(parts, attempt, target, (None,) * k)
+            return SplitResult(parts, attempt, (None,) * k)
         mode = check
         if mode == "auto":
             mode = "exhaustive" if g.n <= cap else "heuristic"
@@ -248,5 +247,5 @@ def split_expander_edges(
                 last_fail = (part, v)
                 break
         if ok:
-            return SplitResult(parts, attempt, target, tuple(verdicts))
+            return SplitResult(parts, attempt, tuple(verdicts))
     raise SplitFailure(SPLIT_RETRY_CAP, *last_fail)

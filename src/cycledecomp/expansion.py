@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import Graph, _check_sets, neighborhood, robust_neighborhood
+from .graph import Graph, _check_sets, _edges_into, neighborhood, robust_neighborhood
 
 
 # greedy-growth roots of the heuristic certifier: half lowest-degree, half random
@@ -152,24 +152,10 @@ def worst_case_frontier(
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    Uset, _ = _check_sets(g, U, ())
-    nbrs, eids = g.arrays()
-    into_u: dict[int, list[int]] = {}
-    for u in Uset:
-        for w, eid in zip(nbrs[u], eids[u]):
-            if w not in Uset:
-                into_u.setdefault(w, []).append(eid)
-    order = sorted(into_u.items(), key=lambda kv: (len(kv[1]), kv[0]))
-    F: set[int] = set()
-    survivors = set(into_u)
-    remaining = budget
-    for w, eids in order:
-        if len(eids) > remaining:
-            break  # costs ascend; nothing cheaper is left
-        remaining -= len(eids)
-        F.update(eids)
-        survivors.discard(w)
-    return F, survivors
+    order = sorted(_edges_into(g, U).items(), key=lambda kv: (len(kv[1]), kv[0]))
+    kill = len(order) - _survivors_from_counts({w: len(ids) for w, ids in order}, budget)
+    F = {eid for _, ids in order[:kill] for eid in ids}
+    return F, {w for w, _ in order[kill:]}
 
 
 # -- certification ---------------------------------------------------------------

@@ -447,30 +447,29 @@ def _check_sets(g: Graph, U: Iterable[int], F: Iterable[int]) -> tuple[set[int],
     return Uset, Fset
 
 
-def neighborhood(g: Graph, U: Iterable[int], F: Iterable[int] = ()) -> set[int]:
-    """External neighborhood of U in g minus the edge set F."""
+def _edges_into(g: Graph, U: Iterable[int], F: Iterable[int] = ()) -> dict[int, list[int]]:
+    """U's boundary in g minus F: each outside vertex with an edge into U,
+    and the ids of its edges into U that are not in F."""
     Uset, Fset = _check_sets(g, U, F)
     nbrs, eids = g.arrays()
-    out: set[int] = set()
+    into: dict[int, list[int]] = {}
     for u in Uset:
         for w, eid in zip(nbrs[u], eids[u]):
             if w not in Uset and eid not in Fset:
-                out.add(w)
-    return out
+                into.setdefault(w, []).append(eid)
+    return into
+
+
+def neighborhood(g: Graph, U: Iterable[int], F: Iterable[int] = ()) -> set[int]:
+    """External neighborhood of U in g minus the edge set F."""
+    return set(_edges_into(g, U, F))
 
 
 def robust_neighborhood(g: Graph, U: Iterable[int], F: Iterable[int], d: int) -> set[int]:
     """Vertices outside U with at least d edges into U, in g minus F."""
     if d < 1:
         raise ValueError("d must be a positive count")
-    Uset, Fset = _check_sets(g, U, F)
-    nbrs, eids = g.arrays()
-    count: dict[int, int] = {}
-    for u in Uset:
-        for w, eid in zip(nbrs[u], eids[u]):
-            if w not in Uset and eid not in Fset:
-                count[w] = count.get(w, 0) + 1
-    return {w for w, c in count.items() if c >= d}
+    return {w for w, ids in _edges_into(g, U, F).items() if len(ids) >= d}
 
 
 # -- edge-list text format ----------------------------------------------------

@@ -1,8 +1,8 @@
 """End-to-end drivers: one expander part into cycles plus edges, one
 density-reduction round, and the iterated log-star loop.
 
-Only ``decompose_expander`` returns a :class:`Stage` of cycles, single
-edge ids and counters; only ``decompose_logstar`` builds a
+Only ``decompose_expander`` returns a :class:`Stage` of cycles, counters
+and the residual graph of single edges; only ``decompose_logstar`` builds a
 :class:`Decomposition`.
 Validity is inviolable and counts are best-effort: an edge that no stage
 puts in a cycle comes out as a single.
@@ -72,11 +72,10 @@ class PipelineConfig:
 
 
 class Stage(NamedTuple):
-    """What one stage hands back: cycles, single edge ids, its counters and
-    the residual graph on the singles."""
+    """What one stage hands back: cycles, its counters and the residual
+    graph, whose edges are the stage's singles."""
 
     cycles: list[Cycle]
-    singles: list[int]
     stats: dict
     rest: Graph
 
@@ -112,11 +111,10 @@ def decompose_expander(g: Graph, cfg: PipelineConfig) -> Stage:
     cycles of at least that length are peeled.  A residue of average degree
     at most ``DEGREE_FLOOR`` is peeled again at length 3, which leaves a
     forest; a denser residue comes back whole, for the next round to peel
-    long.  Every residue edge is handed back as a single, and ``rest`` is
-    the residue itself, on g's vertices, carrying the peel's arrays and its
-    last finder answer.  The stats are exactly the counters in
-    ``PART_COUNTERS``.  ``cfg`` is unused; perfbench/tracing.py wraps the
-    call with it.
+    long.  ``rest`` is that residue, on g's vertices, carrying the peel's
+    arrays and its last finder answer; its edges are the part's singles.
+    The stats are exactly the counters in ``PART_COUNTERS``.  ``cfg`` is
+    unused; perfbench/tracing.py wraps the call with it.
     """
     # the vertices g's edges touch; an edgeless g touches none, and 1 keeps
     # its degree at 0.0
@@ -128,7 +126,7 @@ def decompose_expander(g: Graph, cfg: PipelineConfig) -> Stage:
     if rest.m and min_len > 3 and 2.0 * rest.m / touched <= DEGREE_FLOOR:
         short, rest = peel_long_cycles(rest, 3)
     stats = {"peeled_cycles": len(peeled), "short_cycles": len(short)}
-    return Stage(peeled + short, rest.edge_id_list(), stats, rest)
+    return Stage(peeled + short, stats, rest)
 
 
 # counters of each expander part that a density round sums into its report
@@ -169,7 +167,7 @@ def density_step(g: Graph, cfg: PipelineConfig) -> tuple[list[Cycle], Graph, dic
         for part in [residual] if lone else map(residual.component, parts):
             got = decompose_expander(part, cfg)
             cycles.extend(got.cycles)
-            singles.extend(got.singles)
+            singles.extend(got.rest.edge_ids)
             for key in PART_COUNTERS:
                 report[key] += got.stats[key]
         leftover = got.rest if lone else residual.subview(edge_ids=singles)

@@ -13,17 +13,25 @@ from collections import Counter, deque
 from typing import Iterable, Optional, Union
 
 from cycledecomp.connectivity import (
+    ORACLE_CANDIDATE_CAP,
+    ORACLE_ELL_CAP,
+    ORACLE_VERTEX_CAP,
     PairBatch,
     RouteFailure,
     RoutedPaths,
-    _route_matching_oracle,
+    _enumerate_through_paths,
 )
 from cycledecomp.decomposer import (
     AlmostDecomposeResult,
     _assert_almost_decompose_guarantees,
     almost_decompose_into_expanders,
 )
-from cycledecomp.expansion import ExpanderParams, TheoremViolation, certify_expander
+from cycledecomp.expansion import (
+    CapacityError,
+    ExpanderParams,
+    TheoremViolation,
+    certify_expander,
+)
 from cycledecomp.graph import (
     MAX_VERTICES,
     Cycle,
@@ -184,6 +192,76 @@ def exact_min_pieces(g: Graph) -> int:
         return 1 + min(best(rest) for rest in options)
 
     return best((1 << len(ends)) - 1)
+
+
+# -- reference boundary walks ---------------------------------------------------
+# ``neighborhood``, ``robust_neighborhood`` and ``worst_case_frontier`` as they
+# stood when each walked U's boundary with its own loop and the frontier ran
+# its own greedy.  Kept verbatim (the set check inlined) as the oracles of the
+# differential test.
+
+
+def _reference_check_sets(g: Graph, U, F) -> tuple[set[int], set[int]]:
+    Uset = set(U)
+    if not Uset:
+        raise ValueError("U must be nonempty")
+    if not Uset <= g.vertices:
+        raise ValueError("U must consist of live vertices")
+    Fset = set(F)
+    if not Fset <= g.edge_ids:
+        raise ValueError("F must consist of live edge ids")
+    return Uset, Fset
+
+
+def reference_neighborhood(g: Graph, U, F=()) -> set[int]:
+    """External neighborhood of U in g minus the edge set F."""
+    Uset, Fset = _reference_check_sets(g, U, F)
+    nbrs, eids = g.arrays()
+    out: set[int] = set()
+    for u in Uset:
+        for w, eid in zip(nbrs[u], eids[u]):
+            if w not in Uset and eid not in Fset:
+                out.add(w)
+    return out
+
+
+def reference_robust_neighborhood(g: Graph, U, F, d: int) -> set[int]:
+    """Vertices outside U with at least d edges into U, in g minus F."""
+    if d < 1:
+        raise ValueError("d must be a positive count")
+    Uset, Fset = _reference_check_sets(g, U, F)
+    nbrs, eids = g.arrays()
+    count: dict[int, int] = {}
+    for u in Uset:
+        for w, eid in zip(nbrs[u], eids[u]):
+            if w not in Uset and eid not in Fset:
+                count[w] = count.get(w, 0) + 1
+    return {w for w, c in count.items() if c >= d}
+
+
+def reference_worst_case_frontier(g: Graph, U, budget: int) -> tuple[set[int], set[int]]:
+    """Delete whole neighbours of U in ascending order of their U-edge count
+    (ties: lowest vertex id) while the budget lasts: (deleted ids, survivors)."""
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    Uset, _ = _reference_check_sets(g, U, ())
+    nbrs, eids = g.arrays()
+    into_u: dict[int, list[int]] = {}
+    for u in Uset:
+        for w, eid in zip(nbrs[u], eids[u]):
+            if w not in Uset:
+                into_u.setdefault(w, []).append(eid)
+    order = sorted(into_u.items(), key=lambda kv: (len(kv[1]), kv[0]))
+    F: set[int] = set()
+    survivors = set(into_u)
+    remaining = budget
+    for w, eids in order:
+        if len(eids) > remaining:
+            break  # costs ascend; nothing cheaper is left
+        remaining -= len(eids)
+        F.update(eids)
+        survivors.discard(w)
+    return F, survivors
 
 
 def brute_min_survivors(g: Graph, U, budget: int) -> int:
@@ -388,6 +466,57 @@ def reference_shortest_through_path(adj, used, V, u, v, ell):
     return None
 
 
+# -- reference matching oracle -------------------------------------------------
+# ``_route_matching_oracle`` as it stood when it backtracked by recursion, one
+# call per pair, so a batch of about 1,000 pairs overflowed Python's stack.
+# Kept verbatim, the failures' dropped strategy aside, as the oracle of the
+# differential test.
+
+
+def reference_route_matching_oracle(
+    g: Graph, batch: PairBatch, V: frozenset[int], ell: int
+) -> Union[RoutedPaths, RouteFailure]:
+    """Exact backtracking over enumerated candidate paths per pair.
+
+    Ground truth for feasibility: a failure here means no system of pairwise
+    edge-disjoint through-V paths of length <= ell exists.
+    """
+    if g.n > ORACLE_VERTEX_CAP or ell > ORACLE_ELL_CAP:
+        raise CapacityError(
+            f"matching oracle capped at n<={ORACLE_VERTEX_CAP}, ell<={ORACLE_ELL_CAP}"
+        )
+    nbrs, eids = g.arrays()
+    cands = [
+        _enumerate_through_paths(nbrs, eids, V, u, v, ell, ORACLE_CANDIDATE_CAP)
+        for u, v in batch.pairs
+    ]
+    if any(not c for c in cands):
+        stuck = tuple(p for p, c in zip(batch.pairs, cands) if not c)
+        return RouteFailure(stuck, 1, "pair has no candidate path")
+    order = sorted(range(len(cands)), key=lambda i: (len(cands[i]), i))
+    chosen: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+    def bt(pos: int, used: frozenset[int]) -> bool:
+        if pos == len(order):
+            return True
+        idx = order[pos]
+        for cand in cands[idx]:
+            eids = cand[1]
+            if used & set(eids):
+                continue
+            chosen[idx] = cand
+            if bt(pos + 1, used | set(eids)):
+                return True
+            del chosen[idx]
+        return False
+
+    if not bt(0, frozenset()):
+        return RouteFailure(tuple(batch.pairs), 1,
+                            "no edge-disjoint system of representatives exists")
+    paths = tuple(Path(chosen[i][0], chosen[i][1]) for i in range(len(batch.pairs)))
+    return RoutedPaths(paths, V, ell)
+
+
 # -- reference router ----------------------------------------------------------
 # ``route_pairs`` as it stood before non-final attempts stopped at their first
 # stuck pair and searches expanded cached through-set lists: every attempt
@@ -421,7 +550,7 @@ def reference_route_pairs(
             raise ValueError(f"pair endpoint {w} is not a vertex of the graph")
     Vset = frozenset(V)
     if strategy == "matching_oracle":
-        return _route_matching_oracle(g, batch, Vset, ell)
+        return reference_route_matching_oracle(g, batch, Vset, ell)
     if strategy != "greedy":
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -450,7 +579,6 @@ def reference_route_pairs(
     return RouteFailure(
         tuple(batch.pairs[i] for i in sorted(last_stuck)),
         retries,
-        "greedy",
         "dead end after retries",
     )
 
@@ -1231,7 +1359,7 @@ def reference_density_step(g: Graph, cfg: PipelineConfig) -> tuple[list[Cycle], 
                 continue
             got = decompose_expander(part, cfg)
             cycles.extend(got.cycles)
-            singles.extend(got.singles)
+            singles.extend(got.rest.edge_id_list())
             for key in PART_COUNTERS:
                 report[key] += got.stats[key]
     leftover = Graph(g.host_n, g.edge_table, residual.vertices, frozenset(singles))

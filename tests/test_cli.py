@@ -445,6 +445,29 @@ class TestExpanders:
             assert err == "error: exhaustive certification capped at n=10, got 12\n"
 
 
+@pytest.mark.parametrize("command", ["certify", "expanders"])
+@pytest.mark.parametrize("denominator", [[], ["--denominator", "log2sq"]])
+def test_denominator_const_needs_const_denominator_exit2_one_line(capsys, command, denominator):
+    """--denominator-const is refused, not ignored, unless --denominator const
+    asks for it; with it, the constant is the denominator."""
+    k4 = format_edge_list(complete_graph(4))
+    flags = [command, "--epsilon", "0.5", "--s", "0.5", "--denominator-const", "7"]
+    code, out, err = run(capsys, flags + denominator, stdin=k4)
+    assert (code, out) == (2, "")
+    assert err == "error: --denominator-const applies only with --denominator const\n"
+    # in K4 each pair of vertices keeps its 2 outside neighbours against a
+    # budget of 1: under the threshold ceil(1 / 0.25) = 4, not under ceil(1 / 7) = 1
+    const = [command, "--epsilon", "0.5", "--s", "0.5", "--denominator", "const"]
+    for value, expander in (("0.25", False), ("7", True)):
+        code, out, err = run(capsys, const + ["--denominator-const", value], stdin=k4)
+        assert code == 0, err
+        doc = json.loads(out)
+        if command == "certify":
+            assert doc["is_expander"] is expander
+        else:
+            assert [part["certified"] for part in doc["parts"]] == [expander]
+
+
 def run_quietly(argv: list[str], text: str) -> tuple[int, str]:
     """Exit code and stderr of a command on stdin text; exceptions escape."""
     sys.stdin = io.StringIO(text)
@@ -550,6 +573,26 @@ class TestRoute:
         )
         assert code == 1
         assert json.loads(out)["routed"] is False
+
+    def test_oracle_routes_more_pairs_than_the_recursion_limit(self, capsys, tmp_path):
+        # 1,500 distinct pairs of K128 at ell 1: each has one candidate, its
+        # own edge, and the backtracking goes 1,500 pairs deep
+        pairs = [(u, v) for u in range(128) for v in range(u + 1, 128)][:1500]
+        assert len(pairs) > sys.getrecursionlimit()
+        pair_file = tmp_path / "p.txt"
+        pair_file.write_text("".join(f"{u} {v}\n" for u, v in pairs))
+        through = tmp_path / "v.txt"
+        through.write_text("\n")
+        code, out, err = run(
+            capsys,
+            ["route", "--pairs", str(pair_file), "--through", str(through),
+             "--ell", "1", "--strategy", "matching_oracle"],
+            stdin=format_edge_list(complete_graph(128)),
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["routed"] is True
+        assert doc["paths"] == [list(pr) for pr in pairs]
 
     @pytest.mark.parametrize("strategy", ["greedy", "matching_oracle"])
     @pytest.mark.parametrize("pair, bad", [("98 99", 98), ("0 99", 99)])

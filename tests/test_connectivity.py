@@ -115,7 +115,6 @@ class TestRoutePairs:
         b = PairBatch(((0, 2), (1, 3)))
         rg = route_pairs(g, b, g.vertices, 2)
         assert isinstance(rg, RouteFailure)
-        assert rg.strategy == "greedy"
         assert rg.attempts == ROUTE_RETRIES
         ro = route_pairs(g, b, g.vertices, 2, strategy="matching_oracle")
         assert isinstance(ro, RouteFailure)
@@ -189,7 +188,7 @@ class TestRoutePairs:
         pairs = ((0, 2), (3, 5), (6, 8))
         r = route_pairs(path_graph(10), PairBatch.from_pairs(pairs), set(), 3)
         assert len(calls) == (ROUTE_RETRIES - 1) + 3
-        assert r == RouteFailure(pairs, ROUTE_RETRIES, "greedy", "dead end after retries")
+        assert r == RouteFailure(pairs, ROUTE_RETRIES, "dead end after retries")
 
     def test_determinism(self):
         g = gnp(24, 0.3, 4)
@@ -272,6 +271,51 @@ class TestRouterMatchesReference:
             else:
                 seen["success after two or more attempts"] += 1
         assert min(seen.values()) >= 100, seen
+
+
+def test_oracle_matches_recursive_reference():
+    """The matching oracle's loop against ``reference_route_matching_oracle``,
+    the recursive backtracking it replaced: the same first system of paths,
+    and the same failure, reason and attempts, or the same exception."""
+    rng = random.Random(29)
+    seen: Counter = Counter()
+    while sum(seen.values()) < 1500:
+        n = rng.randint(2, 12)
+        g = gnp(n, rng.choice([0.2, 0.4, 0.6, 0.8, 1.0]), rng.randrange(10**6))
+        if rng.random() < 0.3:  # vertex ids with gaps
+            g = g.subview(vertices=[w for w in g.vertices if rng.random() < 0.8])
+        verts = g.vertex_list()
+        if len(verts) < 2:
+            continue
+        if rng.random() < 0.07:
+            # a complete graph and a long cap: the candidate list passes its
+            # cap, or ell passes the oracle's
+            g = complete_graph(rng.randint(10, 12))
+            verts = g.vertex_list()
+            V, ell = frozenset(verts), rng.choice([8, 11])
+            pairs = [tuple(rng.sample(verts, 2))]
+        else:
+            V = frozenset(w for w in verts if rng.random() < rng.random())
+            ell = rng.randint(1, 3)
+            pairs = [tuple(rng.sample(verts, 2)) for _ in range(rng.randint(1, 6))]
+            if rng.random() < 0.3:
+                # more pairs at one vertex than it has edges: contended
+                hub = rng.choice(verts)
+                others = [w for w in verts if w != hub]
+                pairs = [(hub, rng.choice(others)) for _ in range(rng.randint(2, 5))]
+        batch = PairBatch.from_pairs(pairs)
+        try:
+            want = reference_route_pairs(g, batch, V, ell, "matching_oracle")
+        except CapacityError as exc:
+            with pytest.raises(CapacityError) as got:
+                route_pairs(g, batch, V, ell, "matching_oracle")
+            assert str(got.value) == str(exc)
+            seen["capacity: " + str(exc).split()[0]] += 1
+            continue
+        got = route_pairs(g, batch, V, ell, "matching_oracle")
+        assert got == want, (g.fingerprint(), batch.pairs, sorted(V), ell)
+        seen[want.reason if isinstance(want, RouteFailure) else "routed"] += 1
+    assert min(seen.values()) >= 40 and len(seen) == 5, seen
 
 
 @settings(max_examples=40, deadline=None)

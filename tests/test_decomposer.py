@@ -284,10 +284,12 @@ class TestSplitExpanderEdges:
         assert res.attempts == 1  # observed with seed 0; spec allows up to 5
         assert sorted(pt.m for pt in res.parts) == [10, 18]
         assert sum(pt.m for pt in res.parts) == g.m
+        target = split_target_params(ExpanderParams(1, 1), 2, g.n)
+        assert target.epsilon == pytest.approx(0.25)
+        assert target.s == pytest.approx(1.0 / 48.0)
         for v in res.verdicts:
             assert v is not None and v.is_expander and v.certified
-        assert res.target.epsilon == pytest.approx(0.25)
-        assert res.target.s == pytest.approx(1.0 / 48.0)
+            assert v.params == target
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_edge_counts_partition_for_all_k(self, k):

@@ -21,7 +21,7 @@ from cycledecomp.expansion import (
     _subset_count,
     _subsets_after,
 )
-from cycledecomp.graph import MAX_VERTICES, Graph, neighborhood
+from cycledecomp.graph import MAX_VERTICES, Graph, neighborhood, robust_neighborhood
 
 from helpers import (
     brute_certify,
@@ -34,6 +34,10 @@ from helpers import (
     random_gnp,
     reference_certify,
     reference_certify_heuristic,
+    reference_neighborhood,
+    reference_robust_neighborhood,
+    reference_worst_case_frontier,
+    scattered_subview,
     star_graph,
 )
 
@@ -149,6 +153,73 @@ def test_worst_frontier_budget_checked_before_the_set():
     with pytest.raises(ValueError) as exc:
         worst_case_frontier(path_graph(4), (), -1)
     assert str(exc.value) == "budget must be nonnegative"
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, never swallowed: both sides must agree
+        return type(exc), str(exc)
+
+
+def test_boundary_walks_match_reference():
+    """``neighborhood``, ``robust_neighborhood`` and ``worst_case_frontier``
+    share one walk over U's boundary and one adversary; each is held to a
+    copy that walked and deleted on its own, on views with gaps, U from one
+    vertex to all of them, F from nothing to every edge at U, budgets from 0
+    past U's edge count and d from 1 past U's largest count, and on invalid
+    U, F, d and budget, which must raise the same error."""
+    rng = random.Random(29)
+    seen: Counter = Counter()
+    cases = 0
+    while cases < 1200:
+        if rng.random() < 0.7:
+            g = scattered_subview(rng)
+        else:
+            g = random_gnp(rng, rng.randint(1, 12), 0.5)
+        verts = g.vertex_list()
+        if not verts:
+            continue
+        cases += 1
+        seen["gaps"] += verts[-1] - verts[0] + 1 > len(verts)
+        size = rng.choice([1, len(verts), rng.randint(1, len(verts))])
+        seen["U one vertex"] += size == 1
+        seen["U all vertices"] += size == len(verts)
+        U = set(rng.sample(verts, size))
+        nbrs, eids = g.arrays()
+        at_u = sorted({e for u in U for e in eids[u]})
+        F = set(rng.sample(at_u, rng.choice([0, len(at_u), rng.randint(0, len(at_u))])))
+        seen["F empty"] += not F
+        seen["F every edge at U"] += bool(at_u) and len(F) == len(at_u)
+        counts = Counter(w for u in U for w in nbrs[u] if w not in U)
+        budget = rng.randint(0, sum(counts.values()) + 2)
+        seen["budget 0"] += budget == 0
+        seen["budget past U's edge count"] += budget > sum(counts.values())
+        top = max(counts.values(), default=0)
+        d = rng.randint(1, top + 1)
+        seen["d 1"] += d == 1
+        seen["d above U's largest count"] += d > top
+        bad = rng.choice(["U", "F", "d", "budget"]) if rng.random() < 0.2 else None
+        if bad == "U":
+            U = rng.choice([set(), U | {g.host_n + rng.randint(0, 3)}])
+        elif bad == "F":
+            F = F | {len(g.edge_table) + rng.randint(0, 3)}
+        elif bad == "d":
+            d = rng.randint(-2, 0)
+        elif bad == "budget":
+            budget = rng.randint(-3, -1)
+        for got, want in (
+            (_outcome(neighborhood, g, U, F), _outcome(reference_neighborhood, g, U, F)),
+            (_outcome(robust_neighborhood, g, U, F, d),
+             _outcome(reference_robust_neighborhood, g, U, F, d)),
+            (_outcome(worst_case_frontier, g, U, budget),
+             _outcome(reference_worst_case_frontier, g, U, budget)),
+        ):
+            assert got == want, (g.fingerprint(), sorted(U), sorted(F), d, budget)
+            if isinstance(want, tuple) and isinstance(want[0], type):
+                seen[f"invalid: {want[1]}"] += 1
+    assert min(seen.values()) >= 30 and len(seen) == 14, seen
 
 
 # -- certify_expander ----------------------------------------------------------

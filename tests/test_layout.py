@@ -2,8 +2,8 @@
 cached adjacency and builds its views, certify_expander alone builds a
 verdict, the pipeline reaches no expander code, no module hands work to a
 pool of processes or threads, every definition in src/ is named somewhere
-outside itself, and the calls perfbench's tracer wraps by name keep their
-shapes."""
+outside itself, every field in src/ is read, and the calls perfbench's
+tracer wraps by name keep their shapes."""
 
 import ast
 import re
@@ -92,7 +92,6 @@ def test_traced_expander_stage_has_the_part_counters_as_stats():
     got = pipeline.decompose_expander(g, pipeline.PipelineConfig.engineering())
     assert set(got.stats) == set(pipeline.PART_COUNTERS)
     assert all(type(v) is int for v in got.stats.values())
-    assert "singles" in pipeline.Stage._fields
     assert isinstance(got.rest, Graph)
 
 
@@ -128,3 +127,29 @@ def test_every_definition_in_src_is_named_outside_itself():
                        for where, line in named.get(node.name, ())):
                 unnamed.append(f"{path.name}:{node.lineno} {node.name}")
     assert unnamed == []
+
+
+def test_every_field_in_src_is_read():
+    """Each annotated class field in src/ is read as an attribute somewhere
+    in src/, demos/ or perfbench/; a field nothing reads is a second copy of
+    what its producer already knows.  Fields are matched by name, so a read
+    of any attribute of the same name counts: ``args.strategy`` in the CLI
+    hid ``RouteFailure.strategy``, which nothing read, from this test, and
+    that field was found and removed by hand."""
+    root = SRC.parent.parent
+    trees = {path: ast.parse(path.read_text()) for folder in ("src", "demos", "perfbench")
+             for path in sorted((root / folder).rglob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path, tree in trees.items():
+        if SRC not in path.parents:
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                        and stmt.target.id not in read):
+                    unread.append(f"{path.name}:{stmt.lineno} {cls.name}.{stmt.target.id}")
+    assert unread == []

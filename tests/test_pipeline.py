@@ -196,7 +196,7 @@ class TestRoundMatchesReference:
 
 
 def as_decomposition(g: Graph, stage: pipeline.Stage) -> Decomposition:
-    return Decomposition.from_parts(g, stage.cycles, stage.singles, stats=stage.stats)
+    return Decomposition.from_parts(g, stage.cycles, stage.rest.edge_id_list(), stats=stage.stats)
 
 
 def peel_calls(monkeypatch):
@@ -218,13 +218,13 @@ class TestDecomposeExpander:
         g = cycle_graph(3)
         got = decompose_expander(g, CFG)
         assert validate_decomposition(g, as_decomposition(g, got)).ok
-        assert len(got.cycles) == 1 and not got.singles
+        assert len(got.cycles) == 1 and not got.rest.edge_id_list()
 
     def test_complete_32_frozen(self):
         g = complete_graph(32)
         got = decompose_expander(g, CFG)
         assert validate_decomposition(g, as_decomposition(g, got)).ok
-        assert (len(got.cycles), len(got.singles)) == (3, 402)
+        assert (len(got.cycles), len(got.rest.edge_id_list())) == (3, 402)
         assert (got.stats["peeled_cycles"], got.stats["short_cycles"]) == (3, 0)
 
     def test_dense_residue_comes_back_whole(self, monkeypatch):
@@ -235,8 +235,8 @@ class TestDecomposeExpander:
         assert lens == [63]
         assert validate_decomposition(g, as_decomposition(g, got)).ok
         assert got.cycles == peeled[0][0]
-        assert got.singles == peeled[0][1].edge_id_list()
-        assert (len(got.cycles), len(got.singles)) == (3, 1826)
+        assert got.rest.edge_id_list() == peeled[0][1].edge_id_list()
+        assert (len(got.cycles), len(got.rest.edge_id_list())) == (3, 1826)
         assert (got.stats["peeled_cycles"], got.stats["short_cycles"]) == (3, 0)
 
     def test_sparse_residue_is_peeled_again_at_3(self, monkeypatch):
@@ -247,10 +247,10 @@ class TestDecomposeExpander:
         assert lens == [20, 3]
         assert peeled[0][1].avg_degree() <= pipeline.DEGREE_FLOOR
         assert validate_decomposition(g, as_decomposition(g, got)).ok
-        rest = g.subview(edge_ids=got.singles)
+        rest = g.subview(edge_ids=got.rest.edge_id_list())
         assert rest.m == rest.n - len(rest.components())  # a forest
         assert (got.stats["peeled_cycles"], got.stats["short_cycles"]) == (17, 9)
-        assert (len(got.cycles), len(got.singles)) == (26, 23)
+        assert (len(got.cycles), len(got.rest.edge_id_list())) == (26, 23)
 
     def test_every_part_counter_in_every_branch(self):
         # empty, sparse-residue and dense-residue parts
@@ -275,7 +275,7 @@ class TestDecomposeExpander:
                 whole = r if len(comps) == 1 else r.subview(edge_ids=part.edge_ids)
                 got, want = decompose_expander(whole, CFG), decompose_expander(part, CFG)
                 assert got.cycles == want.cycles
-                assert (got.singles, got.stats) == (want.singles, want.stats)
+                assert (got.rest.edge_id_list(), got.stats) == (want.rest.edge_id_list(), want.stats)
                 assert got.rest.vertices == whole.vertices
                 padded += whole.n > part.n
         assert padded >= 30
@@ -283,7 +283,7 @@ class TestDecomposeExpander:
     def test_empty_graph(self):
         g = Graph.from_edges(5, [])
         got = decompose_expander(g, CFG)
-        assert not got.cycles and not got.singles
+        assert not got.cycles and not got.rest.edge_id_list()
 
     def test_determinism(self):
         g = gnp(48, 0.4, 9)
