@@ -21,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .graph import Graph, format_edge_list, validate_decomposition
+from .graph import MAX_VERTICES, Graph, format_edge_list, validate_decomposition
 from .pipeline import PipelineConfig, decompose_logstar
 
 DEFAULT_SIZES = (128, 256, 512, 1024, 2048)
@@ -243,7 +243,8 @@ def bench_scaling(
     validity violation raises BenchFailure with the instance saved beside
     the output file, which is then left empty.  Raises ValueError, before
     any instance runs, for a repeated family, size or seed, an unknown
-    family, a size below 1 or a gallaiK family at a size below 2k + 2.
+    family, a size below 1 or above ``MAX_VERTICES``, or a gallaiK family
+    at a size below 2k + 2.
     """
     if cfg is None:
         cfg = PipelineConfig.engineering()
@@ -253,6 +254,8 @@ def bench_scaling(
             raise ValueError(f"{what} {repeated[0]} given more than once")
     if min(sizes, default=1) < 1:
         raise ValueError(f"sizes must be at least 1, got {min(sizes)}")
+    if max(sizes, default=1) > MAX_VERTICES:
+        raise ValueError(f"sizes must be at most {MAX_VERTICES}, got {max(sizes)}")
     for f in families:
         k = _gallai_k(f)
         if k is not None and min(sizes, default=2 * k + 2) < 2 * k + 2:

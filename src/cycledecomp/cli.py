@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -116,6 +117,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    if args.out and args.report and os.path.realpath(args.out) == os.path.realpath(args.report):
+        raise ValueError("--out and --report name the same file")
     g = _read_graph(args.file)
     cfg = PipelineConfig(args.preset, args.seed)
     # opened first, so an unwritable report path fails before any output
@@ -184,15 +187,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             "F": sorted([list(tab[eid]) for eid in F]),
             "reverified": verdict.reverify(g),
         }
-    # the exact count can pass Python's int-to-text digit limit (absent before
-    # 3.10.7); lift it for this write only, so input parsing keeps it
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
-    set_limit(0)
-    try:
-        _emit_json(doc, args.out)
-    finally:
-        set_limit(limit)
+    _emit_json(doc, args.out)
     return 0
 
 

@@ -106,7 +106,7 @@ class ExpanderVerdict:
     mode: str
     params: ExpanderParams
     violation: Optional[tuple[frozenset[int], frozenset[int]]]
-    subsets_checked: int
+    subsets_checked: int  # the vertex sets this call tested
 
     @property
     def is_expander(self) -> bool:
@@ -174,15 +174,16 @@ def certify_expander(
     Exhaustive mode iterates every U with 1 <= |U| <= floor(2n/3) (size
     ascending, then lexicographic), solves the inner minimization exactly,
     and is a certificate either way; it refuses n > ``cap`` with
-    ``CapacityError``, except when ``p.connectivity_only(n)`` lets a
-    component count give the same answer at any size, or a survivor
-    threshold of at most 0 lets no set violate.  Heuristic mode
+    ``CapacityError``, except when ``p.connectivity_only(n)`` lets a test
+    of the smallest component give the same answer at any size, or a
+    survivor threshold of at most 0 lets no set violate.  Heuristic mode
     searches candidate U via connected components, low-degree greedy growth,
     BFS prefix cuts, and random seeds; a true verdict only means "no
     violation found".
 
-    Each certifier returns its violating U, or None, and its subset count;
-    the verdict is built here alone, its F the adversary's deletions for U.
+    Each certifier returns its violating U, or None, and the vertex sets
+    this call tested; the verdict is built here alone, its F the
+    adversary's deletions for U.
     """
     if mode == "exhaustive":
         U, checked = _certify_exhaustive(g, p, cap)
@@ -209,15 +210,36 @@ def _survivors_from_counts(cnt: dict[int, int], budget: int) -> int:
     return len(cnt) - kill
 
 
+def _component_violation(g: Graph, p: ExpanderParams) -> tuple[Optional[set[int]], int]:
+    """Test g's smallest component as U, ties to the lowest first vertex.
+
+    It is tested only when g has at least 2 components, so it holds at most
+    n/2 <= floor(2n/3) vertices; having no outside neighbour, it violates
+    exactly when the threshold is above 0.  Returns U or None, and the sets
+    tested, 0 or 1.
+    """
+    comps = g.components()
+    if len(comps) < 2:
+        return None, 0
+    smallest = min(comps, key=len)
+    if p.threshold(len(smallest), g.n) > 0:
+        return set(smallest), 1
+    return None, 1
+
+
 def _certify_exhaustive(g: Graph, p: ExpanderParams, cap: int) -> tuple[Optional[set[int]], int]:
-    """The enumeration's first violating U, or None, and the subsets it checked."""
+    """The enumeration's first violating U, or None, and the sets this call tested.
+
+    In the connectivity regime a violation is a union of components, so the
+    first one (size ascending, then lexicographic) is the smallest component.
+    """
     n = g.n
     if p.connectivity_only(n):
-        return _certify_by_components(g)
+        return _component_violation(g, p)
     max_size = (2 * n) // 3
     if p.threshold(max_size, n) <= 0:
         # the threshold only grows with |U|, so no set leaves fewer survivors
-        return None, _subset_count(n, max_size)
+        return None, 0
     if n > cap:
         raise CapacityError(f"exhaustive certification capped at n={cap}, got {n}")
     verts = g.vertex_list()
@@ -239,79 +261,17 @@ def _certify_exhaustive(g: Graph, p: ExpanderParams, cap: int) -> tuple[Optional
     return None, checked
 
 
-def _subset_count(n: int, top: int) -> int:
-    """Number of subsets of an n-set with 1 <= size <= top."""
-    total = 0
-    c = 1
-    for k in range(top):
-        c = c * (n - k) // (k + 1)  # C(n, k + 1), exactly
-        total += c
-    return total
-
-
-def _subsets_after(a: list[int], n: int) -> int:
-    """Subsets of range(n) of size len(a) >= 1 lexicographically after a.
-
-    For sorted indices a_0 < ... < a_{k-1} that is sum_i C(n - 1 - a_i, k - i).
-    The terms are walked from the last index to the first, each obtained
-    from the one before by unit steps of the binomial recurrences, so the
-    whole sum costs O(n) big-integer steps.
-    """
-    N = n - 1 - a[-1]
-    r = 1
-    c = N  # C(N, r); N >= r - 1 holds throughout, so c = 0 only when N = r - 1
-    after = c
-    for i in range(len(a) - 2, -1, -1):
-        for _ in range(a[i + 1] - a[i]):
-            N += 1
-            c = 1 if N == r else c * N // (N - r)  # C(N, r) from C(N - 1, r)
-        c = c * (N - r) // (r + 1)  # C(N, r + 1) from C(N, r)
-        r += 1
-        after += c
-    return after
-
-
-def _certify_by_components(g: Graph) -> tuple[Optional[list[int]], int]:
-    """Exhaustive answer in the connectivity-only regime, without enumerating.
-
-    Every union of components is at least as large as the smallest one, so
-    the first violation the enumeration reaches (size ascending, then
-    lexicographic) is the smallest component, ties to the lowest first
-    vertex; the budget is 0, so its F is empty.  The count is what the
-    enumeration would have checked: every smaller subset, plus the
-    witness's lexicographic position among subsets of its size.
-    """
-    n = g.n
-    max_size = (2 * n) // 3
-    smallest = min(g.components(), key=len, default=[])
-    if not 1 <= len(smallest) <= max_size:
-        return None, _subset_count(n, max_size)
-    index = {v: i for i, v in enumerate(g.vertex_list())}
-    after = _subsets_after([index[v] for v in smallest], n)
-    return smallest, _subset_count(n, len(smallest)) - after
-
-
 def _certify_heuristic(g: Graph, p: ExpanderParams, seed: int) -> tuple[Optional[set[int]], int]:
-    """The search's first violating U, or None, and the candidate sets it checked."""
+    """The search's first violating U, or None, and the vertex sets this call tested."""
     n = g.n
-    checked = 0
     nbrs = g.arrays()[0]
     max_size = (2 * n) // 3
 
-    # (b) components: a component has no outside neighbour, so it violates
-    # exactly when its size is in range and the threshold is above 0
-    comps = g.components()
-    if len(comps) > 1:
-        smallest = min(comps, key=len)
-        if 1 <= len(smallest) <= max_size:
-            checked += 1
-            if p.threshold(len(smallest), n) > 0:
-                return set(smallest), checked
-
-    if p.connectivity_only(n):
-        # a violation is exactly a disconnection, which the component check
-        # above looked for; every graph under 2 vertices is in this regime
-        return None, checked
+    # (b) components; in the connectivity regime, which holds below 2
+    # vertices, a violation is exactly a disconnection, so the search ends
+    U, checked = _component_violation(g, p)
+    if U is not None or p.connectivity_only(n):
+        return U, checked
 
     def grow(root, pick, top, every):
         """Grow U from root by pick(U, cnt) up to top vertices, keeping cnt,

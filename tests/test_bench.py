@@ -177,6 +177,13 @@ class TestBenchScaling:
         with pytest.raises(ValueError, match=match):
             bench_scaling(**{"families": ("gnp8n",), "seeds": (0,), **kw})
 
+    def test_sizes_above_the_vertex_limit_rejected_upfront(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(bench, "decompose_logstar", lambda g, cfg: ran.append(g.n))
+        with pytest.raises(ValueError, match=f"sizes must be at most {MAX_VERTICES}"):
+            bench_scaling(families=("gnp8n",), sizes=(128, MAX_VERTICES + 1), seeds=(0,))
+        assert ran == []
+
     @pytest.mark.parametrize("kw, what", [
         (dict(families=("gnp8n", "gnp8n")), "family gnp8n"),
         (dict(sizes=(16, 24, 16)), "size 16"),

@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-import math
 import os
 import random
 import subprocess
@@ -161,6 +160,17 @@ class TestDecomposeRoundTrip:
                 "d_in", "d_out", "min_len", "seconds", "edges_in", "cycle_edges", "edges_left",
                 "cycles_peeled", "cycles_general", "parts", *PART_COUNTERS,
             }
+
+    def test_out_and_report_naming_one_file_exit2_one_line(self, capsys, tmp_path):
+        # both spellings of the report path resolve to the --out file, which
+        # is never created
+        same = tmp_path / "same.json"
+        (tmp_path / "sub").mkdir()
+        for report in (same, tmp_path / "sub" / ".." / "same.json"):
+            argv = ["decompose", "--out", str(same), "--report", str(report)]
+            assert run(capsys, argv, stdin="3 3\n0 1\n1 2\n0 2\n") == (
+                2, "", "error: --out and --report name the same file\n")
+            assert not same.exists()
 
     def test_determinism_byte_identical(self, capsys):
         _, edges, _ = run(capsys, ["gen", "gnp", "24", "0.5", "--seed", "4"])
@@ -337,22 +347,19 @@ class TestCertify:
         doc = json.loads(out)
         assert doc["is_expander"] is True and doc["certified"] is True
         assert doc["mode"] == "exhaustive" and doc["witness"] is None
-        assert doc["subsets_checked"] == sum(math.comb(30, k) for k in range(1, 21))
+        assert doc["subsets_checked"] == 0  # connected: no component to test
 
     def test_zero_threshold_answers_without_enumerating(self, capsys):
         # epsilon 1e-300 over a denominator of 1e308 underflows every survivor
-        # threshold to 0, so no set violates: the count is the enumeration's
-        # (988,115 subsets at n = 20), and n = 21 passes the cap of 20
+        # threshold to 0, so no set violates and none is tested, at n = 20
+        # and at n = 21, past the cap of 20
         zero = ["certify", "--epsilon", "1e-300", "--s", "0",
                 "--denominator", "const", "--denominator-const", "1e308"]
-        _, edges, _ = run(capsys, ["gen", "gnp", "20", "0.2", "--seed", "0"])
-        assert run(capsys, zero, stdin=edges) == (0, (
-            '{"certified":true,"is_expander":true,"mode":"exhaustive",'
-            '"subsets_checked":988115,"witness":null}\n'), "")
-        _, edges, _ = run(capsys, ["gen", "gnp", "21", "0.2", "--seed", "0"])
-        code, out, err = run(capsys, zero, stdin=edges)
-        assert code == 0, err
-        assert json.loads(out)["subsets_checked"] == sum(math.comb(21, k) for k in range(1, 15))
+        for n in ("20", "21"):
+            _, edges, _ = run(capsys, ["gen", "gnp", n, "0.2", "--seed", "0"])
+            assert run(capsys, zero, stdin=edges) == (0, (
+                '{"certified":true,"is_expander":true,"mode":"exhaustive",'
+                '"subsets_checked":0,"witness":null}\n'), "")
 
     @pytest.mark.parametrize("s", ["inf", "nan"])
     def test_non_finite_s_exit2_one_line(self, capsys, s):
@@ -371,28 +378,27 @@ class TestCertify:
         assert code == 0, err
         assert json.loads(out)["is_expander"] is False
 
-    def test_count_past_the_digit_limit_is_exact(self, capsys):
-        # the 15000-cycle is connected, so every subset up to 10000 vertices
-        # counts: a 4,516-digit number, past Python's default int-text limit
-        n = 15000
-        edges = f"{n} {n}\n" + "".join(f"{min(i, (i + 1) % n)} {max(i, (i + 1) % n)}\n"
-                                        for i in range(n))
+    def test_connected_cycle_tests_no_set_and_keeps_the_digit_limit(self, capsys):
+        # the 15000-cycle is connected, so the connectivity regime tests no
+        # set; a full enumeration would have visited a 4,516-digit count
+        edges = format_edge_list(cycle_graph(15000))
         limit = sys.get_int_max_str_digits()
         code, out, err = run(capsys, ["certify", "--epsilon", "0.001", "--s", "0"], stdin=edges)
         assert code == 0, err
         assert sys.get_int_max_str_digits() == limit
-        sys.set_int_max_str_digits(0)
-        try:
-            doc = json.loads(out)
-        finally:
-            sys.set_int_max_str_digits(limit)
-        expected = 2 ** n - 1 - sum(math.comb(n, k) for k in range(2 * n // 3 + 1, n + 1))
+        doc = json.loads(out)
         assert doc["is_expander"] is True
-        assert doc["subsets_checked"] == expected
+        assert doc["subsets_checked"] == 0
         # input parsing keeps the limit: a huge digit string still exits 2
         code, _, err = run(capsys, ["certify", "--epsilon", "0.001", "--s", "0"],
                            stdin="9" * 5000 + " 1\n")
         assert code == 2 and err.startswith("error: ")
+
+    def test_connectivity_regime_on_a_200000_cycle_tests_no_set(self, capsys):
+        edges = format_edge_list(cycle_graph(200_000))
+        assert run(capsys, ["certify", "--epsilon", "0.001", "--s", "0"], stdin=edges) == (0, (
+            '{"certified":true,"is_expander":true,"mode":"exhaustive",'
+            '"subsets_checked":0,"witness":null}\n'), "")
 
 
 class TestExpanders:
@@ -696,6 +702,15 @@ class TestBenchCommand:
         code, out, err = run(capsys, ["bench", "--families", f"gnp8n,{name}",
                                       "--sizes", "8", "--seeds", "0"])
         assert (code, out, err) == (2, "", f"error: unknown family {name!r}\n")
+
+    def test_size_above_the_vertex_limit_exits_2_with_one_line(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(bench, "decompose_logstar", lambda g, cfg: ran.append(g.n))
+        code, out, err = run(capsys, ["bench", "--families", "gnp8n", "--sizes", "128,20000000",
+                                      "--seeds", "0"])
+        assert (code, out, err) == (
+            2, "", f"error: sizes must be at most {MAX_VERTICES}, got 20000000\n")
+        assert ran == []
 
     def test_canonical_gallai_names_run(self, capsys):
         code, out, _ = run(capsys, ["bench", "--families", "gallai0,gallai10",

@@ -18,8 +18,6 @@ from cycledecomp.expansion import (
     extract_well_expanding_core,
     worst_case_frontier,
     _certify_heuristic,
-    _subset_count,
-    _subsets_after,
 )
 from cycledecomp.graph import MAX_VERTICES, Graph, neighborhood, robust_neighborhood
 
@@ -331,34 +329,43 @@ def test_paper_budget_covers_every_degree(n):
 
 
 def test_component_shortcut_matches_enumeration():
-    """The component count gives the enumeration's verdict, witness and count."""
+    """Both modes test only the smallest component: the enumeration's verdict
+    and witness, and a count of 1 with a violation and 0 without."""
     p = ExpanderParams(2**-5, 0.0)
     rng = random.Random(31)
     cases = [Graph.from_edges(n, []) for n in (0, 1, 2)] + [path_graph(2)]
     cases.append(Graph.from_edges(7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6)]))
-    for _ in range(150):
+    for _ in range(320):
         n = rng.randint(3, 12)
         g = random_gnp(rng, n, rng.choice((0.1, 0.2, 0.35, 0.6)))
         if rng.random() < 0.4:
             # a subview whose live ids have gaps
             g = g.subview(vertices=rng.sample(range(n), rng.randint(1, n)))
         cases.append(g)
-    verdicts = []
+    seen = Counter()
     for g in cases:
         assert p.connectivity_only(g.n)
         v = certify_expander(g, p, mode="exhaustive")
-        ok, witness, checked = reference_certify(g, p)
+        h = certify_expander(g, p, mode="heuristic")
+        ok, witness, _ = reference_certify(g, p)
         assert v.certified and v.mode == "exhaustive"
-        assert (v.is_expander, v.subsets_checked) == (ok, checked), g.vertex_list()
+        assert v.is_expander == ok, g.vertex_list()
         assert v.violation == (None if ok else (frozenset(witness), frozenset()))
-        verdicts.append(ok)
-    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+        assert (h.violation, h.subsets_checked) == (v.violation, v.subsets_checked)
+        assert v.subsets_checked == (0 if ok else 1)
+        seen["pass" if ok else "fail"] += 1
+        seen["disconnected"] += len(g.components()) > 1
+        seen["gaps"] += g.vertex_list() != list(range(g.n))
+    assert min(seen["pass"], seen["fail"]) >= 20, seen
+    assert min(seen["disconnected"], seen["gaps"]) >= 100, seen
 
 
 def test_threshold_that_underflows_to_zero_is_not_connectivity():
-    """With thresholds that underflow to 0 at small |U| the component count
+    """With thresholds that underflow to 0 at small |U| the component check
     is no certificate: both certifiers agree with the enumeration, and every
-    witness reverifies."""
+    witness reverifies.  Where the threshold at floor(2n/3) is at most 0 no
+    set is tested; otherwise the enumeration counts what the reference
+    visits."""
     underflow_everywhere = ExpanderParams(1e-300, 0.0, "const", 1e308)
     # 0 at |U| <= 2, 1 above: an isolated vertex is no violation, a triangle is
     underflow_below_3 = ExpanderParams(1e-300, 0.0, "const", 1e24)
@@ -374,28 +381,14 @@ def test_threshold_that_underflows_to_zero_is_not_connectivity():
             assert not p.connectivity_only(g.n)
             ok, witness, checked = reference_certify(g, p)
             v = certify_expander(g, p, mode="exhaustive")
+            if p.threshold(2 * g.n // 3, g.n) <= 0:
+                checked = 0
             assert (v.is_expander, v.subsets_checked) == (ok, checked), (p, g.vertex_list())
             assert v.violation is None or (v.violation[0] == witness and v.reverify(g))
             h = certify_expander(g, p, mode="heuristic")
             assert h.is_expander or (not ok and h.reverify(g))
             verdicts.append(ok)
     assert verdicts.count(True) >= 60 and verdicts.count(False) >= 20
-
-
-def test_subset_counts_match_binomial_sums():
-    for n in range(8):
-        for k in range(1, n + 1):
-            combos = list(itertools.combinations(range(n), k))
-            for pos, combo in enumerate(combos):
-                assert _subsets_after(list(combo), n) == len(combos) - 1 - pos
-    rng = random.Random(8)
-    for _ in range(400):
-        n = rng.randint(1, 90)
-        a = sorted(rng.sample(range(n), rng.randint(1, n)))
-        want = sum(math.comb(n - 1 - x, len(a) - i) for i, x in enumerate(a))
-        assert _subsets_after(a, n) == want
-        top = rng.randint(0, n)
-        assert _subset_count(n, top) == sum(math.comb(n, k) for k in range(1, top + 1))
 
 
 def test_component_shortcut_ignores_the_cap():
@@ -405,14 +398,14 @@ def test_component_shortcut_ignores_the_cap():
     assert p.connectivity_only(n)
     v = certify_expander(cycle_graph(n), p, mode="exhaustive", cap=20)
     assert v.is_expander and v.certified
-    assert v.subsets_checked == sum(math.comb(n, k) for k in range(1, 2 * n // 3 + 1))
+    assert v.subsets_checked == 0  # connected: no component to test
     # components {0..9} and {10..29}: the witness is the first 10-subset
     pairs = [(i, (i + 1) % 10) for i in range(10)]
     pairs += [(10 + i, 10 + (i + 1) % 20) for i in range(20)]
     v = certify_expander(Graph.from_edges(n, pairs), p, mode="exhaustive", cap=20)
     assert not v.is_expander and v.certified
     assert v.violation == (frozenset(range(10)), frozenset())
-    assert v.subsets_checked == sum(math.comb(n, k) for k in range(1, 10)) + 1
+    assert v.subsets_checked == 1
     # the enumeration itself still refuses to run over the cap
     with pytest.raises(CapacityError):
         certify_expander(cycle_graph(n), ExpanderParams(2**-5, 1.0), mode="exhaustive", cap=20)

@@ -353,16 +353,17 @@ CLI_GOLDEN = {
     ("certify --epsilon 1.0 --s 1.0", "k8"): (0, "7b6cdd3c0b7e48cc4c0eb56776b540c3cdd9524e6a7dac02d0e772874733240d"),
     ("certify --epsilon 1.0 --s 1.0", "c4"): (0, "50051afd766690d51b53275f2780459796d2b418acd784736de1c636ad31340c"),
     # every verdict path: heuristic violation and pass, a found violation after
-    # 80 subsets, a components witness, a pass after 847 subsets, the
-    # heuristic components check, a threshold of at most 0, the split's two
-    # checks, a split that fails, and one uncertified part above the cap
+    # 80 subsets, a components witness, a connected pass that tests no set, the
+    # heuristic components check, the same pass at n = 40 over the cap, the
+    # split's two checks, a split that fails, and one uncertified part above
+    # the cap
     ("certify --epsilon 1 --s 1 --mode heuristic", "c4"): (0, "c68e0373536a2867c294f1df4e0cb14787817f5079db3fba1f3ff808f8e86fd6"),
     ("certify --epsilon 1 --s 1 --mode heuristic", "gnp40"): (0, "82c7a34199d4f6e53f9dcbc099bb50bc45e5da27087d5fa70698a7bb493af6ab"),
     ("certify --epsilon 1 --s 2 --mode heuristic", "gnp30_shuffled"): (0, "69e3e9839a8d8caf3e914667cff8b5e27b096c4937220a6785a6f44cbaadd749"),
     ("certify --epsilon 0.03125 --s 0", "gnp60_sparse"): (0, "2d539cb93cfe54c84f36b75dda043ae191179bb0a1e49bea40004dbb28045f48"),
-    ("certify --epsilon 0.03125 --s 0", "k10"): (0, "afebc66548b88e6fc99010539b6c1be3455291fb64a2b98826e742424d54bf4e"),
+    ("certify --epsilon 0.03125 --s 0", "k10"): (0, "4058d1987e6764f45145f49b6f43009202dbab6ae3341e3b7aa55fcc2bd8156b"),
     ("certify --epsilon 0.03125 --s 0 --mode heuristic", "gnp60_sparse"): (0, "63551cb61ee10fa82d9ef8b13916010c105c4f7dcca6fd88eb1eb2d1e4ec4c2b"),
-    ("certify --epsilon 1e-300 --s 0 --denominator const", "gnp40"): (0, "34c55eb346ad8b6c013cef0dad9f87af99db59cdbfcae1c920748aba570e0da9"),
+    ("certify --epsilon 1e-300 --s 0 --denominator const", "gnp40"): (0, "4058d1987e6764f45145f49b6f43009202dbab6ae3341e3b7aa55fcc2bd8156b"),
     ("expanders --epsilon 0.01 --s 0.1 --split 2 --check heuristic", "k10"): (0, "4c382647123fd7c1b71f8982ec074eb03539cd2b40e5b7dc2c140269e7d9030c"),
     ("expanders --epsilon 0.01 --s 0.1 --split 2 --check exhaustive", "k10"): (0, "4c382647123fd7c1b71f8982ec074eb03539cd2b40e5b7dc2c140269e7d9030c"),
     ("expanders --epsilon 0.5 --s 1 --split 2 --check heuristic", "gnp24"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -21,6 +21,9 @@ GUARD_TESTS = [
     "tests/test_graph_core.py::test_parser_matches_reference",
     "tests/test_bench.py::TestBenchScaling::test_sizes_below_one_rejected_upfront",
     "tests/test_cli.py::TestBenchCommand::test_size_below_one_exits_2_with_one_line",
+    "tests/test_bench.py::TestBenchScaling::test_sizes_above_the_vertex_limit_rejected_upfront",
+    "tests/test_cli.py::TestBenchCommand::test_size_above_the_vertex_limit_exits_2_with_one_line",
+    "tests/test_cli.py::TestDecomposeRoundTrip::test_out_and_report_naming_one_file_exit2_one_line",
     "tests/test_bench.py::TestBenchScaling::test_repeated_family_size_or_seed_rejected_upfront",
     "tests/test_cli.py::TestBenchCommand::test_repeated_grid_entry_exits_2_with_one_line",
     "tests/test_cli.py::TestBenchCommand::test_family_alias_exits_2_with_one_line",
