@@ -43,28 +43,29 @@ CSV_COLUMNS = (
 
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
-    """Binomial random graph, deterministic under seed."""
+    """Binomial random graph, deterministic under seed.
+
+    It draws one ``random()`` per pair (u, v), u < v, in row-major order and
+    keeps the pair when the draw is below p, so the pairs come out in pair
+    order and go to the host builder as they are.  Every pinned digest of a
+    G(n, p) graph, and of the graphs built from one, follows that stream.
+    """
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     empty = Graph.from_edges(n, [])  # rejects a bad n before any pair is drawn
     if p == 0:
         return empty
-    rng = random.Random(seed)
-    pairs = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                pairs.append((u, v))
-    return Graph.from_edges(n, pairs)
+    draw = random.Random(seed).random
+    return Graph._host(n, [(u, v) for u in range(n) for v in range(u + 1, n) if draw() < p])
 
 
 def gen_gallai_bipartite(k: int, n: int) -> Graph:
     """Complete bipartite K_{2k+1, n-2k-1}: the piece-count lower-bound family."""
     if k < 0 or n < 2 * k + 2:
         raise ValueError("need n >= 2k+2")
+    Graph.from_edges(n, [])  # rejects a bad n before any pair is made
     a = 2 * k + 1
-    # lazy pairs: from_edges rejects a bad n before the first one is made
-    return Graph.from_edges(n, ((i, j) for i in range(a) for j in range(a, n)))
+    return Graph._host(n, [(i, j) for i in range(a) for j in range(a, n)])
 
 
 def gallai_lower_bound(k: int, n: int) -> int:
@@ -90,7 +91,8 @@ def gen_eulerian(n: int, p: float, seed: int) -> Graph:
     parities flip.  Every component always holds an even number of odd
     vertices, so a partner is always reachable.  The smallest odd vertex is
     paired first, with a larger one, so a pointer to it only moves forward.
-    The deletions cut down fresh copies of the graph's sorted neighbour lists.
+    The deletions cut down fresh copies of the graph's sorted neighbour lists,
+    so the pairs left, read row by row, are in pair order for the host builder.
     """
     nbrs = gen_gnp(n, p, seed).arrays_copy()[0]
     x = 0
@@ -124,7 +126,7 @@ def gen_eulerian(n: int, p: float, seed: int) -> Graph:
             del nbrs[cur][bisect_left(nbrs[cur], prv)]
             del nbrs[prv][bisect_left(nbrs[prv], cur)]
             cur = prv
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in nbrs[u] if u < v])
+    return Graph._host(n, [(u, v) for u in range(n) for v in nbrs[u] if u < v])
 
 
 def gen_regular(n: int, d: int, seed: int) -> Graph:
@@ -159,7 +161,7 @@ def gen_regular(n: int, d: int, seed: int) -> Graph:
                 stubs[idx] = stubs[-1]
                 stubs.pop()
         if not wedged:
-            return Graph.from_edges(n, [(u, v) for u in adj for v in adj[u] if u < v])
+            return Graph._host(n, sorted((u, v) for u in adj for v in adj[u] if u < v))
     raise RuntimeError(f"could not realize a simple {d}-regular graph on {n} vertices")
 
 

@@ -36,8 +36,9 @@ class Graph:
     Vertices are ints in ``range(host_n)``; a view keeps only a subset of
     them live.  Edge ids index the shared host edge table, so a view and
     its host agree on what edge ``e`` means.  The table holds each edge as
-    (u, v), u < v, in pair order: ``arrays()`` relies on it, and hosts come
-    from ``from_edges`` or ``parse_edge_list``, which sort it.
+    (u, v), u < v, in pair order: ``arrays()`` relies on it.  Every host
+    comes from ``_host``: ``from_edges`` and ``parse_edge_list`` check and
+    sort their pairs for it; bench.py's generators make theirs in order.
     """
 
     __slots__ = (
@@ -90,19 +91,20 @@ class Graph:
             if code in codes:
                 raise ValueError(f"duplicate edge {divmod(code, n)}")
             codes[code] = None
-        return cls._host(n, codes)
+        return cls._host(n, map(divmod, sorted(codes), repeat(n)))
 
     @classmethod
-    def _host(cls, n: int, codes: Iterable[int]) -> "Graph":
-        """Host graph on ``range(n)`` whose edge ids number its edges in pair order.
+    def _host(cls, n: int, table: Iterable[tuple[int, int]]) -> "Graph":
+        """Host graph on ``range(n)`` whose edge ids number table's edges in order.
 
-        codes holds each edge (u, v), u < v, as u * n + v, which sorts as the
-        pair does, in input order, so input already in pair order sorts in
-        one linear pass; the caller has checked the pairs.  The pairs are
-        made here, in pair order, so walks over the table read memory in
+        table holds distinct pairs (u, v), 0 <= u < v < n, in pair order,
+        and is not checked here: the caller has checked or made them so.
+        ``from_edges`` and ``parse_edge_list`` hold each checked edge as
+        u * n + v, which sorts as the pair does, and hand over the pairs
+        made from the sorted codes, so walks over the table read memory in
         order whatever order the input came in.
         """
-        table = tuple(map(divmod, sorted(codes), repeat(n)))
+        table = tuple(table)
         return cls(n, table, frozenset(range(n)), frozenset(range(len(table))))
 
     # -- basic accessors -------------------------------------------------
@@ -516,7 +518,7 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError("missing header line", 1)
     if len(codes) != m:
         raise ParseError(f"header promised {m} edges, found {len(codes)}", 1)
-    return Graph._host(n, codes)
+    return Graph._host(n, map(divmod, sorted(codes), repeat(n)))
 
 
 def format_edge_list(g: Graph) -> str:

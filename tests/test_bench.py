@@ -20,7 +20,13 @@ from cycledecomp.bench import (
     gen_gnp,
     gen_regular,
 )
-from cycledecomp.graph import MAX_VERTICES, Decomposition, Graph
+from cycledecomp.graph import (
+    MAX_VERTICES,
+    Decomposition,
+    Graph,
+    format_edge_list,
+    parse_edge_list,
+)
 
 from helpers import complete_graph
 
@@ -149,6 +155,60 @@ class TestGenRegular:
         # n*d stubs and n neighbour sets past the limit would take gigabytes
         with pytest.raises(ValueError, match="exceeds the limit"):
             gen_regular(MAX_VERTICES + 2, 0, 0)
+
+
+# sha256 of format_edge_list(gen(*args)).  Every G(n, p) digest, the
+# eulerian ones included, follows gen_gnp's stream of one random() per pair
+# in row-major order, so a change to that stream needs these re-pinned.
+GENERATOR_GOLDEN = [
+    (gen_gnp, (0, 0.5, 0), "0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101"),
+    (gen_gnp, (1, 0.5, 0), "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7"),
+    (gen_gnp, (2, 1, 0), "4a6ae7226283a4b6277ce3e77a91585c0cad93929046f3c7bd9105d7ed101834"),
+    (gen_gnp, (6, 0, 1), "3e6a55c946ac49027ba9b8aa0aed2362f58b55fd739cb84287ea16693421fb1b"),
+    (gen_gnp, (128, 1, 0), "eb30293cb613d8ec7f8fbd8db4281e873fbb0558a302c9aad50ec3363a33571e"),
+    (gen_gnp, (384, 0.5, 1000),
+     "7210804bb28122493dd7a0492369a0e2e6c0651b360d5f91fb65350028b8b986"),
+    (gen_gnp, (1024, 8 / 1024, 3),
+     "cafea56b55e72121018ce1d0990c8d6f9f1b3fb6f2b20ad94174d542a96df9c2"),
+    (gen_gallai_bipartite, (0, 12),
+     "033b7c51f5a5d0266c4729eb15a2459de184f5930c7b001b5405bd41338b8e98"),
+    (gen_gallai_bipartite, (1, 12),
+     "1b0f0edb484c7ee0e488f75846a2c2e51e2bfdf70468171ac2ce18a342119034"),
+    (gen_gallai_bipartite, (2, 12),
+     "f20f6ee54e33ba109607ee35e321aa8cfdc2f1faeb75be6a5db01ce6a7a0a3c9"),
+    (gen_gallai_bipartite, (5, 12),
+     "8f1d2f7e1ba282e50e95dd62ed57bad1fc5fa044f49736424d81dfcc6a626ba4"),
+    (gen_gallai_bipartite, (0, 1024),
+     "bd5a13e8221d5afc0fcdd83178a00c2e3bd77625fb7b4ed234244fc76fb2f012"),
+    (gen_gallai_bipartite, (1, 1024),
+     "35a4cae20cfffa44a02aaf46687e96509f22138b611061d19e249359b0975ec7"),
+    (gen_gallai_bipartite, (2, 1024),
+     "dc2b05286ad3842e0ea2c16907577fb00363e7fda7659f9eec0c667afce13b12"),
+    (gen_gallai_bipartite, (5, 1024),
+     "15674e70c7f954c2806213f674e19b61bc14743c1207bf3c484acc001a701ac7"),
+    (gen_eulerian, (64, 1, 0), "e5a351920877a3fbdfb77131e43461d128d358a3eb5aa5a19d89213fa130f46f"),
+    (gen_eulerian, (1024, 8 / 1024, 1000),
+     "0c6514daf12a5122fce2d9aaca29394604bf0c2a19a77d7b6a33cf294bb7bc1e"),
+    (gen_regular, (200, 3, 1), "5a7a35b3a76fc003e033d55b9675308aca8a3c357d43f120cb36135d45f7f1b6"),
+    (gen_regular, (12, 11, 0), "a7860f42ed2e9e7d092b8e58d71aef574bde8a04cbf7dc9352e32b1a32fdd545"),
+]
+
+
+@pytest.mark.parametrize("gen, args, digest", GENERATOR_GOLDEN,
+                         ids=[f"{gen.__name__}{args}" for gen, args, _ in GENERATOR_GOLDEN])
+def test_generator_bytes_pinned(gen, args, digest):
+    """The generators build their hosts without from_edges' checks and sort,
+    so each host must be the one from_edges would build, its table strictly
+    in pair order, and its edge-list text must parse back to the same table,
+    as perfbench's set-up hands that text to the timed parse."""
+    g = gen(*args)
+    text = format_edge_list(g)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    ref = Graph.from_edges(g.host_n, g.edge_table)
+    assert (g.edge_table, g.vertices, g.edge_ids) == (ref.edge_table, ref.vertices, ref.edge_ids)
+    tab = g.edge_table
+    assert all(a < b for a, b in zip(tab, tab[1:]))
+    assert parse_edge_list(text).edge_table == tab
 
 
 class TestBenchScaling:

@@ -22,14 +22,23 @@ def test_only_graph_names_the_cached_arrays():
 
 
 def callers(name: str) -> set[tuple[str, str]]:
-    """(module file, top-level definition) of every call to name in src/."""
+    """(module file, definition) of every call to name in src/, made bare or
+    as an attribute such as ``cls.name``.  A definition is a top-level one,
+    or ``Class.method`` for a call in a method, ``Class.<body>`` elsewhere
+    in a class."""
     found = set()
     for path in SRC.glob("*.py"):
         for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                        and node.func.id == name):
-                    found.add((path.name, getattr(top, "name", "<module>")))
+            top_name = getattr(top, "name", "<module>")
+            if isinstance(top, ast.ClassDef):
+                parts = [(f"{top_name}.{getattr(d, 'name', '<body>')}", d) for d in top.body]
+            else:
+                parts = [(top_name, top)]
+            for where, part in parts:
+                if any(isinstance(node, ast.Call)
+                       and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                       for node in ast.walk(part)):
+                    found.add((path.name, where))
     return found
 
 
@@ -38,6 +47,17 @@ def test_only_graph_and_the_peel_construct_graphs():
     own, around the arrays it cuts down as it takes each cycle."""
     outside = {c for c in callers("Graph") if c[0] != "graph.py"}
     assert outside == {("pathscycles.py", "peel_long_cycles")}
+
+
+def test_only_the_checked_builders_and_the_generators_build_hosts():
+    """_host takes its table on trust: only the two builders that check
+    their input, and the generators that make their pairs in pair order
+    after their vertex-limit checks, may hand it one."""
+    assert callers("_host") == {
+        ("graph.py", "Graph.from_edges"), ("graph.py", "parse_edge_list"),
+        ("bench.py", "gen_gnp"), ("bench.py", "gen_gallai_bipartite"),
+        ("bench.py", "gen_eulerian"), ("bench.py", "gen_regular"),
+    }
 
 
 def test_only_certify_expander_builds_verdicts():
