@@ -10,23 +10,27 @@ also proves that no routing exists, on small inputs only.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .expansion import CapacityError
-from .graph import Graph, Path
+from .graph import Graph, Path, _Checked
 
 
-@dataclass(frozen=True)
-class PairBatch:
-    """Unordered vertex pairs, none degenerate."""
-
+class _PairBatchFields(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+
+class PairBatch(_Checked, _PairBatchFields):
+    """Unordered vertex pairs, none degenerate."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for u, v in self.pairs:
             if u == v:
                 raise ValueError(f"pair ({u}, {v}) is degenerate")
+        return self
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "PairBatch":
@@ -34,8 +38,7 @@ class PairBatch:
         return cls(tuple((min(u, v), max(u, v)) for u, v in pairs))
 
 
-@dataclass(frozen=True)
-class RoutedPaths:
+class RoutedPaths(NamedTuple):
     """One path per pair, internally through ``through_set``, length <= ell."""
 
     paths: tuple[Path, ...]
@@ -68,8 +71,7 @@ class RoutedPaths:
         return problems
 
 
-@dataclass(frozen=True)
-class RouteFailure:
+class RouteFailure(NamedTuple):
     stuck: tuple[tuple[int, int], ...]
     attempts: int
     reason: str = ""

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .expansion import (
     ExpanderParams,
@@ -21,8 +20,7 @@ from .expansion import (
 from .graph import Graph, neighborhood
 
 
-@dataclass(frozen=True)
-class AlmostDecomposeResult:
+class AlmostDecomposeResult(NamedTuple):
     """Parts plus removed edges; parts ∪ removed partition E(G) exactly."""
 
     parts: tuple[Graph, ...]
@@ -163,8 +161,7 @@ def _final_verdict(g: Graph, p: ExpanderParams, *, cap: int, seed: int) -> Expan
 # -- edge splitting ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
     parts: tuple[Graph, ...]
     attempts: int
     verdicts: tuple[Optional[ExpanderVerdict], ...]

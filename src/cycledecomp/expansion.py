@@ -14,10 +14,9 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .graph import Graph, _check_sets, _edges_into, neighborhood, robust_neighborhood
+from .graph import Graph, _Checked, _check_sets, _edges_into, neighborhood, robust_neighborhood
 
 
 # greedy-growth roots of the heuristic certifier: half lowest-degree, half random
@@ -32,8 +31,14 @@ class TheoremViolation(AssertionError):
     """A certified-expander guarantee failed empirically; carries the witness."""
 
 
-@dataclass(frozen=True)
-class ExpanderParams:
+class _ExpanderParamsFields(NamedTuple):
+    epsilon: float
+    s: float
+    denominator: str = "log2sq"
+    denominator_const: float = 1.0
+
+
+class ExpanderParams(_Checked, _ExpanderParamsFields):
     """Expansion parameters: epsilon in (0,1], finite robustness budget s >= 0.
 
     ``denominator`` selects the threshold denominator as a function of the
@@ -41,12 +46,10 @@ class ExpanderParams:
     fixed ``denominator_const``, which must be finite and positive.
     """
 
-    epsilon: float
-    s: float
-    denominator: str = "log2sq"
-    denominator_const: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0 < self.epsilon <= 1):
             raise ValueError("epsilon must lie in (0, 1]")
         if not 0 <= self.s < math.inf:
@@ -55,6 +58,7 @@ class ExpanderParams:
             raise ValueError("denominator must be 'log2sq' or 'const'")
         if not 0 < self.denominator_const < math.inf:
             raise ValueError("denominator_const must be finite and positive")
+        return self
 
     def denominator_value(self, n: int) -> float:
         if self.denominator == "log2sq":
@@ -101,8 +105,7 @@ class ExpanderParams:
         return self.budget(1) >= max_degree
 
 
-@dataclass(frozen=True)
-class ExpanderVerdict:
+class ExpanderVerdict(NamedTuple):
     mode: str
     params: ExpanderParams
     violation: Optional[tuple[frozenset[int], frozenset[int]]]
@@ -129,8 +132,7 @@ class ExpanderVerdict:
         return len(survivors) < self.params.threshold(len(U), g.n)
 
 
-@dataclass(frozen=True)
-class DichotomyOutcome:
+class DichotomyOutcome(NamedTuple):
     case: str  # "WellExpanding" or "RobustNeighborhood"
     neighbor_count: int = 0
     robust_set: frozenset[int] = frozenset()

@@ -12,9 +12,8 @@ import hashlib
 import json
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 # largest vertex count a graph may have: a host graph holds every vertex id
@@ -270,22 +269,36 @@ def _component_sets(g: Graph) -> Iterator[tuple[int, set[int]]]:
 # -- paths, cycles, decompositions ------------------------------------------
 
 
-@dataclass(frozen=True)
-class Path:
-    """Simple path: k+1 distinct vertices joined by k edge ids in order."""
+class _Checked:
+    """Base of a record that checks its fields in ``__new__``.  ``_make``
+    builds through the class call, so ``_replace``, which builds through
+    ``_make``, is checked too."""
 
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class _Walk(NamedTuple):
     vertices: tuple[int, ...]
     edge_ids: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.vertices) != len(self.edge_ids) + 1:
-            raise ValueError("path needs exactly one more vertex than edge")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("path repeats a vertex")
 
     @property
     def length(self) -> int:
         return len(self.edge_ids)
+
+
+class Path(_Checked, _Walk):
+    """Simple path: k+1 distinct vertices joined by k edge ids in order."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if len(self.vertices) != len(self.edge_ids) + 1:
+            raise ValueError("path needs exactly one more vertex than edge")
+        if len(set(self.vertices)) != len(self.vertices):
+            raise ValueError("path repeats a vertex")
+        return self
 
     @property
     def ends(self) -> tuple[int, int]:
@@ -296,24 +309,20 @@ class Path:
         _check_incidence(g, "path", zip(self.edge_ids, self.vertices, self.vertices[1:]))
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(_Checked, _Walk):
     """Simple cycle: L >= 3 distinct vertices; edge_ids[i] joins v[i], v[i+1 mod L]."""
 
-    vertices: tuple[int, ...]
-    edge_ids: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.vertices) < 3:
             raise ValueError("cycle needs at least 3 vertices")
         if len(self.vertices) != len(self.edge_ids):
             raise ValueError("cycle needs one edge per vertex")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("cycle repeats a vertex")
-
-    @property
-    def length(self) -> int:
-        return len(self.edge_ids)
+        return self
 
     def check(self, g: Graph) -> None:
         vs = self.vertices
@@ -330,8 +339,7 @@ def _check_incidence(g: Graph, kind: str, steps: Iterable[tuple[int, int, int]])
             raise ValueError(f"{kind} edge {eid} does not join {a},{b}")
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Exact partition of a graph's edges into cycles plus single edges."""
 
     source: str
@@ -339,7 +347,7 @@ class Decomposition:
     m: int
     cycles: tuple[Cycle, ...]
     single_edges: tuple[int, ...]
-    stats: dict = field(default_factory=dict)
+    stats: dict
 
     @classmethod
     def from_parts(
@@ -368,8 +376,7 @@ class Decomposition:
         return len(self.cycles) + len(self.single_edges)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     problems: tuple[str, ...]
     n_cycles: int

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graph import Cycle, Graph, Path, _component_sets
 
 
-@dataclass(frozen=True)
-class WellSpreadResult:
+class WellSpreadResult(NamedTuple):
     """Paths and cycles partitioning the edges; in paths_only mode, only the
     cycles that splitting would push some vertex past endpoint multiplicity 2."""
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import Cycle, Decomposition, Graph
+from .graph import Cycle, Decomposition, Graph, _Checked
 from .pathscycles import eulerian_cycle_decompose, peel_long_cycles
 
 # bound only because perfbench/tracing.py patches these names here; no stage
@@ -47,20 +46,25 @@ def log_star(n: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class _PipelineConfigFields(NamedTuple):
+    preset: str
+    rng_seed: int = 0
+
+
+class PipelineConfig(_Checked, _PipelineConfigFields):
     """A preset and a seed: the whole configuration of the drivers.
 
     No stage reads the seed; it is kept because the decomposition's
     ``stats["seed"]`` records it, and that is part of the output's bytes.
     """
 
-    preset: str
-    rng_seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}, expected one of {PRESETS}")
+        return self
 
     @classmethod
     def engineering(cls, seed: int = 0) -> "PipelineConfig":
@@ -80,8 +84,7 @@ class Stage(NamedTuple):
     rest: Graph
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     """Per-iteration degree trajectory of one log-star run."""
 
     iterations: tuple[dict, ...]

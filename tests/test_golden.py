@@ -6,7 +6,6 @@ made on purpose, with the new pieces/n per family stated alongside it.
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -246,19 +245,19 @@ def decomposition_mutations(dec, g: Graph):
         c = cycles[0]
         es = c.edge_ids
         dead = next(e for e in range(len(g.edge_table) + 1) if e not in g.edge_ids)
-        yield "edge ids rotated", dataclasses.replace(
-            dec, cycles=(Cycle(c.vertices, es[1:] + es[:1]),) + cycles[1:])
-        yield "closing edge id wrong", dataclasses.replace(
-            dec, cycles=(Cycle(c.vertices, es[:-1] + es[:1]),) + cycles[1:])
-        yield "dead edge id", dataclasses.replace(
-            dec, cycles=(Cycle(c.vertices, (dead,) + es[1:]),) + cycles[1:])
-        yield "cycle twice", dataclasses.replace(dec, cycles=cycles + (c,))
-        yield "cycle edge also single", dataclasses.replace(dec, single_edges=singles + es[:1])
-        yield "cycle dropped", dataclasses.replace(dec, cycles=cycles[1:])
+        yield "edge ids rotated", dec._replace(
+            cycles=(Cycle(c.vertices, es[1:] + es[:1]),) + cycles[1:])
+        yield "closing edge id wrong", dec._replace(
+            cycles=(Cycle(c.vertices, es[:-1] + es[:1]),) + cycles[1:])
+        yield "dead edge id", dec._replace(
+            cycles=(Cycle(c.vertices, (dead,) + es[1:]),) + cycles[1:])
+        yield "cycle twice", dec._replace(cycles=cycles + (c,))
+        yield "cycle edge also single", dec._replace(single_edges=singles + es[:1])
+        yield "cycle dropped", dec._replace(cycles=cycles[1:])
     if singles:
-        yield "single twice", dataclasses.replace(dec, single_edges=singles + singles[:1])
-    yield "wrong source", dataclasses.replace(dec, source="0" * 16)
-    yield "wrong m", dataclasses.replace(dec, m=dec.m + 1)
+        yield "single twice", dec._replace(single_edges=singles + singles[:1])
+    yield "wrong source", dec._replace(source="0" * 16)
+    yield "wrong m", dec._replace(m=dec.m + 1)
 
 
 @pytest.mark.parametrize("name,preset", sorted(GOLDEN))

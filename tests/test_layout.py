@@ -2,10 +2,12 @@
 cached adjacency and builds its views, certify_expander alone builds a
 verdict, the pipeline reaches no expander code, no module hands work to a
 pool of processes or threads, every definition in src/ is named somewhere
-outside itself, every field in src/ is read, and the calls perfbench's
-tracer wraps by name keep their shapes."""
+outside itself, every field in src/ is read, every record is a NamedTuple
+whose fields its class body declares, and the calls perfbench's tracer wraps
+by name keep their shapes."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -173,3 +175,74 @@ def test_every_field_in_src_is_read():
                         and stmt.target.id not in read):
                     unread.append(f"{path.name}:{stmt.lineno} {cls.name}.{stmt.target.id}")
     assert unread == []
+
+
+def record_form_problems(sources: dict[str, str]) -> list[str]:
+    """What breaks the record form in the given module sources: an import of
+    dataclasses, a class with annotated fields that is not a NamedTuple, a
+    NamedTuple whose class body declares no field, and a record made by a
+    call to ``NamedTuple`` or ``namedtuple``, whose fields no class body
+    declares and so no field rule sees."""
+    problems = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            where = f"{name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Import):
+                if any(a.name.split(".")[0] == "dataclasses" for a in node.names):
+                    problems.append(f"{where} imports dataclasses")
+            elif isinstance(node, ast.ImportFrom):
+                if not node.level and node.module.split(".")[0] == "dataclasses":
+                    problems.append(f"{where} imports dataclasses")
+            elif isinstance(node, ast.Call):
+                if (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in (
+                        "NamedTuple", "namedtuple"):
+                    problems.append(f"{where} makes a record by a call")
+            elif isinstance(node, ast.ClassDef):
+                declared = any(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+                named_tuple = any((getattr(b, "id", None) or getattr(b, "attr", None)) == "NamedTuple"
+                                  for b in node.bases)
+                if declared and not named_tuple:
+                    problems.append(f"{where} {node.name} declares fields but is no NamedTuple")
+                if named_tuple and not declared:
+                    problems.append(f"{where} {node.name} is a NamedTuple that declares no field")
+    return problems
+
+
+def test_records_are_named_tuples_with_declared_fields():
+    """No dataclass, and no record made by a call.  Each tuple class of the
+    package takes its fields, in order, from a class body's annotations, and
+    keeps no instance dict, so none of its instances can be assigned to."""
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert record_form_problems(sources) == []
+    declared = {}
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                declared[name[:-3], node.name] = tuple(
+                    stmt.target.id for stmt in node.body if isinstance(stmt, ast.AnnAssign))
+    records = set()
+    for name in sources:
+        module = importlib.import_module(f"cycledecomp.{name[:-3]}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and issubclass(cls, tuple) and cls.__module__ == module.__name__:
+                owner = next(c for c in cls.__mro__ if "_fields" in vars(c))
+                assert declared.get((name[:-3], owner.__name__)) == cls._fields, cls
+                assert cls.__dictoffset__ == 0, cls
+                records.add(cls.__name__)
+    assert {r for r in records if not r.startswith("_")} == {
+        "Path", "Cycle", "Decomposition", "ValidationReport", "WellSpreadResult", "PairBatch",
+        "RoutedPaths", "RouteFailure", "ExpanderParams", "ExpanderVerdict", "DichotomyOutcome",
+        "AlmostDecomposeResult", "SplitResult", "PipelineConfig", "Stage", "RunReport"}
+
+
+def test_the_record_rule_fails_on_every_other_form():
+    assert record_form_problems({"a.py": "from typing import NamedTuple\n"
+                                         "class A(NamedTuple):\n    x: int\n"}) == []
+    for text in ("from typing import NamedTuple\nA = NamedTuple('A', [('x', int)])\n",
+                 "import typing\nclass A(typing.NamedTuple('B', [('x', int)])):\n    pass\n",
+                 "import collections\nA = collections.namedtuple('A', 'x y')\n",
+                 "from dataclasses import dataclass\n",
+                 "import dataclasses\n",
+                 "class A:\n    x: int\n",
+                 "from typing import NamedTuple\nclass A(NamedTuple):\n    x = 0\n"):
+        assert len(record_form_problems({"a.py": text})) == 1, text
